@@ -61,16 +61,18 @@ print(f"blend of two (1,{dim}) vectors -> {blended.shape}")
 section("cloud model forward")
 slow = SlowModel(50, dim, np.random.default_rng(1), interactive=True, head_hidden=(16, 8))
 memory = np.zeros((1, dim))
-prob, r_n, r_t = slow.forward_interactive([4, 9, 11, 2], 7, memory)
-print(f"p(click)={prob.item():.4f}; with zero memory the gated feature is r_n={r_n.data.round(3)}")
+prob, r_n, r_t = slow.forward_interactive([4, 9, 11, 2], [7, 12], memory)
+print(f"p(click) for candidates 7, 12: {prob.data.ravel().round(4)} (one graph for both)")
+print(f"with zero memory the gated feature for candidate 7 is r_n={r_n.data[0].round(3)}")
 
 section("device model forward (needs synced embedding rows)")
 fast = FastModel(50, dim, np.random.default_rng(2), interactive=True, head_hidden=(16, 8))
 ids = np.arange(50)
 fast.sync_rows(ids, slow.embedding.lookup_np(ids))  # device rows come from the cloud table
-prior = InterestExport(user=0, round=0, r_n=np.zeros((1, dim)), r_t=r_t.data)
-out = fast.forward_interactive(clicked=[4, 9], exposed=[13, 30], candidate=7, prior=prior)
-print(f"p(click)={out.prob.item():.4f} from {len(fast.synced_ids())} synced rows")
+prior = InterestExport(user=0, round=0, r_n=np.zeros((1, dim)), r_t=r_t.data[:1])
+out = fast.forward_interactive(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
+print(f"p(click)={out.prob.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
+      " both GRUs ran once for the two candidates")
 
 section("checkpoint round trip")
 path = os.path.join(tempfile.mkdtemp(), "demo.ckpt")

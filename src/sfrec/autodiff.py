@@ -14,6 +14,7 @@ and float32 for experiment runs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -33,10 +34,11 @@ __all__ = [
     "mul",
     "affine",
     "scale",
-    "scalar_combine",
     "concat",
     "transpose",
+    "reshape",
     "row",
+    "repeat_rows",
     "gather_rows",
     "sigmoid",
     "tanh",
@@ -114,10 +116,11 @@ class Tensor:
         return float(self.data[0, 0])
 
     def accumulate(self, g):
-        """Add ``g`` into this tensor's gradient slot (allocating on demand)."""
+        """Add ``g`` into this tensor's gradient slot; the first write stores a copy."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.astype(self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -183,13 +186,26 @@ def parameter(data, name, *, decay=False, sparse_decay=False, dtype=None):
     return Tensor(data, param=True, name=name, decay=decay, sparse_decay=sparse_decay, dtype=dtype)
 
 
+def _wrap(data):
+    """Op-output constructor: ``data`` is already a 2-D float array, so the
+    conversion and checks of :class:`Tensor` are skipped."""
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.param = out.track = out.decay = out.sparse_decay = False
+    out.name = None
+    out._backward = None
+    return out
+
+
 def node(data, parents, backward):
     """Create an op output.
 
     Records on the active tape only when some parent is tracked; otherwise the
-    result is a plain untracked value (the no-grad fast path).
+    result is a plain untracked value (the no-grad fast path).  Every op
+    hands in a 2-D array of its inputs' float dtype.
     """
-    out = Tensor(data)
+    out = _wrap(data)
     if _ACTIVE_TAPE is not None and any(p.track for p in parents):
         out.track = True
         out._backward = backward
@@ -266,25 +282,25 @@ def affine(x, mul=1.0, add=0.0):
 
 
 def scale(s, v):
-    """Scalar graph node times a matrix: ``s`` must be (1,1)."""
-    if s.shape != (1, 1):
-        raise ShapeError(f"scale() wants a (1,1) scalar, got {s.shape}")
+    """Graph scalar times a matrix, or a column times a matrix row by row.
+
+    ``s`` is (1,1), scaling all of ``v``, or (n,1) for an (n,m) ``v``,
+    scaling row i by ``s[i]``.
+    """
+    if s.shape != (1, 1) and s.shape != (v.shape[0], 1):
+        raise ShapeError(f"scale() wants a (1,1) scalar or a ({v.shape[0]},1) column, got {s.shape}")
     _require_same_dtype(s, v)
-    sval = s.data[0, 0]
-    vd = v.data
+    column = s.shape != (1, 1)
+    sd, vd = s.data, v.data
 
     def backward(g):
         if s.track:
-            s.accumulate(np.array([[np.sum(g * vd)]], dtype=vd.dtype))
+            per_row = (g * vd).sum(axis=1, keepdims=True)
+            s.accumulate(per_row if column else per_row.sum(axis=0, keepdims=True))
         if v.track:
-            v.accumulate(sval * g)
+            v.accumulate(sd * g)
 
-    return node(sval * vd, (s, v), backward)
-
-
-def scalar_combine(s1, v1, s2, v2):
-    """``s1*v1 + s2*v2`` where s1, s2 are (1,1) graph scalars."""
-    return add(scale(s1, v1), scale(s2, v2))
+    return node(sd * vd, (s, v), backward)
 
 
 def concat(parts, axis=1):
@@ -316,6 +332,37 @@ def transpose(a):
             a.accumulate(g.T)
 
     return node(a.data.T.copy(), (a,), backward)
+
+
+def reshape(a, rows, cols):
+    """The same values, row-major, as a (rows, cols) matrix."""
+    if rows * cols != a.data.size:
+        raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
+    shape = a.shape
+
+    def backward(g):
+        if a.track:
+            a.accumulate(g.reshape(shape))
+
+    return node(a.data.reshape(rows, cols), (a,), backward)
+
+
+def repeat_rows(a, k):
+    """Each row of ``a`` repeated ``k`` times in place: (n, m) -> (n*k, m).
+
+    ``k == 1`` returns ``a`` itself.
+    """
+    if k < 1:
+        raise ShapeError(f"repeat count must be at least 1, got {k}")
+    if k == 1:
+        return a
+    n, m = a.shape
+
+    def backward(g):
+        if a.track:
+            a.accumulate(g.reshape(n, k, m).sum(axis=1))
+
+    return node(np.repeat(a.data, k, axis=0), (a,), backward)
 
 
 def row(a, i):
@@ -435,25 +482,27 @@ def mean_all(a):
 _BCE_EPS = 1e-7
 
 
-def binary_cross_entropy(p, y):
-    """``-(y log p + (1-y) log(1-p))`` with p clamped to [1e-7, 1-1e-7].
+def binary_cross_entropy(p, labels):
+    """Summed ``-(y log p + (1-y) log(1-p))`` over an (n,1) probability column.
 
-    ``y`` is a plain 0/1 label, not a graph node.  Fused into one op: the
-    hand-written backward keeps per-example graphs small.
+    ``labels`` holds one plain 0/1 label per row (not graph nodes); ``p`` is
+    clamped to [1e-7, 1-1e-7].  The result is the (1,1) sum over rows.  Fused
+    into one op: the hand-written backward keeps training graphs small.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    if p.shape != (1, 1):
-        raise ShapeError(f"binary_cross_entropy wants a (1,1) probability, got {p.shape}")
+    y = np.asarray(labels, dtype=p.data.dtype).reshape(-1, 1)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError(f"labels must be 0 or 1, got {labels!r}")
+    if p.shape != (y.shape[0], 1):
+        raise ShapeError(f"binary_cross_entropy wants a ({y.shape[0]},1) probability column, got {p.shape}")
     pc = np.clip(p.data, _BCE_EPS, 1.0 - _BCE_EPS)
     inside = (p.data > _BCE_EPS) & (p.data < 1.0 - _BCE_EPS)
-    loss = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+    losses = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
 
     def backward(g):
         if p.track:
             p.accumulate(g * inside * (pc - y) / (pc * (1.0 - pc)))
 
-    return node(loss, (p,), backward)
+    return node(np.array([[losses.sum()]], dtype=pc.dtype), (p,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -618,29 +667,41 @@ def save_checkpoint(path, named_arrays):
 
 
 def load_checkpoint(path):
-    """Read an SFPK checkpoint back into a dict of float32 arrays."""
+    """Read an SFPK checkpoint back into a dict of float32 arrays.
+
+    Bytes that are not a whole, well-formed checkpoint raise
+    :class:`CheckpointError`.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _CKPT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<BI", raw, 4)
+    view = memoryview(raw)
+    off = 4
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(raw):
+            raise CheckpointError(f"checkpoint truncated in {what} at byte {off}: needs {n} bytes, {len(raw) - off} left")
+        chunk = view[off : off + n]
+        off += n
+        return chunk
+
+    version, count = struct.unpack("<BI", take(5, "header"))
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     out = {}
-    off = 9
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        out[name] = arr.copy()
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name before byte {off} is not UTF-8") from None
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        n = math.prod(dims)
+        payload = take(4 * n, f"payload of {name!r}")
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes in checkpoint")
     return out

@@ -108,18 +108,18 @@ def _gradcheck_graphs(dim, seed):
     for interactive in (False, True):
         slow = SlowModel(n_items, dim, np.random.default_rng(seed), interactive=interactive, head_hidden=(8, 4))
         if interactive:
-            fn = lambda m=slow: m.loss([1, 5, 3, 2], 4, 1, neg_memory=memory)
+            fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0], neg_memory=memory)
         else:
-            fn = lambda m=slow: m.loss([1, 5, 3, 2], 4, 1)
+            fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0])
         graphs.append((f"slow-{'interactive' if interactive else 'plain'}", fn, slow.params()))
     for interactive in (False, True):
         fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive=interactive, head_hidden=(8, 4))
         ids = np.arange(n_items)
         fast.sync_rows(ids, np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim)))
         if interactive:
-            fn = lambda m=fast: m.loss(clicked, exposed, 4, 1, prior=prior)
+            fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
         else:
-            fn = lambda m=fast: m.loss(clicked, exposed, 4, 1)
+            fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0])
         graphs.append((f"fast-{'interactive' if interactive else 'plain'}", fn, fast.params()))
     return graphs
 

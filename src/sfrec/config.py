@@ -27,6 +27,9 @@ class ExperimentConfig:
     data_format: str = "ml1m"
     variant: str = "s2f_full"
     dim: int = 32
+    # examples per Adam step; a training context (a positive plus its
+    # n_train_neg negatives) is never split, so when 1 + n_train_neg does not
+    # divide batch_size a step fires at the first context boundary past it
     batch_size: int = 256
     lr: float = 5e-4
     l2: float = 1e-4

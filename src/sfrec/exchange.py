@@ -14,6 +14,7 @@ records in the same format.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -156,11 +157,16 @@ def decode_message(data):
     payload = {}
     for _ in range(count):
         (name_len,) = r.unpack(struct.Struct("<H"))
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaViolation(f"payload name ending at byte {r.off} is not UTF-8") from None
         (rank,) = r.unpack(struct.Struct("<B"))
         dims = r.unpack(struct.Struct(f"<{rank}I")) if rank else ()
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n = math.prod(dims)
         arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims)
+        if not np.all(np.isfinite(arr)):
+            raise SchemaViolation(f"payload {name!r} contains non-finite values")
         payload[name] = arr.copy()
     if r.off != len(data):
         raise SchemaViolation(f"{len(data) - r.off} trailing bytes after message")

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
-from .slow import cross_entropy
 
 __all__ = ["FastModel", "FastForward", "ExposureMemory", "NegativeMemoryExport", "UnsyncedRowError"]
 
@@ -30,7 +29,7 @@ class UnsyncedRowError(KeyError):
 
 
 class FastForward(NamedTuple):
-    """Probability plus the pre-blend interest vectors (for diagnostics)."""
+    """(n, 1) probabilities plus the shared (1, d) pre-blend interest vectors (for diagnostics)."""
 
     prob: "ad.Tensor"
     r_click: "ad.Tensor"
@@ -135,15 +134,15 @@ class FastModel:
         r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose)
         return r_click, r_expose
 
-    def forward(self, clicked, exposed, candidate):
-        """Plain wiring: both GRUs start from zero state."""
+    def forward(self, clicked, exposed, candidates):
+        """Plain wiring: both GRUs start from zero state and run once for all candidates."""
         if self.interactive:
             raise RuntimeError("interactive model: use forward_interactive")
         zero = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
         r_click, r_expose = self._encodings(clicked, exposed, zero, zero)
-        target = self.lookup([candidate])
-        blended = ly.target_aware_fusion(r_click, r_expose, target, self.fusion)
-        prob = ly.predict_head(self.head, ad.concat([blended, target], axis=1))
+        targets = self.lookup(candidates)
+        blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
+        prob = ly.predict_head(self.head, ad.concat([blended, targets], axis=1))
         return FastForward(prob, r_click, r_expose)
 
     def _prior_states(self, r_n, r_t):
@@ -156,28 +155,30 @@ class FastModel:
         )
         init_click = ad.relu(ad.add(ad.matmul(blended_prior, self.init_click_w), self.init_click_b))
         init_expose = ad.relu(ad.add(ad.matmul(blended_prior, self.init_expose_w), self.init_expose_b))
-        return init_click, init_expose, rt_c
+        return init_click, init_expose
 
-    def forward_interactive(self, clicked, exposed, candidate, prior):
-        """Cloud-primed wiring; ``prior`` supplies (r_n, r_t) arrays."""
+    def forward_interactive(self, clicked, exposed, candidates, prior):
+        """Cloud-primed wiring; ``prior`` supplies (r_n, r_t) arrays shared by all candidates."""
         if not self.interactive:
             raise RuntimeError("plain model: use forward")
         r_n, r_t = prior.r_n, prior.r_t
         if np.asarray(r_n).shape != (1, self.dim) or np.asarray(r_t).shape != (1, self.dim):
             raise ad.ShapeError(f"prior vectors must be (1,{self.dim})")
-        init_click, init_expose, rt_c = self._prior_states(r_n, r_t)
+        init_click, init_expose = self._prior_states(r_n, r_t)
         r_click, r_expose = self._encodings(clicked, exposed, init_click, init_expose)
-        target = self.lookup([candidate])
-        blended = ly.target_aware_fusion(r_click, r_expose, target, self.fusion)
-        prob = ly.predict_head(self.head, ad.concat([blended, rt_c, target], axis=1))
+        targets = self.lookup(candidates)
+        blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
+        rt_rep = ad.constant(np.repeat(np.asarray(r_t, dtype=self._emb.dtype), targets.shape[0], axis=0))
+        prob = ly.predict_head(self.head, ad.concat([blended, rt_rep, targets], axis=1))
         return FastForward(prob, r_click, r_expose)
 
-    def loss(self, clicked, exposed, candidate, label, prior=None):
+    def loss(self, clicked, exposed, candidates, labels, prior=None):
+        """Summed (1,1) cross-entropy of one context's candidates against their 0/1 labels."""
         if self.interactive:
-            out = self.forward_interactive(clicked, exposed, candidate, prior)
+            out = self.forward_interactive(clicked, exposed, candidates, prior)
         else:
-            out = self.forward(clicked, exposed, candidate)
-        return cross_entropy(out.prob, label)
+            out = self.forward(clicked, exposed, candidates)
+        return ad.binary_cross_entropy(out.prob, labels)
 
     # -- batched no-graph scoring ---------------------------------------------
 

@@ -18,6 +18,12 @@ The cadence is linearized per seed:
    items from the slow-phase context; the device context grows with each
    consumed test item.
 
+Training builds one tape per context: a click position with its positive
+and ``n_train_neg`` negatives goes through the model in one batched forward
+and backward.  Adam steps count examples, so the step schedule is the
+per-example one whenever ``1 + n_train_neg`` divides ``batch_size``; otherwise
+a step fires at the first context boundary at or past ``batch_size``.
+
 Everything is deterministic given (config, seed): rngs hang off one seed
 sequence per purpose, users iterate in sorted or seeded-permutation order,
 and timing capture can be turned off to make result files byte-identical.
@@ -159,22 +165,22 @@ class _SeedRun:
 
     # -- slow training ------------------------------------------------------
 
-    def _slow_example_loss(self, context, target, label, user):
+    def _slow_context_loss(self, context, candidates, labels, user):
         if self.slow.interactive:
             memory = self.slow_memory.get(user)
             memory = self._zero_memory() if memory is None else memory
-            return self.slow.loss(context, target, label, neg_memory=memory)
-        return self.slow.loss(context, target, label)
+            return self.slow.loss(context, candidates, labels, neg_memory=memory)
+        return self.slow.loss(context, candidates, labels)
 
-    def _slow_user_examples(self, user, positions):
-        """(context, target, label) triples for the given slow positions."""
+    def _slow_user_contexts(self, user, positions):
+        """(position, context, candidates, labels) per slow position: the
+        positive first, then its ``n_train_neg`` negatives."""
         seq = self.split.users[user].slow
         out = []
         for j in positions:
-            context = self._window(seq[:j])
-            out.append((context, seq[j], 1))
-            for neg in self.sampler.draw(user, "slow", j, self.config.n_train_neg):
-                out.append((context, int(neg), 0))
+            negs = self.sampler.draw(user, "slow", j, self.config.n_train_neg)
+            candidates = [seq[j]] + [int(n) for n in negs]
+            out.append((j, self._window(seq[:j]), candidates, [1] + [0] * len(negs)))
         return out
 
     def _slow_validation_loss(self):
@@ -206,12 +212,12 @@ class _SeedRun:
                 if trainable.size > cfg.max_positions_per_user:
                     picked = self.epoch_rng.choice(trainable, size=cfg.max_positions_per_user, replace=False)
                     trainable = np.sort(picked)
-                for context, target, label in self._slow_user_examples(int(user), trainable.tolist()):
+                for j, context, candidates, labels in self._slow_user_contexts(int(user), trainable.tolist()):
                     with ad.tape() as t:
-                        loss = self._slow_example_loss(context, target, label, int(user))
+                        loss = self._slow_context_loss(context, candidates, labels, int(user))
                         t.backward(loss)
-                    self._check_finite(loss.item(), "slow-train", user, target)
-                    pending += 1
+                    self._check_finite(loss.item(), "slow-train", user, j)
+                    pending += len(candidates)
                     if pending >= cfg.batch_size:
                         self.opt_slow.step(scale=1.0 / pending)
                         self.opt_slow.zero_grad()
@@ -240,12 +246,12 @@ class _SeedRun:
             trainable = np.sort(picked)
         count = 0
         self.opt_slow.zero_grad()
-        for context, target, label in self._slow_user_examples(user, trainable.tolist()):
+        for j, context, candidates, labels in self._slow_user_contexts(user, trainable.tolist()):
             with ad.tape() as t:
-                loss = self._slow_example_loss(context, target, label, user)
+                loss = self._slow_context_loss(context, candidates, labels, user)
                 t.backward(loss)
-            self._check_finite(loss.item(), "slow-refresh", user, target)
-            count += 1
+            self._check_finite(loss.item(), "slow-refresh", user, j)
+            count += len(candidates)
         if count:
             self.opt_slow.step(scale=1.0 / count)
             self.opt_slow.zero_grad()
@@ -298,11 +304,11 @@ class _SeedRun:
         exposed = [i for step in self.exposure_log[user][: j + 1] for i in step]
         return clicked, self._window(exposed)
 
-    def _fast_example_loss(self, user, clicked, exposed, target, label):
+    def _fast_context_loss(self, user, clicked, exposed, candidates, labels):
         prior = self.priors.get(user)
         if self.fast.interactive:
-            return self.fast.loss(clicked, exposed, target, label, prior=prior)
-        return self.fast.loss(clicked, exposed, target, label)
+            return self.fast.loss(clicked, exposed, candidates, labels, prior=prior)
+        return self.fast.loss(clicked, exposed, candidates, labels)
 
     def _serve_event(self, user, j, item):
         """Simulate one impression: exposures, accumulation, maybe an upload."""
@@ -353,16 +359,16 @@ class _SeedRun:
                     clicked, exposed = self._fast_contexts(user, j)
                     negs = self.sampler.draw(user, "fast", j, cfg.n_train_neg)
                     self._sync_device_rows(negs)
-                    for target, label in [(item, 1)] + [(int(n), 0) for n in negs]:
-                        with ad.tape() as t:
-                            loss = self._fast_example_loss(user, clicked, exposed, target, label)
-                            t.backward(loss)
-                        self._check_finite(loss.item(), "fast-train", user, j)
-                        pending += 1
-                        if pending >= cfg.batch_size:
-                            self.opt_fast.step(scale=1.0 / pending)
-                            self.opt_fast.zero_grad()
-                            pending = 0
+                    candidates = [item] + [int(n) for n in negs]
+                    with ad.tape() as t:
+                        loss = self._fast_context_loss(user, clicked, exposed, candidates, [1] + [0] * len(negs))
+                        t.backward(loss)
+                    self._check_finite(loss.item(), "fast-train", user, j)
+                    pending += len(candidates)
+                    if pending >= cfg.batch_size:
+                        self.opt_fast.step(scale=1.0 / pending)
+                        self.opt_fast.zero_grad()
+                        pending = 0
             if pending:
                 self.opt_fast.step(scale=1.0 / pending)
                 self.opt_fast.zero_grad()

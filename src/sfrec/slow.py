@@ -6,6 +6,8 @@ consumes the device's negative-memory vector through a gated GRU step.  The
 prediction head width differs between them (2d vs 3d input), so a model is
 constructed for one wiring and stays there.
 
+The graph forwards take a candidate list and give one row per candidate, so
+training builds one graph per context (the positive plus its negatives).
 Scoring large candidate sets goes through ``score_candidates``, a no-graph
 numpy path pinned to the graph forward by tests.
 """
@@ -19,12 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as ly
 
-__all__ = ["SlowModel", "InterestExport", "cross_entropy"]
-
-
-def cross_entropy(prob, label):
-    """Binary cross-entropy on a (1,1) probability node; label in {0, 1}."""
-    return ad.binary_cross_entropy(prob, label)
+__all__ = ["SlowModel", "InterestExport"]
 
 
 @dataclass
@@ -73,50 +70,56 @@ class SlowModel:
 
     # -- forward graphs ------------------------------------------------------
 
-    def interest(self, seq_ids, candidate):
-        """Pooled history interest r_t for one candidate."""
+    def interest(self, seq_ids, candidates):
+        """Pooled history interest r_t per candidate, plus the candidate rows: both (n, d)."""
         if len(seq_ids) == 0:
             raise ad.ShapeError("slow sequences must be non-empty")
         history = self.embedding.lookup(seq_ids)
-        target = self.embedding.lookup([candidate])
-        return ly.din_attention(self.attention, history, target), target
+        targets = self.embedding.lookup(candidates)
+        return ly.din_attention(self.attention, history, targets), targets
 
-    def forward(self, seq_ids, candidate):
-        """Probability that the user clicks ``candidate`` (plain wiring)."""
+    def forward(self, seq_ids, candidates):
+        """(n, 1) probabilities that the user clicks each candidate (plain wiring)."""
         if self.interactive:
             raise RuntimeError("interactive model: use forward_interactive")
-        r_t, target = self.interest(seq_ids, candidate)
-        return ly.predict_head(self.head, ad.concat([r_t, target], axis=1))
+        r_t, targets = self.interest(seq_ids, candidates)
+        return ly.predict_head(self.head, ad.concat([r_t, targets], axis=1))
 
-    def forward_interactive(self, seq_ids, candidate, neg_memory, gate_override=None):
-        """Exposure-aware probability plus the two interest vectors.
+    def forward_interactive(self, seq_ids, candidates, neg_memory, gate_override=None):
+        """Exposure-aware (n, 1) probabilities plus the two (n, d) interest stacks.
 
-        ``neg_memory`` is the device-uploaded vector (plain (1, d) array).
-        ``gate_override`` pins the write gate to a constant, used by tests.
+        ``neg_memory`` is the device-uploaded vector (plain (1, d) array),
+        shared by every candidate.  ``gate_override`` pins the write gate to a
+        constant, used by tests.
         """
         if not self.interactive:
             raise RuntimeError("plain model: use forward")
         neg_memory = np.asarray(neg_memory)
         if neg_memory.shape != (1, self.dim):
             raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
-        r_t, target = self.interest(seq_ids, candidate)
-        memory_state = ad.constant(neg_memory.astype(target.dtype))
-        refreshed = self.gru_n.step(target, memory_state)
+        r_t, targets = self.interest(seq_ids, candidates)
+        n = targets.shape[0]
+        memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), n, axis=0))
+        refreshed = self.gru_n.step(targets, memory_state)
         if gate_override is None:
-            gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, target], axis=1), self.gate_w), self.gate_b))
+            gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, targets], axis=1), self.gate_w), self.gate_b))
         else:
-            gate = ad.constant(np.array([[gate_override]], dtype=target.dtype))
+            gate = ad.constant(np.full((n, 1), gate_override, dtype=targets.dtype))
         r_n = ad.scale(gate, refreshed)
-        prob = ly.predict_head(self.head, ad.concat([r_n, r_t, target], axis=1))
+        prob = ly.predict_head(self.head, ad.concat([r_n, r_t, targets], axis=1))
         return prob, r_n, r_t
 
-    def loss(self, seq_ids, candidate, label, neg_memory=None):
-        """Per-example training loss under the model's own wiring."""
+    def loss(self, seq_ids, candidates, labels, neg_memory=None):
+        """Training loss of one context under the model's own wiring.
+
+        ``labels`` holds a 0/1 label per candidate; the loss is the (1,1) sum
+        of the per-candidate cross-entropies.
+        """
         if self.interactive:
-            prob, _, _ = self.forward_interactive(seq_ids, candidate, neg_memory)
+            prob, _, _ = self.forward_interactive(seq_ids, candidates, neg_memory)
         else:
-            prob = self.forward(seq_ids, candidate)
-        return cross_entropy(prob, label)
+            prob = self.forward(seq_ids, candidates)
+        return ad.binary_cross_entropy(prob, labels)
 
     # -- exchange ------------------------------------------------------------
 
@@ -127,12 +130,12 @@ class SlowModel:
         exposure signal to refresh); afterwards it is exactly the interactive
         forward's r_n for the most recent slow-phase item.
         """
-        candidate = seq_ids[-1]
+        candidates = [seq_ids[-1]]
         if neg_memory is None or not self.interactive:
-            r_t, _ = self.interest(seq_ids, candidate)
+            r_t, _ = self.interest(seq_ids, candidates)
             r_n = np.zeros((1, self.dim), dtype=r_t.data.dtype)
             return InterestExport(user=user, round=round_no, r_n=r_n, r_t=r_t.data.copy())
-        _, r_n, r_t = self.forward_interactive(seq_ids, candidate, neg_memory)
+        _, r_n, r_t = self.forward_interactive(seq_ids, candidates, neg_memory)
         return InterestExport(user=user, round=round_no, r_n=r_n.data.copy(), r_t=r_t.data.copy())
 
     # -- batched no-graph scoring ---------------------------------------------

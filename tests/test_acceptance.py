@@ -95,7 +95,7 @@ def test_acceptance_gradient_suite():
     memory = np.full((1, dim), 0.1)
     slow = SlowModel(n_items, dim, np.random.default_rng(1), interactive=True, head_hidden=(6, 4))
     report = ad.grad_check(
-        lambda: slow.loss([1, 5, 3, 2], 4, 1, neg_memory=memory), slow.params(), tolerance=1e-3
+        lambda: slow.loss([1, 5, 3, 2], [4], [1], neg_memory=memory), slow.params(), tolerance=1e-3
     )
     assert report.passed, f"slow interactive graph failed:\n{report}"
 
@@ -103,7 +103,7 @@ def test_acceptance_gradient_suite():
     fast.sync_rows(np.arange(n_items), np.random.default_rng(3).normal(scale=0.1, size=(n_items, dim)))
     prior = InterestExport(0, 0, np.full((1, dim), 0.2), np.full((1, dim), -0.1))
     report = ad.grad_check(
-        lambda: fast.loss([1, 5, 3], [2, 7], 4, 1, prior=prior), fast.params(), tolerance=1e-3
+        lambda: fast.loss([1, 5, 3], [2, 7], [4], [1], prior=prior), fast.params(), tolerance=1e-3
     )
     assert report.passed, f"fast interactive graph failed:\n{report}"
 
@@ -168,8 +168,8 @@ def test_acceptance_reduction_to_independent_fast():
     zero_prior = InterestExport(0, 0, np.zeros((1, dim)), np.zeros((1, dim)))
 
     clicked, exposed, cand = [3, 17, 8, 25], [5, 30, 2], 21
-    got = interactive.forward_interactive(clicked, exposed, cand, zero_prior)
-    want = plain.forward(clicked, exposed, cand)
+    got = interactive.forward_interactive(clicked, exposed, [cand], zero_prior)
+    want = plain.forward(clicked, exposed, [cand])
     assert np.array_equal(got.r_click.data, want.r_click.data)
     assert np.array_equal(got.r_expose.data, want.r_expose.data)
 
@@ -292,7 +292,7 @@ def test_acceptance_learning_sanity():
         slow_hr = 0.0
         for _ in range(20):
             _epoch(slow, opt, split, sampler, users, "slow", order_rng,
-                   lambda m, ctx, tgt, lab: m.loss(ctx, tgt, lab))
+                   lambda m, ctx, tgt, lab: m.loss(ctx, [tgt], [lab]))
             slow_hr = _training_hr1(slow, split, sampler, users, "slow")
             if slow_hr > 0.9:
                 break
@@ -307,7 +307,7 @@ def test_acceptance_learning_sanity():
         fast_hr = 0.0
         for _ in range(20):
             _epoch(fast, opt, split, sampler, users, "fast", order_rng,
-                   lambda m, ctx, tgt, lab: m.loss(ctx, [], tgt, lab))
+                   lambda m, ctx, tgt, lab: m.loss(ctx, [], [tgt], [lab]))
             fast_hr = _training_hr1(fast, split, sampler, users, "fast")
             if fast_hr > 0.9:
                 break

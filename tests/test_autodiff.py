@@ -258,13 +258,24 @@ def test_fd_scale_and_row_and_gather():
     fd_case(build, [r.normal(size=(1, 1)), r.normal(size=(4, 3))])
 
 
+def test_fd_column_scale_reshape_repeat():
+    r = rng(8)
+
+    def build(s, v):
+        scaled = ad.scale(s, v)  # (3,1) column times (3,2)
+        stacked = ad.repeat_rows(ad.reshape(scaled, 2, 3), 2)
+        return ad.sum_all(ad.mul(stacked, stacked))
+
+    fd_case(build, [r.normal(size=(3, 1)), r.normal(size=(3, 2))])
+
+
 def test_fd_bce_interior():
     fd_case(
-        lambda p: ad.binary_cross_entropy(ad.sigmoid(p), 1),
+        lambda p: ad.binary_cross_entropy(ad.sigmoid(p), [1]),
         [np.array([[0.3]])],
     )
     fd_case(
-        lambda p: ad.binary_cross_entropy(ad.sigmoid(p), 0),
+        lambda p: ad.binary_cross_entropy(ad.sigmoid(p), [0]),
         [np.array([[-0.7]])],
     )
 
@@ -272,7 +283,7 @@ def test_fd_bce_interior():
 def test_bce_value_and_gradient_formula():
     p = ad.parameter([[0.25]], "p")
     with ad.tape() as t:
-        loss = ad.binary_cross_entropy(p, 1)
+        loss = ad.binary_cross_entropy(p, [1])
         t.backward(loss)
     assert loss.item() == pytest.approx(-np.log(0.25), rel=1e-12)
     # d/dp of -log p is -1/p = -4; via (p - y) / (p (1 - p))
@@ -282,7 +293,7 @@ def test_bce_value_and_gradient_formula():
 def test_bce_clamps_and_masks_gradient_at_extremes():
     p = ad.parameter([[1.0]], "p")
     with ad.tape() as t:
-        loss = ad.binary_cross_entropy(p, 0)
+        loss = ad.binary_cross_entropy(p, [0])
         t.backward(loss)
     assert np.isfinite(loss.item())
     assert loss.item() == pytest.approx(-np.log(1e-7), rel=1e-6)
@@ -291,7 +302,39 @@ def test_bce_clamps_and_masks_gradient_at_extremes():
 
 def test_bce_rejects_bad_label():
     with pytest.raises(ValueError):
-        ad.binary_cross_entropy(ad.constant([[0.5]]), 0.5)
+        ad.binary_cross_entropy(ad.constant([[0.5]]), [0.5])
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 0], [0, -1, 1], [1, 0, np.nan]])
+def test_bce_rejects_labels_outside_zero_one(labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        ad.binary_cross_entropy(ad.constant([[0.2], [0.5], [0.7]]), labels)
+
+
+@pytest.mark.parametrize("labels", [[1, 0], [1, 0, 0, 1], []])
+def test_bce_rejects_label_count_not_matching_rows(labels):
+    with pytest.raises(ad.ShapeError):
+        ad.binary_cross_entropy(ad.constant([[0.2], [0.5], [0.7]]), labels)
+
+
+def test_bce_column_is_the_sum_of_single_rows():
+    probs = np.array([[0.2], [0.5], [0.9], [1.0]])
+    labels = [1, 0, 0, 1]
+    p = ad.parameter(probs.copy(), "p")
+    with ad.tape() as t:
+        loss = ad.binary_cross_entropy(p, labels)
+        t.backward(loss)
+    singles, grads = [], []
+    for i, y in enumerate(labels):
+        q = ad.parameter(probs[i : i + 1].copy(), "q")
+        with ad.tape() as t:
+            one = ad.binary_cross_entropy(q, [y])
+            t.backward(one)
+        singles.append(one.item())
+        grads.append(q.grad[0, 0])
+    assert loss.shape == (1, 1)
+    assert loss.item() == pytest.approx(sum(singles), rel=1e-12)
+    np.testing.assert_allclose(p.grad[:, 0], grads, rtol=1e-12)
 
 
 def test_grad_check_helper_passes_on_correct_graph():
@@ -338,6 +381,9 @@ def test_grad_check_helper_catches_wrong_backward():
         lambda: ad.concat([], axis=1),
         lambda: ad.row(ad.constant(np.zeros((2, 2))), 2),
         lambda: ad.constant(np.zeros((2, 2))).item(),
+        lambda: ad.scale(ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((2, 2)))),
+        lambda: ad.reshape(ad.constant(np.zeros((2, 3))), 4, 2),
+        lambda: ad.repeat_rows(ad.constant(np.zeros((2, 3))), 0),
     ],
 )
 def test_shape_errors(build):
@@ -356,6 +402,54 @@ def test_float32_graphs_stay_float32():
     a = ad.constant(np.ones((2, 2), dtype=np.float32))
     b = ad.constant(np.ones((2, 2), dtype=np.float32))
     assert ad.matmul(a, b).dtype == np.float32
+
+
+EVERY_OP = {
+    "matmul": lambda a, c, s: ad.matmul(a, ad.transpose(a)),
+    "add": lambda a, c, s: ad.add(a, a),
+    "add-bias": lambda a, c, s: ad.add(a, ad.row(a, 0)),
+    "mul": lambda a, c, s: ad.mul(a, a),
+    "affine": lambda a, c, s: ad.affine(a, mul=-2.0, add=0.5),
+    "scale": lambda a, c, s: ad.scale(s, a),
+    "scale-column": lambda a, c, s: ad.scale(c, a),
+    "concat-rows": lambda a, c, s: ad.concat([a, a], axis=0),
+    "concat-cols": lambda a, c, s: ad.concat([a, c], axis=1),
+    "transpose": lambda a, c, s: ad.transpose(a),
+    "reshape": lambda a, c, s: ad.reshape(a, 1, a.data.size),
+    "row": lambda a, c, s: ad.row(a, 1),
+    "repeat_rows": lambda a, c, s: ad.repeat_rows(a, 3),
+    "gather_rows": lambda a, c, s: ad.gather_rows(a, [2, 0, 2]),
+    "gather_rows-empty": lambda a, c, s: ad.gather_rows(a, []),
+    "sigmoid": lambda a, c, s: ad.sigmoid(a),
+    "tanh": lambda a, c, s: ad.tanh(a),
+    "relu": lambda a, c, s: ad.relu(a),
+    "softmax": lambda a, c, s: ad.softmax(a),
+    "log": lambda a, c, s: ad.log(ad.sigmoid(a)),
+    "clamp": lambda a, c, s: ad.clamp(a, -0.5, 0.5),
+    "sum_all": lambda a, c, s: ad.sum_all(a),
+    "mean_all": lambda a, c, s: ad.mean_all(a),
+    "binary_cross_entropy": lambda a, c, s: ad.binary_cross_entropy(ad.sigmoid(c), [1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_OP))
+@pytest.mark.parametrize("recorded", [False, True])
+def test_every_op_output_is_2d_and_keeps_float32(name, recorded):
+    r = rng(9)
+    a = ad.parameter(r.normal(size=(3, 2)).astype(np.float32), "a")
+    c = ad.parameter(r.normal(size=(3, 1)).astype(np.float32), "c")
+    s = ad.parameter(r.normal(size=(1, 1)).astype(np.float32), "s")
+    if recorded:
+        with ad.tape() as t:
+            out = EVERY_OP[name](a, c, s)
+            t.backward(ad.sum_all(out))
+        for p in (a, c, s):
+            assert p.grad is None or (p.grad.dtype == np.float32 and p.grad.shape == p.shape), name
+    else:
+        out = EVERY_OP[name](a, c, s)
+    assert isinstance(out.data, np.ndarray) and out.data.ndim == 2, name
+    assert out.dtype == np.float32, name
+    assert out.track == recorded
 
 
 # ---------------------------------------------------------------------------
@@ -546,4 +640,24 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     ad.save_checkpoint(path, {"w": np.ones((1, 1), dtype=np.float32)})
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ad.CheckpointError):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_every_truncation_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "two.sfpk"
+    ad.save_checkpoint(path, {"a/w": np.ones((2, 3), np.float32), "b": np.arange(4, dtype=np.float32)})
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ad.CheckpointError):
+            ad.load_checkpoint(path)
+
+
+def test_checkpoint_garbled_name_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "name.sfpk"
+    ad.save_checkpoint(path, {"w": np.ones((1, 1), np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[11] = 0xFF  # the one byte of the name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ad.CheckpointError, match="UTF-8"):
         ad.load_checkpoint(path)

@@ -159,6 +159,32 @@ def test_non_finite_payload_rejected():
         ex.encode_message(msg)
 
 
+def _memory_upload_blob(values):
+    msg = ex.ExchangeMessage(
+        kind=ex.MessageKind.NEGATIVE_MEMORY_UP,
+        user=0,
+        round=1,
+        payload={"r2_hat": np.asarray(values, np.float32)},
+    )
+    return bytearray(ex.encode_message(msg))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected_on_decode(bad):
+    blob = _memory_upload_blob([[0.5, 1.0]])
+    blob[-4:] = np.array([bad], "<f4").tobytes()  # last float of the payload
+    with pytest.raises(ex.SchemaViolation, match="finite"):
+        ex.decode_message(bytes(blob))
+
+
+def test_non_utf8_payload_name_is_a_wire_error():
+    blob = _memory_upload_blob([[0.5, 1.0]])
+    start = blob.index(b"r2_hat")
+    blob[start : start + 6] = b"\xff" * 6
+    with pytest.raises(ex.SchemaViolation, match="UTF-8"):
+        ex.decode_message(bytes(blob))
+
+
 @given(st.binary(min_size=0, max_size=64))
 @settings(max_examples=200, deadline=None)
 def test_arbitrary_bytes_never_crash_outside_wire_errors(data):

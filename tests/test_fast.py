@@ -4,7 +4,7 @@ import pytest
 from sfrec import autodiff as ad
 from sfrec import layers as ly
 from sfrec.fast import ExposureMemory, FastModel, UnsyncedRowError
-from sfrec.slow import InterestExport, SlowModel, cross_entropy
+from sfrec.slow import InterestExport, SlowModel
 
 
 def rng(seed=0):
@@ -49,7 +49,7 @@ def test_synced_rows_mirror_cloud_table_bit_exactly():
 
 def test_plain_forward_empty_exposures_is_well_defined():
     m = make_model(3)
-    out = m.forward([1, 2], [], 5)
+    out = m.forward([1, 2], [], [5])
     np.testing.assert_array_equal(out.r_expose.data, np.zeros((1, 4)))
     assert 0.0 < out.prob.item() < 1.0
 
@@ -58,7 +58,7 @@ def test_plain_forward_zeroed_head_gives_half():
     m = make_model(4)
     m.head.mlp.weights[-1].data[:] = 0.0
     m.head.mlp.biases[-1].data[:] = 0.0
-    assert m.forward([1, 2], [3], 5).prob.item() == 0.5
+    assert m.forward([1, 2], [3], [5]).prob.item() == 0.5
 
 
 def test_plain_forward_matches_layer_composition():
@@ -69,15 +69,15 @@ def test_plain_forward_matches_layer_composition():
     tgt = m.lookup_np([cand])
     blended = ly.target_aware_fusion_np(m.fusion, r1, r2, tgt)
     expected = m.head.apply_np(np.hstack([blended, tgt]))[0, 0]
-    assert m.forward(clicked, exposed, cand).prob.item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(clicked, exposed, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_plain_forward_rejects_empty_clicks_and_wrong_mode():
     m = make_model(6)
     with pytest.raises(ad.ShapeError):
-        m.forward([], [1], 2)
+        m.forward([], [1], [2])
     with pytest.raises(RuntimeError):
-        m.forward_interactive([1], [], 2, prior_of(m, 0))
+        m.forward_interactive([1], [], [2], prior_of(m, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +108,8 @@ def test_reduction_zero_prior_and_projections_reproduce_plain_encodings():
     zero = np.zeros((1, 4))
     prior = InterestExport(user=0, round=0, r_n=zero, r_t=zero)
     clicked, exposed, cand = [1, 5, 8], [0, 2], 3
-    out_i = mi.forward_interactive(clicked, exposed, cand, prior)
-    out_p = mp.forward(clicked, exposed, cand)
+    out_i = mi.forward_interactive(clicked, exposed, [cand], prior)
+    out_p = mp.forward(clicked, exposed, [cand])
     np.testing.assert_array_equal(out_i.r_click.data, out_p.r_click.data)
     np.testing.assert_array_equal(out_i.r_expose.data, out_p.r_expose.data)
 
@@ -124,7 +124,7 @@ def test_interactive_matches_step_by_step_oracle():
     tgt = m.lookup_np([cand])
     blended = ly.target_aware_fusion_np(m.fusion, r1, r2, tgt)
     expected = m.head.apply_np(np.hstack([blended, prior.r_t, tgt]))[0, 0]
-    out = m.forward_interactive(clicked, exposed, cand, prior)
+    out = m.forward_interactive(clicked, exposed, [cand], prior)
     assert out.prob.item() == pytest.approx(expected, rel=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_interactive_rejects_bad_prior_shape():
     m = make_model(12, interactive=True)
     bad = InterestExport(user=0, round=0, r_n=np.zeros((1, 3)), r_t=np.zeros((1, 4)))
     with pytest.raises(ad.ShapeError):
-        m.forward_interactive([1], [], 2, bad)
+        m.forward_interactive([1], [], [2], bad)
 
 
 def test_full_interactive_graph_gradients():
@@ -140,7 +140,7 @@ def test_full_interactive_graph_gradients():
     prior = prior_of(m, 14)
 
     def loss_fn():
-        return m.loss([0, 2], [5], 6, 1, prior=prior)
+        return m.loss([0, 2], [5], [6], [1], prior=prior)
 
     report = ad.grad_check(loss_fn, m.params(), tolerance=1e-3)
     assert report.passed, str(report)
@@ -151,8 +151,8 @@ def test_loss_matches_slow_loss_bit_exactly():
     for _ in range(1000):
         p = float(r.uniform(1e-6, 1.0 - 1e-6))
         y = int(r.integers(0, 2))
-        a = cross_entropy(ad.constant([[p]]), y).item()
-        b = cross_entropy(ad.constant([[p]]), y).item()
+        a = ad.binary_cross_entropy(ad.constant([[p]]), [y]).item()
+        b = ad.binary_cross_entropy(ad.constant([[p]]), [y]).item()
         assert a == b
 
 
@@ -216,7 +216,7 @@ def test_batched_scores_match_graph_forward_plain():
     cands = [1, 3, 5, 7, 11]
     batched = m.score_candidates(clicked, exposed, cands)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(clicked, exposed, c).prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(clicked, exposed, [c]).prob.item(), rel=1e-12)
 
 
 def test_batched_scores_match_graph_forward_interactive():
@@ -226,7 +226,7 @@ def test_batched_scores_match_graph_forward_interactive():
     cands = [3, 5, 7, 9]
     batched = m.score_candidates(clicked, exposed, cands, prior=prior)
     for i, c in enumerate(cands):
-        out = m.forward_interactive(clicked, exposed, c, prior)
+        out = m.forward_interactive(clicked, exposed, [c], prior)
         assert batched[i] == pytest.approx(out.prob.item(), rel=1e-12)
 
 

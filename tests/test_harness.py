@@ -4,6 +4,9 @@ Configs here are intentionally tiny (few users, one or two epochs) so the
 whole file stays fast; learning quality is covered elsewhere.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -186,8 +189,41 @@ def test_non_finite_loss_aborts_with_context(cluster_prepared):
     # the head's output bias feeds sigmoid directly, so a NaN here reaches the loss
     bad = run.slow.head.mlp.params()[-1]
     bad.data = np.full_like(bad.data, np.nan)
-    with pytest.raises(LifecycleError, match="slow-train.*user"):
+    contexts = []
+    real_loss = run.slow.loss
+
+    def spy(context, candidates, labels):
+        contexts.append((context, candidates))
+        return real_loss(context, candidates, labels)
+
+    run.slow.loss = spy
+    with pytest.raises(LifecycleError, match="slow-train.*user") as err:
         run.train_slow()
+    user, position = map(int, re.search(r"user (\d+), position (\d+)", str(err.value)).groups())
+    # the position is the slow index of the failing context's positive, not an item id
+    seq = split.users[user].slow
+    assert 1 <= position < len(seq) - 1
+    context, candidates = contexts[-1]
+    assert candidates[0] == seq[position]
+    assert context == seq[:position][-run.config.max_history_len :]
+
+
+@pytest.mark.parametrize("batch_size, n_train_neg", [(4, 1), (6, 2), (5, 1), (7, 2)])
+def test_adam_steps_follow_the_example_count(cluster_prepared, batch_size, n_train_neg):
+    split, users = cluster_prepared
+    cfg = tiny_config(batch_size=batch_size, n_train_neg=n_train_neg)
+    per_context = 1 + n_train_neg
+    # a step fires at the first context boundary at or past batch_size
+    contexts_per_step = math.ceil(batch_size / per_context)
+    run = _SeedRun(cfg, 0, split, users)
+    run.train_slow()
+    slow_contexts = sum(min(len(split.users[u].slow) - 2, cfg.max_positions_per_user) for u in users)
+    run.serve_and_train_fast()
+    fast_contexts = sum(len(split.users[u].fast) - 1 for u in users)
+    for opt, contexts in ((run.opt_slow, slow_contexts), (run.opt_fast, fast_contexts)):
+        assert opt.step_count == math.ceil(contexts / contexts_per_step)
+        if batch_size % per_context == 0:  # the per-example schedule
+            assert opt.step_count == math.ceil(contexts * per_context / batch_size)
 
 
 def test_lifecycle_needs_users():

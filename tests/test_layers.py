@@ -105,6 +105,36 @@ def test_gru_step_gradients_vs_finite_differences():
     assert report.passed, str(report)
 
 
+def test_gru_step_on_n_rows_equals_n_single_row_steps():
+    r = rng(50)
+    cell = ly.GruCell(3, 4, r)
+    xs, hs = r.normal(size=(5, 3)), r.normal(size=(5, 4))
+    probe = r.normal(size=(5, 4))
+
+    def grads(x_rows, h_rows, probe_rows):
+        x, h = ad.parameter(x_rows, "x"), ad.parameter(h_rows, "h")
+        cell_params = cell.params()
+        for p in cell_params:
+            p.zero_grad()
+        with ad.tape() as t:
+            out = cell.step(x, h)
+            t.backward(ad.sum_all(ad.mul(out, ad.constant(probe_rows))))
+        return out.data, x.grad, h.grad, {p.name: p.grad.copy() for p in cell_params}
+
+    out, gx, gh, gparams = grads(xs, hs, probe)
+    summed = {name: np.zeros_like(g) for name, g in gparams.items()}
+    for i in range(5):
+        one, ox, oh, oparams = grads(xs[i : i + 1], hs[i : i + 1], probe[i : i + 1])
+        np.testing.assert_allclose(out[i : i + 1], one, rtol=1e-12)
+        np.testing.assert_allclose(gx[i : i + 1], ox, rtol=1e-12)
+        np.testing.assert_allclose(gh[i : i + 1], oh, rtol=1e-12)
+        for name in summed:
+            summed[name] += oparams[name]
+    for name, g in gparams.items():
+        assert g.shape == summed[name].shape, name
+        np.testing.assert_allclose(g, summed[name], rtol=1e-10, atol=1e-14, err_msg=name)
+
+
 def test_gru_encode_empty_returns_init_unchanged():
     cell = ly.GruCell(3, 4, rng(13))
     init = ad.constant(rng(14).normal(size=(1, 4)))
@@ -246,6 +276,19 @@ def test_attention_batched_numpy_path_matches_graph():
         np.testing.assert_allclose(batched[i : i + 1], one.data, atol=1e-12)
 
 
+def test_attention_graph_on_many_targets_matches_one_target_at_a_time():
+    r = rng(51)
+    unit = ly.AttentionUnit(4, r)
+    hist = ad.constant(r.normal(size=(6, 4)))
+    targets = r.normal(size=(3, 4))
+    assert unit.weights(hist, ad.constant(targets)).shape == (18, 1)
+    batched = ly.din_attention(unit, hist, ad.constant(targets))
+    assert batched.shape == (3, 4)
+    for i in range(3):
+        one = ly.din_attention(unit, hist, ad.constant(targets[i : i + 1]))
+        np.testing.assert_allclose(batched.data[i : i + 1], one.data, rtol=1e-12)
+
+
 def test_attention_gradients():
     r = rng(31)
     unit = ly.AttentionUnit(3, r, hidden=4)
@@ -320,6 +363,18 @@ def test_fusion_numpy_path_matches_graph():
             ad.constant(r1), ad.constant(r2), ad.constant(targets[i : i + 1]), mlp
         )
         np.testing.assert_allclose(batched[i : i + 1], one.data, atol=1e-12)
+
+
+def test_fusion_graph_on_many_targets_matches_one_target_at_a_time():
+    mlp, r1, r2, _ = fusion_parts(4, 52)
+    targets = rng(53).normal(size=(3, 4))
+    batched = ly.target_aware_fusion(ad.constant(r1), ad.constant(r2), ad.constant(targets), mlp)
+    assert batched.shape == (3, 4)
+    for i in range(3):
+        one = ly.target_aware_fusion(ad.constant(r1), ad.constant(r2), ad.constant(targets[i : i + 1]), mlp)
+        np.testing.assert_allclose(batched.data[i : i + 1], one.data, rtol=1e-12)
+    with pytest.raises(ad.ShapeError):
+        ly.target_aware_fusion(ad.constant(targets), ad.constant(targets), ad.constant(targets), mlp)
 
 
 def test_fusion_gradients():

@@ -3,7 +3,7 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
-from sfrec.slow import InterestExport, SlowModel, cross_entropy
+from sfrec.slow import InterestExport, SlowModel
 
 
 def rng(seed=0):
@@ -23,15 +23,15 @@ def make_model(seed=0, interactive=False, n_items=12, dim=4):
 
 
 def test_loss_half_probability_is_log_two():
-    assert cross_entropy(ad.constant([[0.5]]), 1).item() == pytest.approx(np.log(2.0), rel=1e-12)
+    assert ad.binary_cross_entropy(ad.constant([[0.5]]), [1]).item() == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_loss_confident_correct_tends_to_zero():
-    assert cross_entropy(ad.constant([[1.0 - 1e-9]]), 1).item() == pytest.approx(0.0, abs=1e-6)
+    assert ad.binary_cross_entropy(ad.constant([[1.0 - 1e-9]]), [1]).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_loss_wrong_side_closed_form():
-    assert cross_entropy(ad.constant([[0.9]]), 0).item() == pytest.approx(-np.log(0.1), rel=1e-12)
+    assert ad.binary_cross_entropy(ad.constant([[0.9]]), [0]).item() == pytest.approx(-np.log(0.1), rel=1e-12)
 
 
 def test_loss_gradient_wrt_logit_is_prob_minus_label():
@@ -40,7 +40,7 @@ def test_loss_gradient_wrt_logit_is_prob_minus_label():
             logit = ad.parameter(rng(seed).normal(size=(1, 1)), "logit")
             with ad.tape() as t:
                 p = ad.sigmoid(logit)
-                t.backward(cross_entropy(p, y))
+                t.backward(ad.binary_cross_entropy(p, [y]))
             assert abs(logit.grad[0, 0] - (p.data[0, 0] - y)) < 1e-10
 
 
@@ -52,7 +52,7 @@ def test_plain_forward_zeroed_head_gives_half():
     m = make_model(1)
     m.head.mlp.weights[-1].data[:] = 0.0
     m.head.mlp.biases[-1].data[:] = 0.0
-    assert m.forward([0, 1, 2], 5).item() == 0.5
+    assert m.forward([0, 1, 2], [5]).item() == 0.5
 
 
 def test_plain_forward_single_item_history_with_unit_attention():
@@ -60,7 +60,7 @@ def test_plain_forward_single_item_history_with_unit_attention():
     for p in m.attention.params():
         p.data[:] = 0.0
     m.attention.mlp.biases[-1].data[:] = 1.0
-    prob = m.forward([7], 3)
+    prob = m.forward([7], [3])
     e1 = m.embedding.lookup_np([7])
     e_t = m.embedding.lookup_np([3])
     direct = ly.predict_head(m.head, ad.constant(np.hstack([e1, e_t])))
@@ -74,15 +74,15 @@ def test_plain_forward_matches_layer_composition():
     tgt = m.embedding.lookup_np([cand])
     pooled = ly.din_attention_np(m.attention, hist, tgt)
     expected = m.head.apply_np(np.hstack([pooled, tgt]))[0, 0]
-    assert m.forward(seq, cand).item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(seq, [cand]).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_plain_forward_rejects_empty_history_and_wrong_mode():
     m = make_model(4)
     with pytest.raises(ad.ShapeError):
-        m.forward([], 1)
+        m.forward([], [1])
     with pytest.raises(RuntimeError):
-        m.forward_interactive([1], 2, np.zeros((1, 4)))
+        m.forward_interactive([1], [2], np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_interactive_zeroed_gate_params_halve_the_refreshed_state():
     m.gate_w.data[:] = 0.0
     m.gate_b.data[:] = 0.0
     mem = rng(6).normal(size=(1, 4))
-    _, r_n, _ = m.forward_interactive([1, 2], 3, mem)
+    _, r_n, _ = m.forward_interactive([1, 2], [3], mem)
     refreshed = m.gru_n.step_np(m.embedding.lookup_np([3]), mem)
     np.testing.assert_allclose(r_n.data, 0.5 * refreshed, rtol=1e-12)
 
@@ -103,7 +103,7 @@ def test_interactive_zero_memory_and_zero_gru_collapses_r_n():
     m = make_model(7, interactive=True)
     for p in m.gru_n.params():
         p.data[:] = 0.0
-    _, r_n, _ = m.forward_interactive([1, 2], 3, np.zeros((1, 4)))
+    _, r_n, _ = m.forward_interactive([1, 2], [3], np.zeros((1, 4)))
     np.testing.assert_array_equal(r_n.data, np.zeros((1, 4)))
 
 
@@ -118,14 +118,14 @@ def test_interactive_matches_step_by_step_oracle():
     gate = sig(np.hstack([refreshed, tgt]) @ m.gate_w.data + m.gate_b.data)
     r_n = gate * refreshed
     expected = m.head.apply_np(np.hstack([r_n, pooled, tgt]))[0, 0]
-    prob, _, _ = m.forward_interactive(seq, cand, mem)
+    prob, _, _ = m.forward_interactive(seq, [cand], mem)
     assert prob.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_interactive_rejects_bad_memory_shape():
     m = make_model(10, interactive=True)
     with pytest.raises(ad.ShapeError):
-        m.forward_interactive([1], 2, np.zeros((1, 3)))
+        m.forward_interactive([1], [2], np.zeros((1, 3)))
 
 
 def test_gate_forced_to_zero_equals_feeding_zero_memory_feature():
@@ -134,7 +134,7 @@ def test_gate_forced_to_zero_equals_feeding_zero_memory_feature():
     m = make_model(11, interactive=True)
     seq, mem = [2, 5], rng(12).normal(size=(1, 4))
     for cand in (1, 6, 8):
-        prob, _, _ = m.forward_interactive(seq, cand, mem, gate_override=0.0)
+        prob, _, _ = m.forward_interactive(seq, [cand], mem, gate_override=0.0)
         hist = m.embedding.lookup_np(seq)
         tgt = m.embedding.lookup_np([cand])
         pooled = ly.din_attention_np(m.attention, hist, tgt)
@@ -147,7 +147,7 @@ def test_full_interactive_graph_gradients():
     mem = rng(14).normal(size=(1, 3))
 
     def loss_fn():
-        return m.loss([0, 2, 5], 6, 1, neg_memory=mem)
+        return m.loss([0, 2, 5], [6], [1], neg_memory=mem)
 
     report = ad.grad_check(loss_fn, m.params(), tolerance=1e-3)
     assert report.passed, str(report)
@@ -159,11 +159,11 @@ def test_one_adam_step_decreases_single_example_loss():
         opt = ad.Adam(m.params(), lr=1e-3, l2_weight=0.0)
         seq, cand = [1, 4, 7], 2
         with ad.tape() as t:
-            loss = m.loss(seq, cand, 1)
+            loss = m.loss(seq, [cand], [1])
             t.backward(loss)
         before = loss.item()
         opt.step()
-        after = m.loss(seq, cand, 1).item()
+        after = m.loss(seq, [cand], [1]).item()
         assert after < before, f"seed {seed}: {before} -> {after}"
 
 
@@ -175,7 +175,7 @@ def test_export_cold_start_zero_memory_slot():
     m = make_model(15, interactive=True)
     export = m.export_interest(user=7, seq_ids=[1, 2, 3], round_no=0)
     np.testing.assert_array_equal(export.r_n, np.zeros((1, 4)))
-    r_t, _ = m.interest([1, 2, 3], 3)
+    r_t, _ = m.interest([1, 2, 3], [3])
     np.testing.assert_array_equal(export.r_t, r_t.data)
     assert (export.user, export.round) == (7, 0)
 
@@ -185,7 +185,7 @@ def test_export_after_upload_matches_interactive_forward_bit_exactly():
     seq = [4, 0, 9]
     mem = rng(17).normal(size=(1, 4))
     export = m.export_interest(user=1, seq_ids=seq, round_no=3, neg_memory=mem)
-    _, r_n, r_t = m.forward_interactive(seq, seq[-1], mem)
+    _, r_n, r_t = m.forward_interactive(seq, [seq[-1]], mem)
     np.testing.assert_array_equal(export.r_n, r_n.data)
     np.testing.assert_array_equal(export.r_t, r_t.data)
 
@@ -209,7 +209,7 @@ def test_batched_scores_match_graph_forward_plain():
     cands = [1, 3, 5, 7, 9, 11]
     batched = m.score_candidates(seq, cands)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(seq, c).item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(seq, [c]).item(), rel=1e-12)
 
 
 def test_batched_scores_match_graph_forward_interactive():
@@ -219,7 +219,7 @@ def test_batched_scores_match_graph_forward_interactive():
     cands = [0, 2, 3, 5, 11]
     batched = m.score_candidates(seq, cands, neg_memory=mem)
     for i, c in enumerate(cands):
-        prob, _, _ = m.forward_interactive(seq, c, mem)
+        prob, _, _ = m.forward_interactive(seq, [c], mem)
         assert batched[i] == pytest.approx(prob.item(), rel=1e-12)
 
 
