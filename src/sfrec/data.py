@@ -29,7 +29,6 @@ __all__ = [
     "PhaseSplit",
     "phase_split",
     "NegativeSampler",
-    "sample_negatives",
     "simulate_exposures",
     "make_cluster_dataset",
 ]
@@ -244,26 +243,6 @@ class NegativeSampler:
         if n > pool.size:
             raise ValueError(f"user {user}: asked for {n} negatives, only {pool.size} unseen items")
         return self._rng(user, phase, index).choice(pool, size=n, replace=False)
-
-
-def sample_negatives(split, n_items, n_train_neg=1, n_eval_neg=100, seed=0):
-    """Materialize negatives for every training position and test position.
-
-    Returns (train, eval) dicts: train maps (user, phase, position) to an id
-    array; eval maps (user, test position) to the 101-candidate layout's
-    negative ids.
-    """
-    sampler = NegativeSampler(split, n_items, seed)
-    train = {}
-    evals = {}
-    for user in sorted(split.users):
-        us = split.users[user]
-        for phase, seq in (("slow", us.slow), ("fast", us.fast)):
-            for idx in range(len(seq)):
-                train[(user, phase, idx)] = sampler.draw(user, phase, idx, n_train_neg)
-        for idx in range(len(us.test)):
-            evals[(user, idx)] = sampler.draw(user, "test", idx, n_eval_neg)
-    return train, evals
 
 
 def simulate_exposures(score_fn, pool, next_click, rng, pool_size=20, expose_k=4):

@@ -116,7 +116,7 @@ class FastModel:
         self._synced = np.asarray(synced, dtype=bool).reshape(self._synced.shape).copy()
 
     def lookup_np(self, ids):
-        idx = np.asarray(ids, dtype=np.intp).reshape(-1)
+        idx = ly.checked_ids(ids, self.n_items)
         missing = idx[~self._synced[idx]]
         if missing.size:
             raise UnsyncedRowError(f"item {missing[0]} was never synced to this device")

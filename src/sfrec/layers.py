@@ -5,11 +5,13 @@ All blocks follow the row-vector convention of the engine: activations are
 batch stacks rows.  The graph functions take a stack of ``n`` candidate
 (target) rows against one shared context, so a training context builds one
 graph for its positive and all its negatives.  Every block exposes
-``params()`` for optimizer registration and a ``*_np`` twin that evaluates
-the same function on plain arrays.  The twins serve scoring of large
-candidate sets: they skip the graph's per-node bookkeeping and ran 1.1-1.3x
-faster than the batched graph without a tape at 51-301 candidates.  Tests
-pin the two paths to each other.
+``params()`` for optimizer registration.
+
+Attention pooling is one fused node that serves training and scoring alike:
+run on constants with no tape open it records nothing, and it scores 301
+candidates against a 30-item history in 0.24-0.34 ms (dim 32, float32).
+The GRU, MLP and head still keep ``*_np`` twins that evaluate the same
+function on plain arrays for scoring; tests pin them to the graph.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "glorot",
     "EmbeddingTable",
     "OutOfVocabularyError",
+    "checked_ids",
     "GruCell",
     "gru_encode",
     "Mlp",
@@ -42,6 +45,16 @@ class OutOfVocabularyError(KeyError):
     pass
 
 
+def checked_ids(ids, vocab_size):
+    """``ids`` as a flat index array; any id outside [0, vocab_size) raises
+    :class:`OutOfVocabularyError` (numpy would wrap negative ids silently)."""
+    idx = np.asarray(ids, dtype=np.intp).reshape(-1)
+    bad = idx[(idx < 0) | (idx >= vocab_size)]
+    if bad.size:
+        raise OutOfVocabularyError(f"item id {bad[0]} outside vocabulary of {vocab_size}")
+    return idx
+
+
 class EmbeddingTable:
     """Trainable (vocab, dim) lookup table.
 
@@ -57,13 +70,10 @@ class EmbeddingTable:
         self.dim = dim
 
     def lookup(self, ids):
-        for i in ids:
-            if not 0 <= i < self.vocab_size:
-                raise OutOfVocabularyError(f"item id {i} outside vocabulary of {self.vocab_size}")
-        return ad.gather_rows(self.table, ids)
+        return ad.gather_rows(self.table, checked_ids(ids, self.vocab_size))
 
     def lookup_np(self, ids):
-        return self.table.data[np.asarray(ids, dtype=np.intp), :]
+        return self.table.data[checked_ids(ids, self.vocab_size), :]
 
     def params(self):
         return [self.table]
@@ -221,9 +231,11 @@ class Mlp:
 class AttentionUnit:
     """Local activation unit: per-history-item scalar relevance to a target.
 
-    The feature for history row e_j against target e_t is
-    ``e_j (+) e_t (+) (e_j - e_t) (+) (e_j * e_t)``; a small MLP maps it to one
-    unnormalized weight.  No softmax over the weights.
+    The feature for history row h_j against target t_i is
+    ``h_j (+) t_i (+) (h_j - t_i) (+) (h_j * t_i)``; a small MLP maps it to one
+    unnormalized weight.  No softmax over the weights.  The unit holds the
+    MLP's parameters; :func:`din_attention` evaluates it without building the
+    features.
     """
 
     def __init__(self, dim, rng, hidden=16, name="att", dtype=np.float64):
@@ -233,44 +245,67 @@ class AttentionUnit:
     def params(self):
         return self.mlp.params()
 
-    def weights(self, history, targets):
-        """Weights for every (target row, history row) pair: (n_targets * l, 1).
-
-        Row ``i * l + j`` scores history row j against target row i, the
-        layout of ``weights_np`` before its final reshape.
-        """
-        l = history.shape[0]
-        n = targets.shape[0]
-        hist_rep = history if n == 1 else ad.concat([history] * n, axis=0)
-        tgt_rep = ad.repeat_rows(targets, l)
-        feats = ad.concat(
-            [hist_rep, tgt_rep, ad.add(hist_rep, ad.affine(tgt_rep, mul=-1.0)), ad.mul(hist_rep, tgt_rep)],
-            axis=1,
-        )
-        return self.mlp.apply(feats)
-
-    def weights_np(self, history, targets):
-        """Weights for every (history row, target row) pair: (n_targets, l)."""
-        l = history.shape[0]
-        n = targets.shape[0]
-        hist_rep = np.tile(history, (n, 1))
-        tgt_rep = np.repeat(targets, l, axis=0)
-        feats = np.hstack([hist_rep, tgt_rep, hist_rep - tgt_rep, hist_rep * tgt_rep])
-        return self.mlp.apply_np(feats).reshape(n, l)
-
 
 def din_attention(unit, history, targets):
-    """Weighted pool of history rows per target row: sum_j a_ij e_j, (n_targets, d)."""
-    l = history.shape[0]
+    """Weighted pool of history rows per target row: sum_j a_ij h_j, (n_targets, d).
+
+    One fused tape node with a hand-written backward.  With the first weight
+    split into d-row blocks ``W0 = [A; B; C; D]``, the pre-activation of the
+    pair (t_i, h_j) is ``h_j (A + C) + t_i (B - C) + (h_j * t_i) D + b0``.  The
+    first term is an (l, k) block computed once per history; the other two
+    come from one (n, d) @ (d, l*k) product whose column block j is
+    ``diag(h_j) D + (B - C)``.  The (n*l, 4d) pair features are never built.
+    Run on constants with no tape open it records nothing, which makes it the
+    scoring path as well.
+    """
+    l, d = history.shape
+    n = targets.shape[0]
     if l < 1:
         raise ad.ShapeError("attention needs a non-empty history")
-    a = ad.reshape(unit.weights(history, targets), targets.shape[0], l)
-    return ad.matmul(a, history)
+    if d != unit.dim or targets.shape[1] != d:
+        raise ad.ShapeError(
+            f"attention wants (l,{unit.dim}) history and (n,{unit.dim}) targets, got {history.shape}, {targets.shape}"
+        )
+    (w0, w1), (b0, b1) = unit.mlp.weights, unit.mlp.biases
+    if not history.dtype == targets.dtype == w0.dtype:
+        raise ad.ShapeError(f"mixed dtypes {history.dtype}, {targets.dtype}, {w0.dtype}")
+    hd, td, w0d = history.data, targets.data, w0.data
+    k = w0d.shape[1]
+    ac = w0d[:d] + w0d[2 * d : 3 * d]
+    bc = w0d[d : 2 * d] - w0d[2 * d : 3 * d]
+    dd = w0d[3 * d :]
+    hd_t = np.ascontiguousarray(hd.T)
+    blocks = hd_t[:, :, None] * dd[:, None, :]
+    blocks += bc[:, None, :]
+    blocks = blocks.reshape(d, l * k)
+    z = td @ blocks
+    z += (hd @ ac + b0.data).reshape(1, l * k)
+    hidden = np.maximum(z, 0.0, out=z).reshape(n, l, k)
+    a = (hidden.reshape(n * l, k) @ w1.data).reshape(n, l) + b1.data
 
+    def backward(g):
+        da = g @ hd_t
+        dz = da[:, :, None] * (w1.data[:, 0] * (hidden > 0))
+        dz_flat = dz.reshape(n, l * k)
+        dz_hist = dz_flat.sum(axis=0).reshape(l, k)
+        if b1.track:
+            b1.accumulate(da.sum(keepdims=True))
+        if w1.track:
+            w1.accumulate(hidden.reshape(n * l, k).T @ da.reshape(n * l, 1))
+        if b0.track:
+            b0.accumulate(dz_hist.sum(axis=0, keepdims=True))
+        d_blocks = (td.T @ dz_flat).reshape(d, l, k)
+        if w0.track:
+            h_tilde = hd_t @ dz_hist
+            t_tilde = td.T @ dz.sum(axis=1)
+            d_dd = (hd_t[:, None, :] @ d_blocks)[:, 0, :]
+            w0.accumulate(np.concatenate([h_tilde, t_tilde, h_tilde - t_tilde, d_dd], axis=0))
+        if history.track:
+            history.accumulate(a.T @ g + dz_hist @ ac.T + (d_blocks @ dd[:, :, None])[:, :, 0].T)
+        if targets.track:
+            targets.accumulate(dz_flat @ blocks.T)
 
-def din_attention_np(unit, history, targets):
-    """Batched pooled vectors, one per target row: (n_targets, d)."""
-    return unit.weights_np(history, targets) @ history
+    return ad.node(a @ hd, (history, targets, w0, b0, w1, b1), backward)
 
 
 def target_aware_fusion(r1, r2, targets, mlp):

@@ -8,8 +8,10 @@ constructed for one wiring and stays there.
 
 The graph forwards take a candidate list and give one row per candidate, so
 training builds one graph per context (the positive plus its negatives).
-Scoring large candidate sets goes through ``score_candidates``, a no-graph
-numpy path pinned to the graph forward by tests.
+Scoring large candidate sets goes through ``score_candidates``: attention is
+the same fused ``din_attention`` node run on constants with no tape, and the
+GRU refresh, gate and head use the layers' numpy twins, pinned to the graph
+forward by tests.
 """
 
 from __future__ import annotations
@@ -143,11 +145,11 @@ class SlowModel:
     def score_candidates(self, seq_ids, candidate_ids, neg_memory=None):
         """Click probabilities for many candidates against one context.
 
-        Pure numpy; equals the graph forward to float precision.
+        Call it with no tape open; equals the graph forward to float precision.
         """
         history = self.embedding.lookup_np(seq_ids)
         targets = self.embedding.lookup_np(candidate_ids)
-        pooled = ly.din_attention_np(self.attention, history, targets)
+        pooled = ly.din_attention(self.attention, ad.constant(history), ad.constant(targets)).data
         if not self.interactive:
             return self.head.apply_np(np.hstack([pooled, targets]))[:, 0]
         n = targets.shape[0]

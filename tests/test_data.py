@@ -174,16 +174,34 @@ def test_split_vocab_size_covers_all_retained_ids():
 # negative sampling
 
 
+def draw_all(split, n_items, n_train_neg=1, n_eval_neg=100, seed=0):
+    """Every training and test position's negatives, drawn through NegativeSampler.
+
+    Returns (train, eval) dicts: train maps (user, phase, position) to an id
+    array; eval maps (user, test position) to that position's negative ids.
+    """
+    sampler = dt.NegativeSampler(split, n_items, seed)
+    train, evals = {}, {}
+    for user in sorted(split.users):
+        us = split.users[user]
+        for phase, seq in (("slow", us.slow), ("fast", us.fast)):
+            for idx in range(len(seq)):
+                train[(user, phase, idx)] = sampler.draw(user, phase, idx, n_train_neg)
+        for idx in range(len(us.test)):
+            evals[(user, idx)] = sampler.draw(user, "test", idx, n_eval_neg)
+    return train, evals
+
+
 def test_negatives_are_deterministic_given_seed():
     split = cluster_split()
-    a_train, a_eval = dt.sample_negatives(split, 100, n_eval_neg=50, seed=11)
-    b_train, b_eval = dt.sample_negatives(split, 100, n_eval_neg=50, seed=11)
+    a_train, a_eval = draw_all(split, 100, n_eval_neg=50, seed=11)
+    b_train, b_eval = draw_all(split, 100, n_eval_neg=50, seed=11)
     assert a_train.keys() == b_train.keys()
     for key in a_train:
         np.testing.assert_array_equal(a_train[key], b_train[key])
     for key in a_eval:
         np.testing.assert_array_equal(a_eval[key], b_eval[key])
-    c_train, _ = dt.sample_negatives(split, 100, n_eval_neg=50, seed=12)
+    c_train, _ = draw_all(split, 100, n_eval_neg=50, seed=12)
     assert any(not np.array_equal(a_train[k], c_train[k]) for k in a_train)
 
 
@@ -204,7 +222,7 @@ def test_negatives_never_hit_the_users_history():
 
 def test_eval_negatives_are_distinct_and_complete_101_candidates():
     split = cluster_split(seed=6)
-    _, evals = dt.sample_negatives(split, 100, n_eval_neg=75, seed=14)
+    _, evals = draw_all(split, 100, n_eval_neg=75, seed=14)
     user = next(iter(split.users))
     for idx in range(5):
         negs = evals[(user, idx)]

@@ -230,6 +230,15 @@ def test_batched_scores_match_graph_forward_interactive():
         assert batched[i] == pytest.approx(out.prob.item(), rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_scoring_rejects_out_of_vocabulary_ids(bad):
+    m = make_model(27)  # vocabulary of 12, every row synced
+    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+        m.score_candidates([1, 2], [3], [4, bad])
+    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+        m.score_candidates([1, bad], [3], [4])
+
+
 def test_gru_sync_overwrites_device_copy():
     cloud = SlowModel(10, 4, rng(25), interactive=True)
     device = make_model(26, interactive=True)

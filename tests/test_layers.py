@@ -55,6 +55,10 @@ def test_embedding_empty_and_oov():
     assert table.lookup([]).shape == (0, 2)
     with pytest.raises(ly.OutOfVocabularyError, match="5"):
         table.lookup([5])
+    for bad in (-1, 5):  # numpy indexing would wrap -1 to the last row
+        for lookup in (table.lookup, table.lookup_np):
+            with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+                lookup([0, bad])
 
 
 def test_embedding_init_range_and_seeding():
@@ -223,6 +227,21 @@ def test_attention_zeroed_unit_gives_zero_vector():
     np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
 
+def reference_weights(unit, hist, targets):
+    """The (n, l) weights from the explicit (n*l, 4d) pair features, float64."""
+    n, l = targets.shape[0], hist.shape[0]
+    hist_rep = np.tile(hist, (n, 1))
+    tgt_rep = np.repeat(targets, l, axis=0)
+    feats = np.hstack([hist_rep, tgt_rep, hist_rep - tgt_rep, hist_rep * tgt_rep])
+    w0, b0 = unit.mlp.weights[0].data, unit.mlp.biases[0].data
+    w1, b1 = unit.mlp.weights[1].data, unit.mlp.biases[1].data
+    return (np.maximum(feats @ w0 + b0, 0.0) @ w1 + b1).reshape(n, l)
+
+
+def reference_attention(unit, hist, targets):
+    return reference_weights(unit, hist, targets) @ hist
+
+
 def brute_force_attention(unit, hist, target):
     """Per-row feature build and weight-and-sum, written as explicit loops."""
     w0, b0 = unit.mlp.weights[0].data, unit.mlp.biases[0].data
@@ -248,8 +267,12 @@ def test_attention_matches_brute_force_oracle():
 def test_attention_weight_count_and_empty_rejection():
     r = rng(28)
     unit = ly.AttentionUnit(3, r)
+    for p in unit.params():
+        p.data[:] = 0.0
+    unit.mlp.biases[-1].data[:] = 1.0  # every weight is 1, so the pool sums one weight per row
     hist = r.normal(size=(7, 3))
-    assert unit.weights(ad.constant(hist), ad.constant(r.normal(size=(1, 3)))).shape == (7, 1)
+    out = ly.din_attention(unit, ad.constant(hist), ad.constant(r.normal(size=(1, 3))))
+    np.testing.assert_allclose(out.data, hist.sum(axis=0, keepdims=True), rtol=1e-14)
     with pytest.raises(ad.ShapeError):
         ly.din_attention(unit, ad.constant(np.zeros((0, 3))), ad.constant(np.zeros((1, 3))))
 
@@ -270,7 +293,7 @@ def test_attention_batched_numpy_path_matches_graph():
     unit = ly.AttentionUnit(4, r)
     hist = r.normal(size=(6, 4))
     targets = r.normal(size=(9, 4))
-    batched = ly.din_attention_np(unit, hist, targets)
+    batched = reference_attention(unit, hist, targets)
     for i in range(9):
         one = ly.din_attention(unit, ad.constant(hist), ad.constant(targets[i : i + 1]))
         np.testing.assert_allclose(batched[i : i + 1], one.data, atol=1e-12)
@@ -281,7 +304,7 @@ def test_attention_graph_on_many_targets_matches_one_target_at_a_time():
     unit = ly.AttentionUnit(4, r)
     hist = ad.constant(r.normal(size=(6, 4)))
     targets = r.normal(size=(3, 4))
-    assert unit.weights(hist, ad.constant(targets)).shape == (18, 1)
+    assert reference_weights(unit, hist.data, targets).shape == (3, 6)
     batched = ly.din_attention(unit, hist, ad.constant(targets))
     assert batched.shape == (3, 4)
     for i in range(3):
@@ -301,6 +324,58 @@ def test_attention_gradients():
 
     report = ad.grad_check(loss_fn, [hist, target, *unit.params()], tolerance=1e-4)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("l", [1, 5, 30])
+def test_fused_attention_matches_pair_feature_reference(n, l):
+    r = rng(100 * n + l)
+    unit = ly.AttentionUnit(6, r, hidden=5)
+    unit.mlp.biases[0].data[:] = r.normal(size=(1, 5))
+    unit.mlp.biases[1].data[:] = r.normal(size=(1, 1))
+    hist = r.normal(size=(l, 6))
+    targets = r.normal(size=(n, 6))
+    out = ly.din_attention(unit, ad.constant(hist), ad.constant(targets))
+    assert out.shape == (n, 6)
+    np.testing.assert_allclose(out.data, reference_attention(unit, hist, targets), rtol=1e-12)
+
+
+def test_fused_attention_gradients_over_many_targets():
+    r = rng(32)
+    unit = ly.AttentionUnit(3, r, hidden=4)
+    for p in unit.params():
+        p.data[:] = r.normal(size=p.data.shape)  # nonzero biases, so every block of dW0 is exercised
+    hist = ad.parameter(r.normal(size=(4, 3)), "hist")
+    targets = ad.parameter(r.normal(size=(3, 3)), "targets")
+    probe = ad.constant(r.normal(size=(3, 1)))
+
+    def loss_fn():
+        return ad.sum_all(ad.matmul(ly.din_attention(unit, hist, targets), probe))
+
+    report = ad.grad_check(loss_fn, [hist, targets, *unit.params()], tolerance=1e-4)
+    assert report.passed, str(report)
+
+
+def test_fused_attention_is_one_tape_node_and_records_nothing_without_a_tape():
+    r = rng(33)
+    unit = ly.AttentionUnit(3, r)
+    hist = ad.parameter(r.normal(size=(5, 3)), "hist")
+    targets = ad.constant(r.normal(size=(2, 3)))
+    with ad.tape() as t:
+        ly.din_attention(unit, hist, targets)
+    assert len(t.nodes) == 1
+    out = ly.din_attention(unit, hist, targets)
+    assert not out.track and out._backward is None
+
+
+def test_fused_attention_keeps_float32():
+    r = rng(34)
+    unit = ly.AttentionUnit(3, r, dtype=np.float32)
+    hist = ad.constant(r.normal(size=(5, 3)).astype(np.float32))
+    targets = ad.constant(r.normal(size=(4, 3)).astype(np.float32))
+    assert ly.din_attention(unit, hist, targets).dtype == np.float32
+    with pytest.raises(ad.ShapeError):
+        ly.din_attention(unit, ad.constant(r.normal(size=(5, 3))), targets)
 
 
 # ---------------------------------------------------------------------------

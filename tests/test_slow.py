@@ -72,7 +72,7 @@ def test_plain_forward_matches_layer_composition():
     seq, cand = [1, 4, 9, 2], 6
     hist = m.embedding.lookup_np(seq)
     tgt = m.embedding.lookup_np([cand])
-    pooled = ly.din_attention_np(m.attention, hist, tgt)
+    pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
     expected = m.head.apply_np(np.hstack([pooled, tgt]))[0, 0]
     assert m.forward(seq, [cand]).item() == pytest.approx(expected, rel=1e-12)
 
@@ -113,7 +113,7 @@ def test_interactive_matches_step_by_step_oracle():
     mem = rng(9).normal(size=(1, 4))
     hist = m.embedding.lookup_np(seq)
     tgt = m.embedding.lookup_np([cand])
-    pooled = ly.din_attention_np(m.attention, hist, tgt)
+    pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
     refreshed = m.gru_n.step_np(tgt, mem)
     gate = sig(np.hstack([refreshed, tgt]) @ m.gate_w.data + m.gate_b.data)
     r_n = gate * refreshed
@@ -137,7 +137,7 @@ def test_gate_forced_to_zero_equals_feeding_zero_memory_feature():
         prob, _, _ = m.forward_interactive(seq, [cand], mem, gate_override=0.0)
         hist = m.embedding.lookup_np(seq)
         tgt = m.embedding.lookup_np([cand])
-        pooled = ly.din_attention_np(m.attention, hist, tgt)
+        pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
         direct = m.head.apply_np(np.hstack([np.zeros((1, 4)), pooled, tgt]))[0, 0]
         assert prob.item() == direct
 
@@ -221,6 +221,26 @@ def test_batched_scores_match_graph_forward_interactive():
     for i, c in enumerate(cands):
         prob, _, _ = m.forward_interactive(seq, [c], mem)
         assert batched[i] == pytest.approx(prob.item(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+@pytest.mark.parametrize("interactive", [False, True])
+def test_scoring_rejects_out_of_vocabulary_ids(interactive, bad):
+    m = make_model(23, interactive=interactive)  # vocabulary of 12
+    mem = np.zeros((1, 4)) if interactive else None
+    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+        m.score_candidates([1, 2], [3, bad], neg_memory=mem)
+    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+        m.score_candidates([1, bad], [3], neg_memory=mem)
+
+
+def test_interactive_context_tape_node_count():
+    # the whole attention pool is one fused node (it was 13 composed ones, 32 in all)
+    m = make_model(24, interactive=True)
+    mem = rng(25).normal(size=(1, 4))
+    with ad.tape() as t:
+        m.loss([0, 3, 5, 7, 9], [2, 11], [1, 0], neg_memory=mem)
+    assert len(t.nodes) == 20
 
 
 # ---------------------------------------------------------------------------
