@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
+
 __all__ = [
     "Tensor",
     "Tape",
@@ -649,7 +651,7 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, named_arrays):
-    """Write named arrays to ``path`` in the SFPK format (payload is float32)."""
+    """Write named arrays to ``path`` in the SFPK format (payload is float32), atomically."""
     blob = bytearray()
     blob += _CKPT_MAGIC
     blob += struct.pack("<BI", _CKPT_VERSION, len(named_arrays))
@@ -662,8 +664,7 @@ def save_checkpoint(path, named_arrays):
         for dim in arr.shape:
             blob += struct.pack("<I", dim)
         blob += arr.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import exchange as ex
+from .atomic import write_atomic
 from .config import ExperimentConfig, load_config
 from .fast import FastModel
 from .harness import evaluate_from_state, prepare_data, run_lifecycle, write_results
@@ -58,6 +59,11 @@ def _state_paths(state_dir, seed):
     )
 
 
+def write_exposures(path, exposures):
+    """Per-user shown-item streams as one JSON object keyed by user, replaced atomically."""
+    write_atomic(path, json.dumps({str(u): log for u, log in exposures.items()}).encode("utf-8"))
+
+
 def cmd_train(args):
     config = _build_config(args)
     prepared = prepare_data(config)
@@ -69,8 +75,7 @@ def cmd_train(args):
             ckpt, msgs, expo = _state_paths(args.state_dir, seed)
             ad.save_checkpoint(ckpt, arrays)
             ex.write_message_log(msgs, outcome.messages[seed])
-            with open(expo, "w", encoding="utf-8") as fh:
-                json.dump({str(u): log for u, log in exposures.items()}, fh)
+            write_exposures(expo, exposures)
     for seed, counts in sorted(outcome.diagnostics.items()):
         print(f"seed {seed}: uploads={counts['uploads']} refreshes={counts['refreshes']} downloads={counts['downloads']}")
     print(f"wrote {len(outcome.records)} records to {args.results}")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .layers import GruCell
 
 __all__ = [
@@ -233,11 +234,14 @@ class RoundTracker:
 
 
 def write_message_log(path, messages):
-    with open(path, "wb") as fh:
-        for msg in messages:
-            blob = encode_message(msg)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    """Length-prefixed encoded messages; every message is encoded before the
+    file is replaced, so one that fails to encode leaves the old log intact."""
+    out = bytearray()
+    for msg in messages:
+        blob = encode_message(msg)
+        out += struct.pack("<I", len(blob))
+        out += blob
+    write_atomic(path, bytes(out))
 
 
 def read_message_log(path):

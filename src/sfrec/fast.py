@@ -9,6 +9,15 @@ The device never trains embeddings: it holds a frozen mirror of the cloud
 table rows it has been sent (``sync_rows``).  Looking up a row that was never
 synced is a hard error, which keeps the simulation honest about what is
 actually on the device.
+
+Scoring comes in two pieces: ``encode_context`` turns a click window, an
+exposure window and (interactive) the downloaded prior into a
+:class:`DeviceContext` once, and ``score_context`` runs the fusion and the
+head for any number of candidates against it.  ``score_candidates`` is the
+two composed.  A caller that consumes clicks one by one carries the context
+forward with ``extend_clicks`` (one click-GRU step per new click) and
+rebuilds only the click state with ``reencode_clicks`` when its window
+slides; both take the same steps, in the same order, as a full re-encode.
 """
 
 from __future__ import annotations
@@ -21,7 +30,14 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as ly
 
-__all__ = ["FastModel", "FastForward", "ExposureMemory", "NegativeMemoryExport", "UnsyncedRowError"]
+__all__ = [
+    "FastModel",
+    "FastForward",
+    "DeviceContext",
+    "ExposureMemory",
+    "NegativeMemoryExport",
+    "UnsyncedRowError",
+]
 
 
 class UnsyncedRowError(KeyError):
@@ -34,6 +50,21 @@ class FastForward(NamedTuple):
     prob: "ad.Tensor"
     r_click: "ad.Tensor"
     r_expose: "ad.Tensor"
+
+
+class DeviceContext(NamedTuple):
+    """An encoded device context: everything scoring needs except the candidates.
+
+    ``init_click`` is the click GRU's start state (prior-derived, or zero in
+    the plain wiring), kept so a slid click window can be re-encoded without
+    recomputing the prior; ``r_t`` is the long-term interest row the
+    interactive head reads (None in the plain wiring).
+    """
+
+    init_click: np.ndarray
+    r_click: np.ndarray
+    r_expose: np.ndarray
+    r_t: "np.ndarray | None"
 
 
 @dataclass
@@ -100,6 +131,12 @@ class FastModel:
         idx = np.asarray(ids, dtype=np.intp)
         self._emb[idx, :] = np.asarray(rows, dtype=self._emb.dtype)
         self._synced[idx] = True
+
+    def changed_rows(self, ids, rows):
+        """The ids among ``ids`` whose synced mirror row differs from ``rows``: what a sync would change."""
+        idx = np.asarray(ids, dtype=np.intp)
+        differs = np.any(self._emb[idx, :] != np.asarray(rows, dtype=self._emb.dtype), axis=1)
+        return idx[self._synced[idx] & differs]
 
     def synced_ids(self):
         return np.nonzero(self._synced)[0]
@@ -191,24 +228,43 @@ class FastModel:
         init_expose = np.maximum(blended @ self.init_expose_w.data + self.init_expose_b.data, 0.0)
         return init_click, init_expose
 
-    def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
-        """Click probabilities for many candidates against one device context."""
+    def encode_context(self, clicked, exposed, prior=None):
+        """Encode one device context: the prior-derived init states, then both GRUs."""
         if len(clicked) == 0:
             raise ad.ShapeError("fast click sequences must be non-empty")
         if self.interactive:
             init_click, init_expose = self._prior_states_np(prior.r_n, prior.r_t)
+            r_t = np.asarray(prior.r_t, dtype=self._emb.dtype)
         else:
             init_click = init_expose = np.zeros((1, self.dim), dtype=self._emb.dtype)
+            r_t = None
         r_click = self.gru_click.encode_np(self.lookup_np(clicked), init_click)
         r_expose = self.gru_expose.encode_np(self.lookup_np(exposed), init_expose)
+        return DeviceContext(init_click, r_click, r_expose, r_t)
+
+    def extend_clicks(self, context, clicks):
+        """``context`` with its click state advanced by newly consumed ``clicks``, one step each."""
+        return context._replace(r_click=self.gru_click.encode_np(self.lookup_np(clicks), context.r_click))
+
+    def reencode_clicks(self, context, clicked):
+        """``context`` with its click state rebuilt over a new click window from ``init_click``."""
+        if len(clicked) == 0:
+            raise ad.ShapeError("fast click sequences must be non-empty")
+        return context._replace(r_click=self.gru_click.encode_np(self.lookup_np(clicked), context.init_click))
+
+    def score_context(self, context, candidate_ids):
+        """Click probabilities for many candidates against an encoded context."""
         targets = self.lookup_np(candidate_ids)
-        blended = ly.target_aware_fusion_np(self.fusion, r_click, r_expose, targets)
+        blended = ly.target_aware_fusion_np(self.fusion, context.r_click, context.r_expose, targets)
         if self.interactive:
-            rt_rep = np.broadcast_to(np.asarray(prior.r_t, dtype=targets.dtype), targets.shape)
-            feats = np.hstack([blended, rt_rep, targets])
+            feats = np.hstack([blended, np.broadcast_to(context.r_t, targets.shape), targets])
         else:
             feats = np.hstack([blended, targets])
         return self.head.apply_np(feats)[:, 0]
+
+    def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
+        """Click probabilities for many candidates against one device context."""
+        return self.score_context(self.encode_context(clicked, exposed, prior), candidate_ids)
 
 
 class ExposureMemory:

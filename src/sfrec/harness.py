@@ -16,7 +16,8 @@ The cadence is linearized per seed:
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context; the device context grows with each
-   consumed test item.
+   consumed test item.  It is encoded once per user and its click GRU state
+   carried forward one step per consumed item (see ``_SeedRun.evaluate``).
 
 Training builds one tape per context: a click position with its positive
 and ``n_train_neg`` negatives goes through the model in one batched forward
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import exchange as ex
+from .atomic import write_atomic
 from .config import ExperimentConfig
 from .data import NegativeSampler, make_cluster_dataset, parse_ml1m, parse_tsv, phase_split, simulate_exposures
 from .fast import ExposureMemory, FastModel
@@ -375,7 +377,31 @@ class _SeedRun:
 
     # -- evaluation -------------------------------------------------------------
 
+    def _sync_eval_rows(self, ids):
+        """Sync ``ids`` to the device; returns the set of those whose device row changed.
+
+        A variant without downloads (``f2s``) keeps rows that refreshes have
+        since moved in the cloud, so an evaluation sync can change rows an
+        encoded device context was built from.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        rows = self.slow.embedding.lookup_np(ids)
+        changed = self.fast.changed_rows(ids, rows)
+        self.fast.sync_rows(ids, rows)
+        return set(changed.tolist())
+
     def evaluate(self):
+        """Rank each user's test items with both frozen models.
+
+        The cloud context is the slow-phase window for every ranking.  The
+        device context is encoded once per user (prior-derived init states and
+        the exposure state); its click state then advances by one GRU step per
+        consumed test item while the ``max_history_len`` window still holds
+        every click, and is re-encoded from the prior-derived state only where
+        the window slides.  A context whose rows an evaluation sync changed is
+        re-encoded too.  Each GRU step is the one a full re-encode would take,
+        so the scores equal ``score_candidates`` on the ranking's windows.
+        """
         slow_results, fast_results = [], []
         for user in self.users:
             us = self.split.users[user]
@@ -383,9 +409,10 @@ class _SeedRun:
             memory = self.slow_memory.get(user, self._zero_memory()) if self.slow.interactive else None
             prior = self.priors.get(user)
             exposed_full = self._window([i for step in self.exposure_log[user] for i in step])
+            device = None
             for j, positive in enumerate(us.test):
                 negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
-                self._sync_device_rows(negs + [positive])
+                changed = self._sync_eval_rows(negs + [positive])
 
                 def slow_score(ids):
                     return self.slow.score_candidates(slow_ctx, ids, neg_memory=memory)
@@ -393,11 +420,15 @@ class _SeedRun:
                 slow_results.append(rank_candidates(slow_score, user, positive, negs))
 
                 clicked = self._window(us.fast + us.test[:j])
+                if device is None or changed.intersection(exposed_full):
+                    device = self.fast.encode_context(clicked, exposed_full, prior)
+                elif len(us.fast) + j > self.config.max_history_len or changed.intersection(clicked[:-1]):
+                    device = self.fast.reencode_clicks(device, clicked)
+                else:
+                    device = self.fast.extend_clicks(device, clicked[-1:])
 
                 def fast_score(ids):
-                    if self.fast.interactive:
-                        return self.fast.score_candidates(clicked, exposed_full, ids, prior=prior)
-                    return self.fast.score_candidates(clicked, exposed_full, ids)
+                    return self.fast.score_context(device, ids)
 
                 fast_results.append(rank_candidates(fast_score, user, positive, negs))
         return slow_results, fast_results
@@ -460,25 +491,48 @@ def _collect_state(run):
     return arrays, exposures
 
 
+_CONSUMED_KINDS = (ex.MessageKind.INTEREST_DOWN, ex.MessageKind.NEGATIVE_MEMORY_UP)
+
+
+def _check_payload_shapes(index, msg, dim):
+    """Every tensor a replay consumes is one (1, dim) row; anything else is a LifecycleError."""
+    for name, value in sorted(msg.payload.items()):
+        shape = np.shape(value)
+        if shape != (1, dim):
+            raise LifecycleError(
+                f"message {index} ({ex.MessageKind(msg.kind).name}) for user {msg.user}: "
+                f"payload {name!r} has shape {shape}, expected {(1, dim)}"
+            )
+
+
 def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     """Rebuild evaluation-time state from saved artifacts and re-rank.
 
     ``arrays`` is a checkpoint produced from :func:`_collect_state`, ``messages``
     the decoded exchange log, ``exposures`` the per-user shown-item streams.
     For float32 runs the records match the training-time evaluation exactly.
+    An interest or negative-memory payload that is not a (1, dim) row raises
+    :class:`LifecycleError` naming the message, and so does an interactive
+    device model with a user no interest download reached.
     """
     split, users = prepared
     run = _SeedRun(config, seed, split, users)
     run.slow.load_arrays(arrays)
     run.fast.load_arrays(arrays)
     run.fast.load_device_state(arrays["device/emb"], np.asarray(arrays["device/synced"]) > 0.5)
-    for m in messages:
+    for index, m in enumerate(messages):
+        if m.kind in _CONSUMED_KINDS:
+            _check_payload_shapes(index, m, config.dim)
         if m.kind == ex.MessageKind.INTEREST_DOWN:
             run.priors[m.user] = InterestExport(
                 m.user, m.round, m.payload["r_n"].astype(run.dtype), m.payload["r_t"].astype(run.dtype)
             )
         elif m.kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
             run.slow_memory[m.user] = m.payload["r2_hat"].astype(run.dtype)
+    if run.fast.interactive:
+        unprimed = [u for u in users if u not in run.priors]
+        if unprimed:
+            raise LifecycleError(f"no INTEREST_DOWN message for user {unprimed[0]}: the device model needs its prior")
     for user, log in exposures.items():
         run.exposure_log[int(user)] = [[int(i) for i in step] for step in log]
     slow_results, fast_results = run.evaluate()
@@ -498,7 +552,7 @@ CSV_HEADER = ["dataset", "variant", "component", "metric", "k", "value", "seed",
 
 
 def write_results(records, path):
-    """Deterministic CSV: sorted rows, 4-decimal half-up values."""
+    """Deterministic CSV: sorted rows, 4-decimal half-up values, replaced atomically."""
     if not records:
         raise ValueError("refusing to write an empty results file")
     rows = sorted(
@@ -511,8 +565,7 @@ def write_results(records, path):
         writer.writerow(
             [r.dataset, r.variant, r.component, r.metric, r.k, _format_value(r.value), r.seed, _format_value(r.wall_seconds)]
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_results(path):

@@ -12,6 +12,10 @@ run on constants with no tape open it records nothing, and it scores 301
 candidates against a 30-item history in 0.24-0.34 ms (dim 32, float32).
 The GRU, MLP and head still keep ``*_np`` twins that evaluate the same
 function on plain arrays for scoring; tests pin them to the graph.
+``GruCell.encode_np`` folds one-row ``step_np`` calls from a given state, so a
+caller can carry a hidden state forward a click at a time and reach the same
+bits as encoding the whole sequence at once (the device model's evaluation
+does this).
 """
 
 from __future__ import annotations
@@ -176,6 +180,11 @@ class GruCell:
         return self._forward_np(xd, hd)[3]
 
     def encode_np(self, seq, init):
+        """Fold ``step_np`` over the rows of ``seq`` from ``init``, one row at a time.
+
+        Encoding ``a + b`` from ``init`` equals encoding ``b`` from the state
+        that encoding ``a`` returned, bit for bit.
+        """
         h = init
         for j in range(seq.shape[0]):
             h = self.step_np(seq[j : j + 1, :], h)

@@ -34,9 +34,7 @@ def rank_candidates(score_fn, user, positive, negatives):
     scores = np.asarray(score_fn(candidates), dtype=float)
     pos_score = scores[0]
     higher = int(np.sum(scores[1:] > pos_score))
-    tied_before = sum(
-        1 for c, s in zip(candidates[1:], scores[1:]) if s == pos_score and c < positive
-    )
+    tied_before = int(np.sum((scores[1:] == pos_score) & (np.asarray(candidates[1:]) < positive)))
     return RankingResult(user=user, positive=positive, rank=1 + higher + tied_before)
 
 

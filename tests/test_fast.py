@@ -230,6 +230,32 @@ def test_batched_scores_match_graph_forward_interactive():
         assert batched[i] == pytest.approx(out.prob.item(), rel=1e-12)
 
 
+@pytest.mark.parametrize("interactive", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_carried_click_state_equals_full_reencode_bit_exactly(interactive, dtype):
+    m = FastModel(12, 4, rng(30), interactive=interactive, dtype=dtype)
+    m.sync_rows(np.arange(12), rng(31).uniform(-0.05, 0.05, size=(12, 4)))
+    prior = prior_of(m, 32) if interactive else None
+    clicks, exposed, cands = [3, 0, 7, 7, 11, 2], [8, 9, 1], [1, 4, 5, 10]
+    context = m.encode_context(clicks[:1], exposed, prior)
+    for n in range(1, len(clicks) + 1):
+        if n > 1:
+            context = m.extend_clicks(context, clicks[n - 1 : n])
+        full = m.encode_context(clicks[:n], exposed, prior)
+        np.testing.assert_array_equal(context.r_click, full.r_click)
+        assert np.array_equal(m.score_context(context, cands), m.score_candidates(clicks[:n], exposed, cands, prior))
+    slid = m.reencode_clicks(context, clicks[2:])
+    np.testing.assert_array_equal(slid.r_click, m.encode_context(clicks[2:], exposed, prior).r_click)
+    np.testing.assert_array_equal(slid.r_expose, context.r_expose)
+
+
+def test_reencode_rejects_an_empty_click_window():
+    m = make_model(33)
+    context = m.encode_context([1, 2], [3])
+    with pytest.raises(ad.ShapeError):
+        m.reencode_clicks(context, [])
+
+
 @pytest.mark.parametrize("bad", [-1, 12])
 def test_scoring_rejects_out_of_vocabulary_ids(bad):
     m = make_model(27)  # vocabulary of 12, every row synced

@@ -4,8 +4,11 @@ Configs here are intentionally tiny (few users, one or two epochs) so the
 whole file stays fast; learning quality is covered elsewhere.
 """
 
+import copy
+import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from sfrec.harness import (
     run_lifecycle,
     write_results,
 )
+from sfrec.metrics import rank_candidates
 
 
 def tiny_config(**overrides):
@@ -240,3 +244,144 @@ def test_saved_state_reproduces_training_time_evaluation(cluster_prepared):
     redone = evaluate_from_state(cfg, 0, cluster_prepared, arrays, out.messages[0], exposures)
     original = {(r.component, r.metric, r.k): r.value for r in out.records}
     assert {(r.component, r.metric, r.k): r.value for r in redone} == original
+
+
+# ---------------------------------------------------------------------------
+# evaluation encodes each user's device context once
+
+
+def trained_run(cluster_prepared, **overrides):
+    """A seed run taken through both training phases, ready to evaluate."""
+    split, users = cluster_prepared
+    cfg = tiny_config(**overrides)
+    run = _SeedRun(cfg, 0, split, users)
+    run.train_slow()
+    if cfg.variant == "s2f_full":
+        for user in users:
+            run._download(user, round_no=0)
+    run.serve_and_train_fast()
+    return run
+
+
+def per_ranking_reference(run):
+    """(result, scores) per fast ranking, each re-encoding both GRUs through score_candidates.
+
+    Rows sync before each ranking as in evaluation: without downloads (f2s) a
+    sync can change device rows that earlier rankings' contexts were built from.
+    """
+    out = []
+    for user in run.users:
+        us = run.split.users[user]
+        exposed = run._window([i for step in run.exposure_log[user] for i in step])
+        for j, positive in enumerate(us.test):
+            negs = [int(n) for n in run.sampler.draw(user, "test", j, run.config.n_eval_neg)]
+            run._sync_device_rows(negs + [positive])
+            clicked = run._window(us.fast + us.test[:j])
+            scores = run.fast.score_candidates(clicked, exposed, [positive, *negs], prior=run.priors.get(user))
+            out.append((rank_candidates(lambda ids: scores, user, positive, negs), scores))
+    return out
+
+
+def assert_evaluation_matches_reference(run):
+    """Fast rankings and every score array of ``run.evaluate()`` equal the per-ranking reference."""
+    scored = []
+    score_context = run.fast.score_context
+
+    def spy(context, ids):
+        scored.append(score_context(context, ids))
+        return scored[-1]
+
+    run.fast.score_context = spy
+    device_state = run.fast.export_device_state()
+    _, fast_results = run.evaluate()
+    del run.fast.score_context  # score_candidates scores through it too
+    run.fast.load_device_state(*device_state)
+    reference = per_ranking_reference(run)
+    assert fast_results == [result for result, _ in reference]
+    assert len(scored) == len(reference)
+    for got, (_, want) in zip(scored, reference):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("max_history_len", [3, 7, 30])
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_per_user_evaluation_equals_per_ranking_reencode(cluster_prepared, variant, max_history_len):
+    # 5 fast clicks per user: at 3 and 7 the click window slides during the test phase
+    assert_evaluation_matches_reference(trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len))
+
+
+def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_prepared):
+    # a repeated click: each user's third test item is their first fast click,
+    # whose device row is stale, so ranking 2's sync changes a row of its window
+    split, users = copy.deepcopy(cluster_prepared)
+    run = trained_run((split, users), variant="independent")
+    firsts = sorted({split.users[u].fast[0] for u in users})
+    for user in users:
+        split.users[user].test[2] = split.users[user].fast[0]
+    run.fast.sync_rows(firsts, run.slow.embedding.lookup_np(firsts) + 0.01)
+    assert_evaluation_matches_reference(run)
+
+
+@pytest.mark.parametrize("max_history_len", [3, 7, 30])
+@pytest.mark.parametrize("variant", ["independent", "s2f_full"])  # no stale device rows to re-sync
+def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, variant, max_history_len):
+    run = trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len)
+    steps = Counter()
+    for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
+
+        def counted(xd, hd, step=cell.step_np, name=name):
+            steps[name] += xd.shape[0]
+            return step(xd, hd)
+
+        cell.step_np = counted
+    run.evaluate()
+    want = Counter()
+    per_ranking = 0
+    for user in run.users:
+        us = run.split.users[user]
+        exposed = len(run._window([i for step in run.exposure_log[user] for i in step]))
+        want["expose"] += exposed
+        want["click"] += min(len(us.fast), max_history_len)
+        for j in range(1, len(us.test)):
+            slides = len(us.fast) + j > max_history_len
+            want["click"] += max_history_len if slides else 1  # a re-encode of the full window, or one step
+        per_ranking += sum(exposed + min(len(us.fast) + j, max_history_len) for j in range(len(us.test)))
+    assert steps == want
+    assert sum(steps.values()) < per_ranking
+
+
+@pytest.fixture(scope="module")
+def s2f_state(cluster_prepared):
+    cfg = tiny_config(variant="s2f_full")
+    out = run_lifecycle(cfg, cluster_prepared, collect_state=True)
+    arrays, exposures = out.states[0]
+    return cfg, arrays, out.messages[0], exposures
+
+
+@pytest.mark.parametrize(
+    "kind, name, rows, cols",
+    [
+        (MessageKind.INTEREST_DOWN, "r_n", 1, 4),
+        (MessageKind.INTEREST_DOWN, "r_t", 3, 8),
+        (MessageKind.NEGATIVE_MEMORY_UP, "r2_hat", 2, 8),
+    ],
+)
+def test_replay_rejects_a_wrong_shaped_payload_by_message(cluster_prepared, s2f_state, kind, name, rows, cols):
+    cfg, arrays, messages, exposures = s2f_state
+    assert cfg.dim == 8
+    index = max(i for i, m in enumerate(messages) if m.kind == kind)  # a user's latest message of this kind
+    bad = messages[index]
+    payload = {**bad.payload, name: np.zeros((rows, cols), dtype=np.float32)}
+    altered = list(messages)
+    altered[index] = dataclasses.replace(bad, payload=payload)
+    want = f"message {index} ({kind.name}) for user {bad.user}: payload '{name}' has shape ({rows}, {cols})"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, altered, exposures)
+
+
+def test_replay_rejects_an_interactive_user_without_a_prior(cluster_prepared, s2f_state):
+    cfg, arrays, messages, exposures = s2f_state
+    user = cluster_prepared[1][0]
+    kept = [m for m in messages if not (m.kind == MessageKind.INTEREST_DOWN and m.user == user)]
+    with pytest.raises(LifecycleError, match=f"no INTEREST_DOWN message for user {user}"):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, kept, exposures)

@@ -57,6 +57,23 @@ def test_ties_break_by_candidate_id_ascending():
     assert rank_candidates(flat, 0, 5, [2, 3]).rank == 3
 
 
+def test_heavy_ties_among_301_candidates_follow_the_rank_definition():
+    r = rng(11)
+    ids = r.permutation(2000)[:301].tolist()
+    table = dict(zip(ids, r.integers(0, 4, size=301) / 4.0))  # four score levels: ~75 ties each
+    score = lambda cands: [table[c] for c in cands]
+    tied = 0
+    for p in range(0, 301, 15):
+        positive, negatives = ids[p], ids[:p] + ids[p + 1 :]
+        higher = sum(table[c] > table[positive] for c in negatives)
+        tied_lower_id = sum(table[c] == table[positive] and c < positive for c in negatives)
+        tied += tied_lower_id
+        got = rank_candidates(score, 3, positive, negatives)
+        assert got == RankingResult(user=3, positive=positive, rank=1 + higher + tied_lower_id)
+        assert got.rank == sort_oracle_rank([positive, *negatives], score([positive, *negatives]), positive)
+    assert tied > 100  # the tie-break decided many of these ranks
+
+
 def test_duplicate_candidates_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, [5, 6])
