@@ -71,6 +71,11 @@ prior = InterestExport(user=0, round=0, r_n=np.zeros((1, dim)), r_t=r_t.data[:1]
 out = fast.forward_interactive(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
 print(f"p(click)={out.prob.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
       " both GRUs ran once for the two candidates")
+# a training segment: two contexts in one graph, the first seeing one click
+# and one exposure, the second both; each GRU still runs once
+seg = fast.forward_interactive([4, 9], [13, 30], [7, 12], prior, prefixes=[(1, 1), (2, 2)])
+print(f"as a segment of two contexts: p(click)={seg.prob.data.ravel().round(4)};"
+      f" the first candidate read the states after 1 click and 1 exposure")
 
 section("checkpoint round trip")
 path = os.path.join(tempfile.mkdtemp(), "demo.ckpt")

@@ -651,13 +651,19 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, named_arrays):
-    """Write named arrays to ``path`` in the SFPK format (payload is float32), atomically."""
+    """Write named arrays to ``path`` in the SFPK format (payload is float32), atomically.
+
+    A name longer than the format's u16 length field raises
+    :class:`CheckpointError` before anything is written.
+    """
     blob = bytearray()
     blob += _CKPT_MAGIC
     blob += struct.pack("<BI", _CKPT_VERSION, len(named_arrays))
     for name in sorted(named_arrays):
         arr = np.asarray(named_arrays[name], dtype=np.float32)
         encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise CheckpointError(f"tensor name of {len(encoded)} bytes exceeds the 65535-byte limit")
         blob += struct.pack("<H", len(encoded))
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
@@ -692,12 +698,17 @@ def load_checkpoint(path):
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     out = {}
+    previous = None
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         try:
             name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"tensor name before byte {off} is not UTF-8") from None
+        if previous is not None and name <= previous:
+            # save_checkpoint writes each name once, in sorted order
+            raise CheckpointError(f"tensor name {name!r} repeated or out of order")
+        previous = name
         (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         n = math.prod(dims)

@@ -101,7 +101,10 @@ class ExchangeMessage:
 
 
 def _check_schema(kind, payload):
-    expected = SCHEMAS[MessageKind(kind)]
+    try:
+        expected = SCHEMAS[MessageKind(kind)]
+    except ValueError:
+        raise SchemaViolation(f"unknown message kind {kind!r}") from None
     got = set(payload)
     if got != expected:
         missing = sorted(expected - got)
@@ -111,8 +114,15 @@ def _check_schema(kind, payload):
         )
 
 
+def _check_header_field(name, value, bits):
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < 1 << bits:
+        raise SchemaViolation(f"{name} {value!r} does not fit the wire's unsigned {bits}-bit field")
+
+
 def encode_message(msg):
     _check_schema(msg.kind, msg.payload)
+    _check_header_field("user", msg.user, 64)
+    _check_header_field("round", msg.round, 32)
     out = bytearray(_HEADER.pack(MAGIC, VERSION, int(msg.kind), msg.user, msg.round, len(msg.payload)))
     for name in sorted(msg.payload):
         arr = np.asarray(msg.payload[name], dtype="<f4")
@@ -156,12 +166,17 @@ def decode_message(data):
     except ValueError:
         raise SchemaViolation(f"unknown message kind {kind}") from None
     payload = {}
+    previous = None
     for _ in range(count):
         (name_len,) = r.unpack(struct.Struct("<H"))
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise SchemaViolation(f"payload name ending at byte {r.off} is not UTF-8") from None
+        if previous is not None and name <= previous:
+            # the encoder writes each name once, in sorted order
+            raise SchemaViolation(f"payload name {name!r} repeated or out of order")
+        previous = name
         (rank,) = r.unpack(struct.Struct("<B"))
         dims = r.unpack(struct.Struct(f"<{rank}I")) if rank else ()
         n = math.prod(dims)
@@ -205,6 +220,10 @@ class UploadScheduler:
             return Decision.UPLOAD_NOW
         self.counters[user] = count
         return Decision.ACCUMULATE
+
+    def due(self, user):
+        """Whether the next ``tick`` for ``user`` will say UPLOAD_NOW (counts nothing)."""
+        return self.counters.get(user, 0) + 1 >= self.threshold
 
     def next_round(self, user):
         round_no = self.rounds.get(user, 0) + 1

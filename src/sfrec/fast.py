@@ -10,6 +10,12 @@ table rows it has been sent (``sync_rows``).  Looking up a row that was never
 synced is a hard error, which keeps the simulation honest about what is
 actually on the device.
 
+The graph forward takes a candidate list and, optionally, a ``(clicks,
+exposures)`` prefix length per candidate: training runs a segment (one
+user's consecutive contexts, whose windows only grow) through one graph, each
+GRU running once over the longest windows and every candidate reading the
+states at its own context's prefixes.
+
 Scoring comes in two pieces: ``encode_context`` turns a click window, an
 exposure window and (interactive) the downloaded prior into a
 :class:`DeviceContext` once, and ``score_context`` runs the fusion and the
@@ -45,7 +51,7 @@ class UnsyncedRowError(KeyError):
 
 
 class FastForward(NamedTuple):
-    """(n, 1) probabilities plus the shared (1, d) pre-blend interest vectors (for diagnostics)."""
+    """(n, 1) probabilities plus the (n, d) pre-blend interest rows each candidate read (for diagnostics)."""
 
     prob: "ad.Tensor"
     r_click: "ad.Tensor"
@@ -164,19 +170,30 @@ class FastModel:
 
     # -- forward graphs ----------------------------------------------------------
 
-    def _encodings(self, clicked, exposed, init_click, init_expose):
-        if len(clicked) == 0:
+    def _interest_rows(self, clicked, exposed, n, init_click, init_expose, prefixes):
+        """(n, d) click and exposure states, one row per candidate.
+
+        Each GRU runs once over its window; a candidate reads the states at
+        its ``(clicks, exposures)`` prefix lengths (None: the whole windows).
+        """
+        if prefixes is None:
+            prefixes = [(len(clicked), len(exposed))] * n
+        if np.shape(prefixes) != (n, 2):
+            raise ad.ShapeError(f"fast prefixes want one (clicks, exposures) pair per candidate, ({n}, 2)")
+        click_lengths = [int(c) for c, _ in prefixes]
+        expose_lengths = [int(e) for _, e in prefixes]
+        if min(click_lengths) < 1:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        r_click = ly.gru_encode(self.gru_click, self.lookup(clicked), init_click)
-        r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose)
+        r_click = ly.gru_encode(self.gru_click, self.lookup(clicked), init_click, click_lengths)
+        r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose, expose_lengths)
         return r_click, r_expose
 
-    def forward(self, clicked, exposed, candidates):
+    def forward(self, clicked, exposed, candidates, prefixes=None):
         """Plain wiring: both GRUs start from zero state and run once for all candidates."""
         if self.interactive:
             raise RuntimeError("interactive model: use forward_interactive")
         zero = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
-        r_click, r_expose = self._encodings(clicked, exposed, zero, zero)
+        r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), zero, zero, prefixes)
         targets = self.lookup(candidates)
         blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
         prob = ly.predict_head(self.head, ad.concat([blended, targets], axis=1))
@@ -194,7 +211,7 @@ class FastModel:
         init_expose = ad.relu(ad.add(ad.matmul(blended_prior, self.init_expose_w), self.init_expose_b))
         return init_click, init_expose
 
-    def forward_interactive(self, clicked, exposed, candidates, prior):
+    def forward_interactive(self, clicked, exposed, candidates, prior, prefixes=None):
         """Cloud-primed wiring; ``prior`` supplies (r_n, r_t) arrays shared by all candidates."""
         if not self.interactive:
             raise RuntimeError("plain model: use forward")
@@ -202,19 +219,25 @@ class FastModel:
         if np.asarray(r_n).shape != (1, self.dim) or np.asarray(r_t).shape != (1, self.dim):
             raise ad.ShapeError(f"prior vectors must be (1,{self.dim})")
         init_click, init_expose = self._prior_states(r_n, r_t)
-        r_click, r_expose = self._encodings(clicked, exposed, init_click, init_expose)
+        r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), init_click, init_expose, prefixes)
         targets = self.lookup(candidates)
         blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
         rt_rep = ad.constant(np.repeat(np.asarray(r_t, dtype=self._emb.dtype), targets.shape[0], axis=0))
         prob = ly.predict_head(self.head, ad.concat([blended, rt_rep, targets], axis=1))
         return FastForward(prob, r_click, r_expose)
 
-    def loss(self, clicked, exposed, candidates, labels, prior=None):
-        """Summed (1,1) cross-entropy of one context's candidates against their 0/1 labels."""
+    def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
+        """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
+
+        A segment is a run of contexts whose click and exposure windows are
+        prefixes of ``clicked`` and ``exposed``; ``prefixes`` holds each
+        candidate's ``(clicks, exposures)`` lengths (None: one context, every
+        candidate sees both whole windows).  The plain wiring ignores ``prior``.
+        """
         if self.interactive:
-            out = self.forward_interactive(clicked, exposed, candidates, prior)
+            out = self.forward_interactive(clicked, exposed, candidates, prior, prefixes)
         else:
-            out = self.forward(clicked, exposed, candidates)
+            out = self.forward(clicked, exposed, candidates, prefixes)
         return ad.binary_cross_entropy(out.prob, labels)
 
     # -- batched no-graph scoring ---------------------------------------------

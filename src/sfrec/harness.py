@@ -19,11 +19,20 @@ The cadence is linearized per seed:
    consumed test item.  It is encoded once per user and its click GRU state
    carried forward one step per consumed item (see ``_SeedRun.evaluate``).
 
-Training builds one tape per context: a click position with its positive
-and ``n_train_neg`` negatives goes through the model in one batched forward
-and backward.  Adam steps count examples, so the step schedule is the
-per-example one whenever ``1 + n_train_neg`` divides ``batch_size``; otherwise
-a step fires at the first context boundary at or past ``batch_size``.
+A training context is a click position with its positive and
+``n_train_neg`` negatives.  Training builds one tape per segment: a run of
+one user's consecutive contexts that see the same parameters and inputs, so
+their summed loss goes through one batched forward and backward (the models'
+``loss`` take a segment; a single context is a segment of one).  A segment
+closes at the context that fires an Adam step and at the end of the user's
+contexts; on the device side also where a context's click or exposure window
+is not a prefix-extension of the segment's, before a serving event that will
+upload (its refresh and download change what the next contexts see), and
+before a device-row sync that would change a row the segment reads.  Adam
+steps count examples, so the step schedule is the per-example one whenever
+``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at the
+first context boundary at or past ``batch_size``.  Segmenting changes only
+the order of float summation, not the steps, the negatives or any rng draw.
 
 Everything is deterministic given (config, seed): rngs hang off one seed
 sequence per purpose, users iterate in sorted or seeded-permutation order,
@@ -37,6 +46,7 @@ import io
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +93,18 @@ class LifecycleOutcome:
     messages: dict = field(default_factory=dict)  # seed -> [ExchangeMessage]
     diagnostics: dict = field(default_factory=dict)  # seed -> counters
     states: dict = field(default_factory=dict)  # seed -> (arrays, exposures), when collected
+
+
+class _Context(NamedTuple):
+    """One training context: the click position, its candidates (positive
+    first) and their labels; device contexts also carry their click and
+    exposure windows (slow windows follow from the position)."""
+
+    position: int
+    candidates: list
+    labels: list
+    clicked: list = None
+    exposed: list = None
 
 
 def _purpose_rng(seed, purpose):
@@ -161,28 +183,54 @@ class _SeedRun:
         if ids.size:
             self._sync_device_rows(ids)
 
-    def _check_finite(self, loss, phase, user, position):
-        if not np.isfinite(loss):
-            raise LifecycleError(f"non-finite loss in phase {phase!r} at user {user}, position {position}")
+    def _train_segment(self, segment_loss, user, segment, phase):
+        """Forward and backward one segment on one tape.
+
+        A non-finite segment loss is traced to the first context whose own
+        loss is non-finite, so the error names that context's position; a
+        finite loss costs no more than the check.
+        """
+        with ad.tape() as t:
+            loss = segment_loss(user, segment)
+            t.backward(loss)
+        if not np.isfinite(loss.item()):
+            failing = next((c for c in segment if not np.isfinite(segment_loss(user, [c]).item())), segment[0])
+            raise LifecycleError(f"non-finite loss in phase {phase!r} at user {user}, position {failing.position}")
 
     # -- slow training ------------------------------------------------------
 
-    def _slow_context_loss(self, context, candidates, labels, user):
-        if self.slow.interactive:
-            memory = self.slow_memory.get(user)
-            memory = self._zero_memory() if memory is None else memory
-            return self.slow.loss(context, candidates, labels, neg_memory=memory)
-        return self.slow.loss(context, candidates, labels)
+    def _slow_segment_loss(self, user, segment):
+        """Summed loss of consecutive slow contexts of ``user`` in one graph.
+
+        The shared history holds the rows some context's window covers (rows
+        between windows that none covers are left out), and every candidate
+        attends to its own context's window of it.
+        """
+        seq = self.split.users[user].slow
+        span = self.config.max_history_len
+        history, windows, candidates, labels = [], [], [], []
+        skipped = covered = max(0, segment[0].position - span)
+        for ctx in segment:
+            start, end = max(0, ctx.position - span), ctx.position
+            if start > covered:
+                skipped += start - covered
+                covered = start
+            history += seq[covered:end]
+            covered = end
+            windows += [(start - skipped, end - skipped)] * len(ctx.candidates)
+            candidates += ctx.candidates
+            labels += ctx.labels
+        memory = self.slow_memory.get(user, self._zero_memory()) if self.slow.interactive else None
+        return self.slow.loss(history, candidates, labels, neg_memory=memory, windows=windows)
 
     def _slow_user_contexts(self, user, positions):
-        """(position, context, candidates, labels) per slow position: the
-        positive first, then its ``n_train_neg`` negatives."""
+        """One context per slow position: the positive first, then its
+        ``n_train_neg`` negatives."""
         seq = self.split.users[user].slow
         out = []
         for j in positions:
             negs = self.sampler.draw(user, "slow", j, self.config.n_train_neg)
-            candidates = [seq[j]] + [int(n) for n in negs]
-            out.append((j, self._window(seq[:j]), candidates, [1] + [0] * len(negs)))
+            out.append(_Context(j, [seq[j]] + [int(n) for n in negs], [1] + [0] * len(negs)))
         return out
 
     def _slow_validation_loss(self):
@@ -209,21 +257,24 @@ class _SeedRun:
             order = self.epoch_rng.permutation(self.users)
             pending = 0
             for user in order:
+                user = int(user)
                 seq = self.split.users[user].slow
                 trainable = np.arange(1, len(seq) - 1)
                 if trainable.size > cfg.max_positions_per_user:
                     picked = self.epoch_rng.choice(trainable, size=cfg.max_positions_per_user, replace=False)
                     trainable = np.sort(picked)
-                for j, context, candidates, labels in self._slow_user_contexts(int(user), trainable.tolist()):
-                    with ad.tape() as t:
-                        loss = self._slow_context_loss(context, candidates, labels, int(user))
-                        t.backward(loss)
-                    self._check_finite(loss.item(), "slow-train", user, j)
-                    pending += len(candidates)
+                segment = []
+                for ctx in self._slow_user_contexts(user, trainable.tolist()):
+                    segment.append(ctx)
+                    pending += len(ctx.candidates)
                     if pending >= cfg.batch_size:
+                        self._train_segment(self._slow_segment_loss, user, segment, "slow-train")
+                        segment = []
                         self.opt_slow.step(scale=1.0 / pending)
                         self.opt_slow.zero_grad()
                         pending = 0
+                if segment:
+                    self._train_segment(self._slow_segment_loss, user, segment, "slow-train")
             if pending:
                 self.opt_slow.step(scale=1.0 / pending)
                 self.opt_slow.zero_grad()
@@ -240,22 +291,18 @@ class _SeedRun:
             self.slow.load_arrays(best_snapshot)
 
     def _refresh_slow(self, user):
-        """One interactive epoch over a single user's slow data, one step."""
+        """One interactive epoch over a single user's slow data, one step:
+        all of the user's contexts form one segment."""
         seq = self.split.users[user].slow
         trainable = np.arange(1, len(seq))
         if trainable.size > self.config.max_positions_per_user:
             picked = self.epoch_rng.choice(trainable, size=self.config.max_positions_per_user, replace=False)
             trainable = np.sort(picked)
-        count = 0
         self.opt_slow.zero_grad()
-        for j, context, candidates, labels in self._slow_user_contexts(user, trainable.tolist()):
-            with ad.tape() as t:
-                loss = self._slow_context_loss(context, candidates, labels, user)
-                t.backward(loss)
-            self._check_finite(loss.item(), "slow-refresh", user, j)
-            count += len(candidates)
-        if count:
-            self.opt_slow.step(scale=1.0 / count)
+        segment = self._slow_user_contexts(user, trainable.tolist())
+        if segment:
+            self._train_segment(self._slow_segment_loss, user, segment, "slow-refresh")
+            self.opt_slow.step(scale=1.0 / sum(len(ctx.candidates) for ctx in segment))
             self.opt_slow.zero_grad()
         self.counts["refreshes"] += 1
 
@@ -306,11 +353,46 @@ class _SeedRun:
         exposed = [i for step in self.exposure_log[user][: j + 1] for i in step]
         return clicked, self._window(exposed)
 
-    def _fast_context_loss(self, user, clicked, exposed, candidates, labels):
-        prior = self.priors.get(user)
-        if self.fast.interactive:
-            return self.fast.loss(clicked, exposed, candidates, labels, prior=prior)
-        return self.fast.loss(clicked, exposed, candidates, labels)
+    def _fast_segment_loss(self, user, segment):
+        """Summed loss of consecutive device contexts of ``user`` in one graph.
+
+        Every context's windows are prefixes of the last one's, so both GRUs
+        run once over the last context's windows and each candidate reads the
+        states at its own context's prefix lengths.
+        """
+        last = segment[-1]
+        candidates, labels, prefixes = [], [], []
+        for ctx in segment:
+            candidates += ctx.candidates
+            labels += ctx.labels
+            prefixes += [(len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
+        return self.fast.loss(
+            last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
+        )
+
+    def _flush_fast(self, user, segment):
+        """Train the pending device contexts as one segment, if any, and empty the list."""
+        if segment:
+            self._train_segment(self._fast_segment_loss, user, segment, "fast-train")
+            segment.clear()
+
+    @staticmethod
+    def _extends(segment, ctx):
+        """Whether ``ctx``'s click and exposure windows extend the pending
+        segment's (no window slid); true when nothing is pending."""
+        if not segment:
+            return True
+        last = segment[-1]
+        return ctx.clicked[: len(last.clicked)] == last.clicked and ctx.exposed[: len(last.exposed)] == last.exposed
+
+    def _reads_stale_rows(self, segment):
+        """Whether a device row the pending segment reads differs from its
+        cloud row, so that the next sync would change it under the segment."""
+        if not segment:
+            return False
+        last = segment[-1]
+        ids = np.unique(np.asarray(last.clicked + last.exposed + [i for c in segment for i in c.candidates]))
+        return self.fast.changed_rows(ids, self.slow.embedding.lookup_np(ids)).size > 0
 
     def _serve_event(self, user, j, item):
         """Simulate one impression: exposures, accumulation, maybe an upload."""
@@ -347,13 +429,19 @@ class _SeedRun:
             interactions_needed.update(us.test)
         self._sync_device_rows(sorted(interactions_needed))
 
+        uploads = cfg.variant != "independent"
         for epoch in range(cfg.fast_epochs):
             order = self.epoch_rng.permutation(self.users) if epoch else list(self.users)
             pending = 0
             for user in order:
                 user = int(user)
                 seq = self.split.users[user].fast
+                segment = []
                 for j, item in enumerate(seq):
+                    # the serving event and the negatives' sync below may change
+                    # what pending contexts read: close the segment first
+                    if (epoch == 0 and uploads and self.scheduler.due(user)) or self._reads_stale_rows(segment):
+                        self._flush_fast(user, segment)
                     if epoch == 0:
                         self._serve_event(user, j, item)
                     if j == 0:
@@ -361,16 +449,17 @@ class _SeedRun:
                     clicked, exposed = self._fast_contexts(user, j)
                     negs = self.sampler.draw(user, "fast", j, cfg.n_train_neg)
                     self._sync_device_rows(negs)
-                    candidates = [item] + [int(n) for n in negs]
-                    with ad.tape() as t:
-                        loss = self._fast_context_loss(user, clicked, exposed, candidates, [1] + [0] * len(negs))
-                        t.backward(loss)
-                    self._check_finite(loss.item(), "fast-train", user, j)
-                    pending += len(candidates)
+                    ctx = _Context(j, [item] + [int(n) for n in negs], [1] + [0] * len(negs), clicked, exposed)
+                    if not self._extends(segment, ctx):
+                        self._flush_fast(user, segment)
+                    segment.append(ctx)
+                    pending += len(ctx.candidates)
                     if pending >= cfg.batch_size:
+                        self._flush_fast(user, segment)
                         self.opt_fast.step(scale=1.0 / pending)
                         self.opt_fast.zero_grad()
                         pending = 0
+                self._flush_fast(user, segment)
             if pending:
                 self.opt_fast.step(scale=1.0 / pending)
                 self.opt_fast.zero_grad()

@@ -3,9 +3,13 @@
 All blocks follow the row-vector convention of the engine: activations are
 ``(1, d)`` rows, weight matrices multiply on the right (``x @ W + b``), and a
 batch stacks rows.  The graph functions take a stack of ``n`` candidate
-(target) rows against one shared context, so a training context builds one
-graph for its positive and all its negatives.  Every block exposes
-``params()`` for optimizer registration.
+(target) rows, so one graph serves a whole training segment: several
+consecutive contexts of one user, each a positive and its negatives.  The
+contexts share one history or click/exposure sequence, and each target row
+reads its own context's part of it: ``din_attention`` masks the history to a
+per-row window, ``gru_encode`` returns the states at per-row prefix lengths
+from one pass, and ``target_aware_fusion`` takes an interest row per target.
+Every block exposes ``params()`` for optimizer registration.
 
 Attention pooling is one fused node that serves training and scoring alike:
 run on constants with no tape open it records nothing, and it scores 301
@@ -191,15 +195,26 @@ class GruCell:
         return h
 
 
-def gru_encode(cell, seq, init):
+def gru_encode(cell, seq, init, lengths=None):
     """Fold cell.step over the rows of ``seq`` starting from ``init``.
 
-    An empty sequence returns ``init`` unchanged (the fold identity).
+    Returns the state after the whole of ``seq``; an empty sequence returns
+    ``init`` unchanged (the fold identity).  With ``lengths``, one run of
+    ``max(lengths)`` steps gives the state after each listed prefix length,
+    stacked in the order given (one row per entry, repeats allowed; length 0
+    is ``init``), so training contexts that share a growing sequence read
+    their states from a single pass.
     """
-    h = init
-    for j in range(seq.shape[0]):
-        h = cell.step(ad.row(seq, j), h)
-    return h
+    if lengths is None:
+        lengths = [seq.shape[0]]
+    if min(lengths) < 0 or max(lengths) > seq.shape[0]:
+        raise ad.ShapeError(f"prefix lengths must lie in [0, {seq.shape[0]}], got {min(lengths)}..{max(lengths)}")
+    states = [init]
+    for j in range(max(lengths)):
+        states.append(cell.step(ad.row(seq, j), states[-1]))
+    if len(lengths) == 1:
+        return states[lengths[0]]
+    return ad.concat([states[k] for k in lengths], axis=0)
 
 
 class Mlp:
@@ -255,8 +270,15 @@ class AttentionUnit:
         return self.mlp.params()
 
 
-def din_attention(unit, history, targets):
+def din_attention(unit, history, targets, windows=None):
     """Weighted pool of history rows per target row: sum_j a_ij h_j, (n_targets, d).
+
+    ``windows`` gives each target row a ``[start, end)`` slice of the history
+    rows; weights outside it are zero, in the forward and the backward.  As
+    there is no softmax, a masked pool equals the pool over the window alone,
+    so the training contexts of one user share one history (and its (l, k)
+    term below) while each sees only its own window.  ``None`` gives every
+    row the whole history.
 
     One fused tape node with a hand-written backward.  With the first weight
     split into d-row blocks ``W0 = [A; B; C; D]``, the pre-activation of the
@@ -291,9 +313,14 @@ def din_attention(unit, history, targets):
     z += (hd @ ac + b0.data).reshape(1, l * k)
     hidden = np.maximum(z, 0.0, out=z).reshape(n, l, k)
     a = (hidden.reshape(n * l, k) @ w1.data).reshape(n, l) + b1.data
+    mask = None if windows is None else _window_mask(windows, n, l)
+    if mask is not None:
+        a *= mask
 
     def backward(g):
         da = g @ hd_t
+        if mask is not None:
+            da *= mask
         dz = da[:, :, None] * (w1.data[:, 0] * (hidden > 0))
         dz_flat = dz.reshape(n, l * k)
         dz_hist = dz_flat.sum(axis=0).reshape(l, k)
@@ -317,23 +344,35 @@ def din_attention(unit, history, targets):
     return ad.node(a @ hd, (history, targets, w0, b0, w1, b1), backward)
 
 
+def _window_mask(windows, n, l):
+    """(n, l) 0/1 mask of ``[start, end)`` history windows, one per target row."""
+    w = np.asarray(windows, dtype=np.intp)
+    if w.shape != (n, 2):
+        raise ad.ShapeError(f"attention wants one (start, end) window per target, ({n}, 2), got {w.shape}")
+    start, end = w[:, :1], w[:, 1:]
+    if np.any(start < 0) or np.any(end > l) or np.any(start >= end):
+        raise ad.ShapeError(f"attention windows must be non-empty slices of the {l} history rows")
+    pos = np.arange(l)
+    return (pos >= start) & (pos < end)
+
+
 def target_aware_fusion(r1, r2, targets, mlp):
     """Convex blend of two interest rows, weighted by relevance to each target.
 
-    ``r1`` and ``r2`` are (1, d) rows shared by the ``n`` target rows.  One
-    shared MLP scores each of them concatenated with a target; a softmax over
-    the two logits gives that target's blend weights.  Returns (n, d).
+    ``r1`` and ``r2`` are (n, d): one interest row of each kind per target
+    row, so targets from different contexts blend their own context's
+    interests.  One shared MLP scores each of them concatenated with its
+    target; a softmax over the two logits gives that target's blend weights
+    (a two-way softmax is the sigmoid of the logit difference).  Returns (n, d).
     """
-    n = targets.shape[0]
-    logits = ad.concat(
-        [
-            mlp.apply(ad.concat([ad.repeat_rows(r1, n), targets], axis=1)),
-            mlp.apply(ad.concat([ad.repeat_rows(r2, n), targets], axis=1)),
-        ],
-        axis=1,
-    )
-    w = ad.softmax(logits)
-    return ad.matmul(w, ad.concat([r1, r2], axis=0))
+    if r1.shape != targets.shape or r2.shape != targets.shape:
+        raise ad.ShapeError(
+            f"fusion wants (n,d) interest rows per target, got {r1.shape}, {r2.shape} for targets {targets.shape}"
+        )
+    logit1 = mlp.apply(ad.concat([r1, targets], axis=1))
+    logit2 = mlp.apply(ad.concat([r2, targets], axis=1))
+    w1 = ad.sigmoid(ad.add(logit1, ad.affine(logit2, mul=-1.0)))
+    return ad.add(ad.scale(w1, r1), ad.scale(ad.affine(w1, mul=-1.0, add=1.0), r2))
 
 
 def target_aware_fusion_np(mlp, r1, r2, targets):

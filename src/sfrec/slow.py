@@ -6,8 +6,12 @@ consumes the device's negative-memory vector through a gated GRU step.  The
 prediction head width differs between them (2d vs 3d input), so a model is
 constructed for one wiring and stays there.
 
-The graph forwards take a candidate list and give one row per candidate, so
-training builds one graph per context (the positive plus its negatives).
+The graph forwards take a candidate list and give one row per candidate,
+with an optional ``[start, end)`` history window per candidate.  Training
+builds one graph per segment: a run of one user's consecutive contexts (each
+a positive plus its negatives) over the union of their history windows, each
+candidate attending only to its own context's window.  A single context is
+a segment of one (every window the whole history).
 Scoring large candidate sets goes through ``score_candidates``: attention is
 the same fused ``din_attention`` node run on constants with no tape, and the
 GRU refresh, gate and head use the layers' numpy twins, pinned to the graph
@@ -72,22 +76,26 @@ class SlowModel:
 
     # -- forward graphs ------------------------------------------------------
 
-    def interest(self, seq_ids, candidates):
-        """Pooled history interest r_t per candidate, plus the candidate rows: both (n, d)."""
+    def interest(self, seq_ids, candidates, windows=None):
+        """Pooled history interest r_t per candidate, plus the candidate rows: both (n, d).
+
+        ``windows`` holds one ``[start, end)`` slice of ``seq_ids`` per
+        candidate (None: all of it for every candidate).
+        """
         if len(seq_ids) == 0:
             raise ad.ShapeError("slow sequences must be non-empty")
         history = self.embedding.lookup(seq_ids)
         targets = self.embedding.lookup(candidates)
-        return ly.din_attention(self.attention, history, targets), targets
+        return ly.din_attention(self.attention, history, targets, windows), targets
 
-    def forward(self, seq_ids, candidates):
+    def forward(self, seq_ids, candidates, windows=None):
         """(n, 1) probabilities that the user clicks each candidate (plain wiring)."""
         if self.interactive:
             raise RuntimeError("interactive model: use forward_interactive")
-        r_t, targets = self.interest(seq_ids, candidates)
+        r_t, targets = self.interest(seq_ids, candidates, windows)
         return ly.predict_head(self.head, ad.concat([r_t, targets], axis=1))
 
-    def forward_interactive(self, seq_ids, candidates, neg_memory, gate_override=None):
+    def forward_interactive(self, seq_ids, candidates, neg_memory, gate_override=None, windows=None):
         """Exposure-aware (n, 1) probabilities plus the two (n, d) interest stacks.
 
         ``neg_memory`` is the device-uploaded vector (plain (1, d) array),
@@ -99,7 +107,7 @@ class SlowModel:
         neg_memory = np.asarray(neg_memory)
         if neg_memory.shape != (1, self.dim):
             raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
-        r_t, targets = self.interest(seq_ids, candidates)
+        r_t, targets = self.interest(seq_ids, candidates, windows)
         n = targets.shape[0]
         memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), n, axis=0))
         refreshed = self.gru_n.step(targets, memory_state)
@@ -111,16 +119,19 @@ class SlowModel:
         prob = ly.predict_head(self.head, ad.concat([r_n, r_t, targets], axis=1))
         return prob, r_n, r_t
 
-    def loss(self, seq_ids, candidates, labels, neg_memory=None):
-        """Training loss of one context under the model's own wiring.
+    def loss(self, seq_ids, candidates, labels, neg_memory=None, windows=None):
+        """Training loss of one segment under the model's own wiring.
 
-        ``labels`` holds a 0/1 label per candidate; the loss is the (1,1) sum
-        of the per-candidate cross-entropies.
+        ``seq_ids`` is the segment's shared history and ``windows`` each
+        candidate's ``[start, end)`` slice of it (None: one context, every
+        candidate sees all of ``seq_ids``).  ``labels`` holds a 0/1 label per
+        candidate; the loss is the (1,1) sum of the per-candidate
+        cross-entropies, which is the sum of the segment's context losses.
         """
         if self.interactive:
-            prob, _, _ = self.forward_interactive(seq_ids, candidates, neg_memory)
+            prob, _, _ = self.forward_interactive(seq_ids, candidates, neg_memory, windows=windows)
         else:
-            prob = self.forward(seq_ids, candidates)
+            prob = self.forward(seq_ids, candidates, windows)
         return ad.binary_cross_entropy(prob, labels)
 
     # -- exchange ------------------------------------------------------------

@@ -661,3 +661,24 @@ def test_checkpoint_garbled_name_is_a_checkpoint_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ad.CheckpointError, match="UTF-8"):
         ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("first, second", [(b"b", b"b"), (b"c", b"b")], ids=["repeated", "out-of-order"])
+def test_checkpoint_names_must_be_unique_and_sorted(tmp_path, first, second):
+    path = tmp_path / "names.sfpk"
+    ad.save_checkpoint(path, {"a": np.ones((1, 1), np.float32), "b": np.zeros((1, 1), np.float32)})
+    raw = bytearray(path.read_bytes())
+    first_at, second_at = raw.index(b"a", 9), raw.rindex(b"b")  # the two one-byte names
+    raw[first_at : first_at + 1], raw[second_at : second_at + 1] = first, second
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ad.CheckpointError, match="repeated or out of order"):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_name_too_long_for_its_length_field_keeps_the_old_file(tmp_path):
+    path = tmp_path / "long.sfpk"
+    ad.save_checkpoint(path, {"w": np.ones((1, 1), np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(ad.CheckpointError, match="65535"):
+        ad.save_checkpoint(path, {"w": np.zeros((1, 1), np.float32), "n" * 70_000: np.zeros(1)})
+    assert path.read_bytes() == before

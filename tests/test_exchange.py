@@ -185,6 +185,40 @@ def test_non_utf8_payload_name_is_a_wire_error():
         ex.decode_message(bytes(blob))
 
 
+def test_repeated_payload_name_is_a_schema_violation():
+    blob = _memory_upload_blob([[0.5, 1.0, -2.0, 3.0]])
+    entry = bytes(blob[20:])
+    doubled = bytes(blob[:18]) + struct.pack("<H", 2) + entry + entry
+    assert (len(blob), len(doubled)) == (53, 86)
+    with pytest.raises(ex.SchemaViolation, match="repeated or out of order"):
+        ex.decode_message(doubled)
+
+
+def test_out_of_order_payload_names_are_a_schema_violation():
+    msg = ex.ExchangeMessage(
+        ex.MessageKind.INTEREST_DOWN, 3, 1, {"r_n": np.ones((1, 4), np.float32), "r_t": np.zeros((1, 4), np.float32)}
+    )
+    blob = ex.encode_message(msg)
+    half = (len(blob) - 20) // 2  # two entries of the same size, r_n then r_t
+    swapped = blob[:20] + blob[20 + half :] + blob[20 : 20 + half]
+    with pytest.raises(ex.SchemaViolation, match="repeated or out of order"):
+        ex.decode_message(swapped)
+
+
+@pytest.mark.parametrize("field, value", [("user", -1), ("user", 2**64), ("round", -1), ("round", 2**32)])
+def test_header_values_outside_their_fields_are_a_schema_violation(field, value):
+    msg = ex.ExchangeMessage(ex.MessageKind.NEGATIVE_MEMORY_UP, 0, 0, {"r2_hat": np.zeros((1, 2), np.float32)})
+    setattr(msg, field, value)
+    with pytest.raises(ex.SchemaViolation, match=field):
+        ex.encode_message(msg)
+
+
+def test_unknown_kind_on_encode_is_a_schema_violation():
+    msg = ex.ExchangeMessage(7, 0, 0, {"r2_hat": np.zeros((1, 2), np.float32)})
+    with pytest.raises(ex.SchemaViolation, match="kind"):
+        ex.encode_message(msg)
+
+
 @given(st.binary(min_size=0, max_size=64))
 @settings(max_examples=200, deadline=None)
 def test_arbitrary_bytes_never_crash_outside_wire_errors(data):
@@ -223,6 +257,13 @@ def test_counters_are_per_user():
     assert s.tick("b") == ex.Decision.ACCUMULATE
     assert s.tick("a") == ex.Decision.UPLOAD_NOW
     assert s.tick("b") == ex.Decision.UPLOAD_NOW
+
+
+def test_due_foretells_the_next_tick_without_counting():
+    s = ex.UploadScheduler(threshold=3)
+    for _ in range(7):
+        foretold = [s.due(4) for _ in range(2)]  # asking twice changes nothing
+        assert foretold[0] == foretold[1] == (s.tick(4) == ex.Decision.UPLOAD_NOW)
 
 
 def test_invalid_threshold_rejected():

@@ -196,9 +196,9 @@ def test_non_finite_loss_aborts_with_context(cluster_prepared):
     contexts = []
     real_loss = run.slow.loss
 
-    def spy(context, candidates, labels):
+    def spy(context, candidates, labels, **kwargs):
         contexts.append((context, candidates))
-        return real_loss(context, candidates, labels)
+        return real_loss(context, candidates, labels, **kwargs)
 
     run.slow.loss = spy
     with pytest.raises(LifecycleError, match="slow-train.*user") as err:
@@ -210,6 +210,54 @@ def test_non_finite_loss_aborts_with_context(cluster_prepared):
     context, candidates = contexts[-1]
     assert candidates[0] == seq[position]
     assert context == seq[:position][-run.config.max_history_len :]
+
+
+def test_non_finite_refresh_loss_names_the_first_failing_context(cluster_prepared):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(max_positions_per_user=32), 0, split, users)
+    failing = 3  # the context at this slow position has a non-finite loss
+    user = next(u for u in users if split.users[u].slow.count(split.users[u].slow[failing]) == 1)
+    seq = split.users[user].slow
+    calls = []
+    real_loss = run.slow.loss
+
+    def spy(history, candidates, labels, **kwargs):
+        calls.append(candidates)
+        loss = real_loss(history, candidates, labels, **kwargs)
+        if seq[failing] in candidates:
+            loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    run.slow.loss = spy
+    with pytest.raises(LifecycleError, match=rf"'slow-refresh' at user {user}, position {failing}$"):
+        run._refresh_slow(user)
+    # one graph for the whole refresh, then single contexts until the failing one
+    assert len(calls[0]) == 2 * (len(seq) - 1)
+    assert [c[0] for c in calls[1:]] == seq[1 : failing + 1]
+
+
+def test_non_finite_fast_loss_names_the_first_failing_context(cluster_prepared):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(), 0, split, users)
+    run.train_slow()
+    failing = 2  # the context at this click position has a non-finite loss
+    prefixes_seen = []
+    real_loss = run.fast.loss
+
+    def spy(clicked, exposed, candidates, labels, **kwargs):
+        clicks = {c for c, _ in kwargs["prefixes"]}
+        prefixes_seen.append(sorted(clicks))
+        loss = real_loss(clicked, exposed, candidates, labels, **kwargs)
+        if failing in clicks:
+            loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    run.fast.loss = spy
+    with pytest.raises(LifecycleError, match=rf"'fast-train' at user {users[0]}, position {failing}$"):
+        run.serve_and_train_fast()
+    # the first user's contexts (positions 1..4) formed one segment; the
+    # single-context reruns stop at the first failing one
+    assert prefixes_seen == [[1, 2, 3, 4], [1], [2]]
 
 
 @pytest.mark.parametrize("batch_size, n_train_neg", [(4, 1), (6, 2), (5, 1), (7, 2)])

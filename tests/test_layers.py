@@ -441,15 +441,17 @@ def test_fusion_numpy_path_matches_graph():
 
 
 def test_fusion_graph_on_many_targets_matches_one_target_at_a_time():
-    mlp, r1, r2, _ = fusion_parts(4, 52)
-    targets = rng(53).normal(size=(3, 4))
+    mlp, _, _, _ = fusion_parts(4, 52)
+    r = rng(53)
+    targets, r1, r2 = r.normal(size=(3, 4)), r.normal(size=(3, 4)), r.normal(size=(3, 4))
     batched = ly.target_aware_fusion(ad.constant(r1), ad.constant(r2), ad.constant(targets), mlp)
     assert batched.shape == (3, 4)
     for i in range(3):
-        one = ly.target_aware_fusion(ad.constant(r1), ad.constant(r2), ad.constant(targets[i : i + 1]), mlp)
+        rows = [ad.constant(x[i : i + 1]) for x in (r1, r2, targets)]
+        one = ly.target_aware_fusion(*rows, mlp)
         np.testing.assert_allclose(batched.data[i : i + 1], one.data, rtol=1e-12)
-    with pytest.raises(ad.ShapeError):
-        ly.target_aware_fusion(ad.constant(targets), ad.constant(targets), ad.constant(targets), mlp)
+    with pytest.raises(ad.ShapeError):  # one interest row per target, not a shared one
+        ly.target_aware_fusion(ad.constant(r1[:1]), ad.constant(r2[:1]), ad.constant(targets), mlp)
 
 
 def test_fusion_gradients():
