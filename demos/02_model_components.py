@@ -79,7 +79,7 @@ print(f"as a segment of two contexts: p(click)={seg.prob.data.ravel().round(4)};
 
 section("checkpoint round trip")
 path = os.path.join(tempfile.mkdtemp(), "demo.ckpt")
-ad.save_checkpoint(path, slow.named_arrays())
+ad.save_checkpoint(path, {p.name: p.data for p in slow.params()})
 loaded = ad.load_checkpoint(path)
-same = all(np.allclose(loaded[k], v, atol=1e-6) for k, v in slow.named_arrays().items())
+same = all(np.allclose(loaded[p.name], p.data, atol=1e-6) for p in slow.params())
 print(f"saved {len(loaded)} tensors to {path}; float32 round trip close: {same}")

@@ -10,6 +10,11 @@ reverse sweep.  No broadcasting is performed except the bias case
 Two precision modes are supported by construction: build parameters as
 float64 for gradient checking (finite differences are unreliable at 32-bit)
 and float32 for experiment runs.
+
+Named tensors are stored by one record codec, :func:`encode_records` (whose
+docstring holds the layout), :func:`decode_records` and
+:class:`RecordReader`; SFPK checkpoints here and MCSF messages in
+``sfrec.exchange`` add only their headers and typed errors.
 """
 
 from __future__ import annotations
@@ -37,26 +42,26 @@ __all__ = [
     "affine",
     "scale",
     "concat",
-    "transpose",
-    "reshape",
     "row",
-    "repeat_rows",
     "gather_rows",
     "sigmoid",
     "tanh",
     "relu",
-    "softmax",
-    "log",
-    "clamp",
     "sum_all",
     "mean_all",
     "binary_cross_entropy",
     "Adam",
     "grad_check",
     "GradCheckReport",
+    "RecordError",
+    "RecordReader",
+    "encode_records",
+    "decode_records",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
+    "checkpoint_array",
+    "load_params",
 ]
 
 
@@ -328,45 +333,6 @@ def concat(parts, axis=1):
     return node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
-def transpose(a):
-    def backward(g):
-        if a.track:
-            a.accumulate(g.T)
-
-    return node(a.data.T.copy(), (a,), backward)
-
-
-def reshape(a, rows, cols):
-    """The same values, row-major, as a (rows, cols) matrix."""
-    if rows * cols != a.data.size:
-        raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
-    shape = a.shape
-
-    def backward(g):
-        if a.track:
-            a.accumulate(g.reshape(shape))
-
-    return node(a.data.reshape(rows, cols), (a,), backward)
-
-
-def repeat_rows(a, k):
-    """Each row of ``a`` repeated ``k`` times in place: (n, m) -> (n*k, m).
-
-    ``k == 1`` returns ``a`` itself.
-    """
-    if k < 1:
-        raise ShapeError(f"repeat count must be at least 1, got {k}")
-    if k == 1:
-        return a
-    n, m = a.shape
-
-    def backward(g):
-        if a.track:
-            a.accumulate(g.reshape(n, k, m).sum(axis=1))
-
-    return node(np.repeat(a.data, k, axis=0), (a,), backward)
-
-
 def row(a, i):
     """Row ``i`` of a matrix as a (1, m) tensor."""
     if not 0 <= i < a.shape[0]:
@@ -419,48 +385,14 @@ def tanh(a):
 
 
 def relu(a):
+    """``max(a, 0)``; a NaN input stays NaN, so the loss check downstream sees it."""
     mask = a.data > 0
 
     def backward(g):
         if a.track:
             a.accumulate(g * mask)
 
-    return node(np.where(mask, a.data, 0.0), (a,), backward)
-
-
-def softmax(a):
-    """Row-wise softmax; each output row sums to 1."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        if a.track:
-            dot = (g * out_data).sum(axis=1, keepdims=True)
-            a.accumulate(out_data * (g - dot))
-
-    return node(out_data, (a,), backward)
-
-
-def log(a):
-    ad = a.data
-
-    def backward(g):
-        if a.track:
-            a.accumulate(g / ad)
-
-    return node(np.log(ad), (a,), backward)
-
-
-def clamp(a, lo, hi):
-    """Clip values to [lo, hi]; gradient passes through only inside the interval."""
-    mask = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        if a.track:
-            a.accumulate(g * mask)
-
-    return node(np.clip(a.data, lo, hi), (a,), backward)
+    return node(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def sum_all(a):
@@ -638,10 +570,116 @@ def grad_check(loss_fn, params, tolerance=1e-4, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "SFPK", version byte, u32 tensor count, then per
-# tensor: name len (u16 LE), UTF-8 name, rank (u8), dims (u32 LE each),
-# float32 LE payload.
+# tensor records: the body of both SFPK checkpoints and MCSF exchange messages
 
+
+class RecordError(ValueError):
+    """Tensor records that cannot be written or read.
+
+    After a short read ``offset`` is where the read started and ``needed``
+    the number of missing bytes; otherwise both are None.
+    """
+
+    def __init__(self, message, offset=None, needed=None):
+        super().__init__(message)
+        self.offset = offset
+        self.needed = needed
+
+
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(256))
+
+
+def encode_records(header, arrays):
+    """``header`` followed by one tensor record per entry of ``arrays``.
+
+    The records are the one tensor layout of this package; checkpoints and
+    exchange messages differ only in the header before them.  One record per
+    tensor, in sorted name order, little-endian throughout::
+
+        name-len u16 | name UTF-8 | rank u8 | dims u32 each | float32 data
+
+    Values are cast to float32.  A name longer than 65535 bytes or a
+    non-finite value raises :class:`RecordError`.
+    """
+    parts = [header]
+    for name in sorted(arrays):
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise RecordError(f"tensor name of {len(raw)} bytes exceeds the 65535-byte limit")
+        arr = np.asarray(arrays[name], dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise RecordError(f"tensor {name!r} contains non-finite values")
+        parts += (_U16.pack(len(raw)), raw, _U8.pack(arr.ndim), _DIMS[arr.ndim].pack(*arr.shape), arr.tobytes())
+    return b"".join(parts)
+
+
+class RecordReader:
+    """Cursor over a bytes-like buffer; a read past its end is a :class:`RecordError`."""
+
+    __slots__ = ("data", "off")
+
+    def __init__(self, data):
+        self.data = data
+        self.off = 0
+
+    def advance(self, n):
+        """Move past the next ``n`` bytes and return the offset they start at."""
+        start = self.off
+        if start + n > len(self.data):
+            needed = start + n - len(self.data)
+            raise RecordError(f"buffer ends at byte {start}, needed {needed} more", start, needed)
+        self.off = start + n
+        return start
+
+    def take(self, n):
+        start = self.advance(n)
+        return self.data[start : self.off]
+
+    def unpack(self, st):
+        return st.unpack_from(self.data, self.advance(st.size))
+
+
+def decode_records(reader, count):
+    """Read ``count`` records (layout in :func:`encode_records`) that end the buffer.
+
+    Returns a dict of float32 arrays.  A short buffer, a name that is not
+    UTF-8 or not after the one before it, a shape no array can have, a
+    non-finite value or bytes after the last record raise :class:`RecordError`.
+    """
+    out = {}
+    previous = None
+    for _ in range(count):
+        (name_len,) = reader.unpack(_U16)
+        try:
+            name = str(reader.take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise RecordError(f"tensor name ending at byte {reader.off} is not UTF-8") from None
+        if previous is not None and name <= previous:
+            # the encoder writes each name once, in sorted order
+            raise RecordError(f"tensor name {name!r} repeated or out of order")
+        previous = name
+        (rank,) = reader.unpack(_U8)
+        dims = reader.unpack(_DIMS[rank])
+        n = math.prod(dims)
+        flat = np.frombuffer(reader.data, "<f4", n, reader.advance(4 * n))
+        if not np.isfinite(flat).all():
+            raise RecordError(f"tensor {name!r} contains non-finite values")
+        try:
+            out[name] = flat.reshape(dims).copy()
+        except ValueError:  # more dimensions than numpy allows, or an oversized empty shape
+            raise RecordError(f"tensor {name!r} has shape {dims}, which no array can have") from None
+    left = len(reader.data) - reader.off
+    if left:
+        raise RecordError(f"{left} trailing bytes after the last record")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# checkpoints: magic "SFPK" | version u8 | tensor count u32, then the records
+
+_CKPT_HEADER = struct.Struct("<4sBI")
 _CKPT_MAGIC = b"SFPK"
 _CKPT_VERSION = 1
 
@@ -651,26 +689,17 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, named_arrays):
-    """Write named arrays to ``path`` in the SFPK format (payload is float32), atomically.
+    """Write named arrays to ``path`` as an SFPK checkpoint (float32), atomically.
 
-    A name longer than the format's u16 length field raises
+    A name longer than 65535 bytes or a non-finite value raises
     :class:`CheckpointError` before anything is written.
     """
-    blob = bytearray()
-    blob += _CKPT_MAGIC
-    blob += struct.pack("<BI", _CKPT_VERSION, len(named_arrays))
-    for name in sorted(named_arrays):
-        arr = np.asarray(named_arrays[name], dtype=np.float32)
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise CheckpointError(f"tensor name of {len(encoded)} bytes exceeds the 65535-byte limit")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += arr.astype("<f4").tobytes()
-    write_atomic(path, bytes(blob))
+    header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, len(named_arrays))
+    try:
+        blob = encode_records(header, named_arrays)
+    except RecordError as err:
+        raise CheckpointError(str(err)) from None
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path):
@@ -680,40 +709,34 @@ def load_checkpoint(path):
     :class:`CheckpointError`.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {raw[:4]!r}")
-    view = memoryview(raw)
-    off = 4
+        reader = RecordReader(fh.read())
+    try:
+        magic, version, count = reader.unpack(_CKPT_HEADER)
+        if magic != _CKPT_MAGIC:
+            raise CheckpointError(f"bad checkpoint magic {magic!r}")
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        return decode_records(reader, count)
+    except RecordError as err:
+        raise CheckpointError(f"checkpoint: {err}") from None
 
-    def take(n, what):
-        nonlocal off
-        if off + n > len(raw):
-            raise CheckpointError(f"checkpoint truncated in {what} at byte {off}: needs {n} bytes, {len(raw) - off} left")
-        chunk = view[off : off + n]
-        off += n
-        return chunk
 
-    version, count = struct.unpack("<BI", take(5, "header"))
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    out = {}
-    previous = None
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = str(take(name_len, "name"), "utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"tensor name before byte {off} is not UTF-8") from None
-        if previous is not None and name <= previous:
-            # save_checkpoint writes each name once, in sorted order
-            raise CheckpointError(f"tensor name {name!r} repeated or out of order")
-        previous = name
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
-        n = math.prod(dims)
-        payload = take(4 * n, f"payload of {name!r}")
-        out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if off != len(raw):
-        raise CheckpointError(f"{len(raw) - off} trailing bytes in checkpoint")
-    return out
+def checkpoint_array(arrays, name):
+    """``arrays[name]``; a checkpoint without that tensor raises :class:`CheckpointError`."""
+    try:
+        return arrays[name]
+    except KeyError:
+        raise CheckpointError(f"checkpoint has no tensor {name!r}") from None
+
+
+def load_params(params, arrays):
+    """Set each parameter's data to a copy of the same-named checkpoint array.
+
+    A missing tensor raises :class:`CheckpointError` and a shape that differs
+    from the parameter's raises :class:`ShapeError`, both naming the tensor.
+    """
+    for p in params:
+        src = np.asarray(checkpoint_array(arrays, p.name))
+        if src.shape != p.data.shape:
+            raise ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
+        p.data = src.astype(p.data.dtype, copy=True)

@@ -39,7 +39,6 @@ class Interaction:
     user: int
     item: int
     timestamp: int
-    kind: str = "click"
 
 
 class ParseError(ValueError):
@@ -90,7 +89,7 @@ def _densify(rows):
     users = IdMap(r[0] for r in rows)
     items = IdMap(r[1] for r in rows)
     interactions = [
-        Interaction(users.to_dense(u), items.to_dense(i), ts, kind) for u, i, ts, kind in rows
+        Interaction(users.to_dense(u), items.to_dense(i), ts) for u, i, ts in rows
     ]
     return interactions, users, items
 
@@ -115,12 +114,16 @@ def parse_ml1m(path):
                 user, item, _rating, ts = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
             except ValueError as err:
                 raise ParseError(f"{path}:{lineno}: {err}") from None
-            rows.append((user, item, ts, "click"))
+            rows.append((user, item, ts))
     return _densify(rows)
 
 
 def parse_tsv(path):
-    """Generic adapter: ``user<TAB>item<TAB>timestamp[<TAB>kind]`` per line."""
+    """Generic adapter: ``user<TAB>item<TAB>timestamp[<TAB>click]`` per line.
+
+    Every row is a click; a fourth field other than ``click`` raises
+    :class:`ParseError` naming the line.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -130,22 +133,19 @@ def parse_tsv(path):
             parts = line.split("\t")
             if len(parts) not in (3, 4):
                 raise ParseError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
-            kind = parts[3] if len(parts) == 4 else "click"
-            if kind not in ("click", "exposure"):
-                raise ParseError(f"{path}:{lineno}: unknown interaction kind {kind!r}")
+            if len(parts) == 4 and parts[3] != "click":
+                raise ParseError(f"{path}:{lineno}: interaction kind {parts[3]!r} is not 'click'")
             try:
-                rows.append((int(parts[0]), int(parts[1]), int(parts[2]), kind))
+                rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
             except ValueError as err:
                 raise ParseError(f"{path}:{lineno}: {err}") from None
     return _densify(rows)
 
 
-def group_by_user(interactions, kind="click"):
+def group_by_user(interactions):
     """Per-user interaction lists ordered by timestamp, file order on ties."""
     by_user = {}
     for pos, it in enumerate(interactions):
-        if kind is not None and it.kind != kind:
-            continue
         by_user.setdefault(it.user, []).append((it.timestamp, pos, it))
     return {u: [it for _, _, it in sorted(rows)] for u, rows in by_user.items()}
 
@@ -283,5 +283,5 @@ def make_cluster_dataset(n_users=200, n_items=100, n_clusters=4, seed=0):
         items = np.arange(cluster * block, (cluster + 1) * block)
         rng.shuffle(items)
         for t, item in enumerate(items):
-            interactions.append(Interaction(user=user, item=int(item), timestamp=t, kind="click"))
+            interactions.append(Interaction(user=user, item=int(item), timestamp=t))
     return interactions

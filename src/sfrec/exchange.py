@@ -3,23 +3,24 @@
 Wire layout (little-endian throughout):
 
     magic "MCSF" | version u8 | kind u8 | user u64 | round u32 | count u16
-    then per payload entry, sorted by name:
-    name-len u16 | name utf-8 | rank u8 | dims u32 each | float32 data
+
+then ``count`` payload tensors as the records of
+:func:`sfrec.autodiff.encode_records`, which documents their layout.
 
 Each message kind carries a fixed payload schema; both encode and decode
 enforce it.  Message logs on disk are a sequence of u32-length-prefixed
-records in the same format.
+encoded messages.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .atomic import write_atomic
 from .layers import GruCell
 
@@ -44,6 +45,7 @@ __all__ = [
 MAGIC = b"MCSF"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBQIH")
+_LENGTH = struct.Struct("<I")
 
 
 class MessageKind(enum.IntEnum):
@@ -119,73 +121,39 @@ def _check_header_field(name, value, bits):
         raise SchemaViolation(f"{name} {value!r} does not fit the wire's unsigned {bits}-bit field")
 
 
+def _wire_error(err):
+    """The wire's own error for a record-codec failure."""
+    if err.needed is not None:
+        return Truncated(err.offset, err.needed)
+    return SchemaViolation(str(err))
+
+
 def encode_message(msg):
     _check_schema(msg.kind, msg.payload)
     _check_header_field("user", msg.user, 64)
     _check_header_field("round", msg.round, 32)
-    out = bytearray(_HEADER.pack(MAGIC, VERSION, int(msg.kind), msg.user, msg.round, len(msg.payload)))
-    for name in sorted(msg.payload):
-        arr = np.asarray(msg.payload[name], dtype="<f4")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaViolation(f"payload {name!r} contains non-finite values")
-        raw_name = name.encode("utf-8")
-        out += struct.pack("<H", len(raw_name))
-        out += raw_name
-        out += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<I", dim)
-        out += arr.tobytes()
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.off = 0
-
-    def take(self, n):
-        if self.off + n > len(self.data):
-            raise Truncated(self.off, self.off + n - len(self.data))
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def unpack(self, st):
-        return st.unpack(self.take(st.size))
+    header = _HEADER.pack(MAGIC, VERSION, int(msg.kind), msg.user, msg.round, len(msg.payload))
+    try:
+        return ad.encode_records(header, msg.payload)
+    except ad.RecordError as err:
+        raise _wire_error(err) from None
 
 
 def decode_message(data):
-    r = _Reader(data)
-    magic, version, kind, user, round_no, count = r.unpack(_HEADER)
-    if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersion(f"version {version} not supported (only {VERSION})")
+    reader = ad.RecordReader(data)
     try:
-        kind = MessageKind(kind)
-    except ValueError:
-        raise SchemaViolation(f"unknown message kind {kind}") from None
-    payload = {}
-    previous = None
-    for _ in range(count):
-        (name_len,) = r.unpack(struct.Struct("<H"))
+        magic, version, kind, user, round_no, count = reader.unpack(_HEADER)
+        if magic != MAGIC:
+            raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersion(f"version {version} not supported (only {VERSION})")
         try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise SchemaViolation(f"payload name ending at byte {r.off} is not UTF-8") from None
-        if previous is not None and name <= previous:
-            # the encoder writes each name once, in sorted order
-            raise SchemaViolation(f"payload name {name!r} repeated or out of order")
-        previous = name
-        (rank,) = r.unpack(struct.Struct("<B"))
-        dims = r.unpack(struct.Struct(f"<{rank}I")) if rank else ()
-        n = math.prod(dims)
-        arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims)
-        if not np.all(np.isfinite(arr)):
-            raise SchemaViolation(f"payload {name!r} contains non-finite values")
-        payload[name] = arr.copy()
-    if r.off != len(data):
-        raise SchemaViolation(f"{len(data) - r.off} trailing bytes after message")
+            kind = MessageKind(kind)
+        except ValueError:
+            raise SchemaViolation(f"unknown message kind {kind}") from None
+        payload = ad.decode_records(reader, count)
+    except ad.RecordError as err:
+        raise _wire_error(err) from None
     _check_schema(kind, payload)
     return ExchangeMessage(kind=kind, user=user, round=round_no, payload=payload)
 
@@ -255,20 +223,21 @@ class RoundTracker:
 def write_message_log(path, messages):
     """Length-prefixed encoded messages; every message is encoded before the
     file is replaced, so one that fails to encode leaves the old log intact."""
-    out = bytearray()
+    parts = []
     for msg in messages:
         blob = encode_message(msg)
-        out += struct.pack("<I", len(blob))
-        out += blob
-    write_atomic(path, bytes(out))
+        parts += (_LENGTH.pack(len(blob)), blob)
+    write_atomic(path, b"".join(parts))
 
 
 def read_message_log(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
+        reader = ad.RecordReader(fh.read())
     out = []
-    while r.off < len(data):
-        (length,) = r.unpack(struct.Struct("<I"))
-        out.append(decode_message(r.take(length)))
+    try:
+        while reader.off < len(reader.data):
+            (length,) = reader.unpack(_LENGTH)
+            out.append(decode_message(reader.take(length)))
+    except ad.RecordError as err:
+        raise _wire_error(err) from None
     return out

@@ -117,20 +117,6 @@ class FastModel:
             ]
         return out + self.head.params()
 
-    def param_count(self):
-        """Trainable scalars; the frozen embedding mirror is not a parameter."""
-        return sum(p.data.size for p in self.params())
-
-    def named_arrays(self):
-        return {p.name: p.data for p in self.params()}
-
-    def load_arrays(self, arrays):
-        for p in self.params():
-            src = np.asarray(arrays[p.name])
-            if src.shape != p.data.shape:
-                raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
-            p.data = src.astype(p.data.dtype, copy=True)
-
     # -- embedding mirror ------------------------------------------------------
 
     def sync_rows(self, ids, rows):
@@ -152,11 +138,14 @@ class FastModel:
         return self._emb.copy(), self._synced.copy()
 
     def load_device_state(self, emb, synced):
-        emb = np.asarray(emb)
-        if emb.shape != self._emb.shape:
-            raise ad.ShapeError(f"device mirror is {self._emb.shape}, cannot load {emb.shape}")
+        emb, synced = np.asarray(emb), np.asarray(synced, dtype=bool)
+        if emb.shape != self._emb.shape or synced.shape != self._synced.shape:
+            raise ad.ShapeError(
+                f"device mirror is {self._emb.shape} with a {self._synced.shape} mask, "
+                f"cannot load {emb.shape} with {synced.shape}"
+            )
         self._emb = emb.astype(self._emb.dtype, copy=True)
-        self._synced = np.asarray(synced, dtype=bool).reshape(self._synced.shape).copy()
+        self._synced = synced.copy()
 
     def lookup_np(self, ids):
         idx = ly.checked_ids(ids, self.n_items)

@@ -288,7 +288,7 @@ class _SeedRun:
                 if bad_epochs > cfg.patience:
                     break
         if best_snapshot is not None:
-            self.slow.load_arrays(best_snapshot)
+            ad.load_params(self.slow.params(), best_snapshot)
 
     def _refresh_slow(self, user):
         """One interactive epoch over a single user's slow data, one step:
@@ -571,8 +571,7 @@ def run_lifecycle(config, prepared=None, collect_state=False):
 
 def _collect_state(run):
     """Weights plus device mirror plus exposure streams, enough to re-evaluate."""
-    arrays = {name: arr.copy() for name, arr in run.slow.named_arrays().items()}
-    arrays.update({name: arr.copy() for name, arr in run.fast.named_arrays().items()})
+    arrays = {p.name: p.data.copy() for p in run.slow.params() + run.fast.params()}
     emb, synced = run.fast.export_device_state()
     arrays["device/emb"] = emb
     arrays["device/synced"] = synced.astype(np.float32)
@@ -602,13 +601,14 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     For float32 runs the records match the training-time evaluation exactly.
     An interest or negative-memory payload that is not a (1, dim) row raises
     :class:`LifecycleError` naming the message, and so does an interactive
-    device model with a user no interest download reached.
+    device model with a user no interest download reached.  A tensor that
+    ``arrays`` lacks raises :class:`~sfrec.autodiff.CheckpointError` naming it.
     """
     split, users = prepared
     run = _SeedRun(config, seed, split, users)
-    run.slow.load_arrays(arrays)
-    run.fast.load_arrays(arrays)
-    run.fast.load_device_state(arrays["device/emb"], np.asarray(arrays["device/synced"]) > 0.5)
+    ad.load_params(run.slow.params() + run.fast.params(), arrays)
+    synced = np.asarray(ad.checkpoint_array(arrays, "device/synced")) > 0.5
+    run.fast.load_device_state(ad.checkpoint_array(arrays, "device/emb"), synced)
     for index, m in enumerate(messages):
         if m.kind in _CONSUMED_KINDS:
             _check_payload_shapes(index, m, config.dim)

@@ -61,19 +61,6 @@ class SlowModel:
             out += self.gru_n.params() + [self.gate_w, self.gate_b]
         return out + self.head.params()
 
-    def param_count(self):
-        return sum(p.data.size for p in self.params())
-
-    def named_arrays(self):
-        return {p.name: p.data for p in self.params()}
-
-    def load_arrays(self, arrays):
-        for p in self.params():
-            src = np.asarray(arrays[p.name])
-            if src.shape != p.data.shape:
-                raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
-            p.data = src.astype(p.data.dtype, copy=True)
-
     # -- forward graphs ------------------------------------------------------
 
     def interest(self, seq_ids, candidates, windows=None):

@@ -48,23 +48,6 @@ def test_matmul_identity():
     np.testing.assert_array_equal(ad.matmul(a, eye).data, a.data)
 
 
-def test_softmax_rows_sum_to_one_and_equal_logits_are_uniform():
-    out = ad.softmax(ad.constant([[2.0, 2.0, 2.0, 2.0]])).data
-    np.testing.assert_allclose(out, np.full((1, 4), 0.25), rtol=0, atol=1e-15)
-
-
-def test_softmax_is_shift_stable():
-    logits = np.array([[1.0, 2.0, 3.0]])
-    a = ad.softmax(ad.constant(logits)).data
-    b = ad.softmax(ad.constant(logits + 1000.0)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_clamp_values():
-    x = ad.constant([[-2.0, 0.5, 9.0]])
-    np.testing.assert_array_equal(ad.clamp(x, 0.0, 1.0).data, [[0.0, 0.5, 1.0]])
-
-
 def test_affine_and_scale():
     x = ad.constant([[1.0, -2.0]])
     np.testing.assert_array_equal(ad.affine(x, mul=3.0, add=1.0).data, [[4.0, -5.0]])
@@ -84,6 +67,11 @@ def test_vector_promotion_and_scalar_promotion():
     assert ad.constant(5.0).shape == (1, 1)
     with pytest.raises(ad.ShapeError):
         ad.constant(np.zeros((2, 2, 2)))
+
+
+def test_relu_keeps_nan():
+    out = ad.relu(ad.constant([[-1.0, np.nan, 2.0]])).data
+    np.testing.assert_array_equal(out, [[0.0, np.nan, 2.0]])
 
 
 def test_mean_and_sum():
@@ -167,13 +155,6 @@ def test_row_gradient_hits_only_that_row():
     np.testing.assert_array_equal(m.grad, expected)
 
 
-def test_clamp_blocks_gradient_outside_bounds():
-    x = ad.parameter([[-2.0, 0.5, 9.0]], "x")
-    with ad.tape() as t:
-        t.backward(ad.sum_all(ad.clamp(x, 0.0, 1.0)))
-    np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
-
-
 def test_gradient_accumulates_across_tapes():
     # two per-example tapes, no zero_grad in between: grads add up
     x = ad.parameter([[1.0]], "x")
@@ -229,23 +210,17 @@ def test_fd_elementwise_chain():
     )
 
 
-def test_fd_softmax_log():
-    r = rng(3)
-    weights = ad.constant(r.normal(size=(2, 4)))
-    fd_case(
-        lambda a: ad.sum_all(ad.mul(ad.log(ad.softmax(a)), weights)),
-        [r.normal(size=(2, 4))],
-    )
-
-
 def test_fd_relu_affine_concat_transpose():
     r = rng(4)
+    a0, b0 = r.normal(size=(2, 3)) + 0.3, r.normal(size=(2, 2))
+    # the concatenation at the starting point, transposed, as a constant right operand
+    right = ad.constant(np.concatenate([np.maximum(a0, 0.0), 0.5 * b0 + 0.2], axis=1).T)
 
     def build(a, b):
         cat = ad.concat([ad.relu(a), ad.affine(b, mul=0.5, add=0.2)], axis=1)
-        return ad.sum_all(ad.matmul(cat, ad.transpose(cat)))
+        return ad.sum_all(ad.matmul(cat, right))
 
-    fd_case(build, [r.normal(size=(2, 3)) + 0.3, r.normal(size=(2, 2))])
+    fd_case(build, [a0, b0])
 
 
 def test_fd_scale_and_row_and_gather():
@@ -258,13 +233,12 @@ def test_fd_scale_and_row_and_gather():
     fd_case(build, [r.normal(size=(1, 1)), r.normal(size=(4, 3))])
 
 
-def test_fd_column_scale_reshape_repeat():
+def test_fd_column_scale():
     r = rng(8)
 
     def build(s, v):
         scaled = ad.scale(s, v)  # (3,1) column times (3,2)
-        stacked = ad.repeat_rows(ad.reshape(scaled, 2, 3), 2)
-        return ad.sum_all(ad.mul(stacked, stacked))
+        return ad.sum_all(ad.mul(scaled, scaled))
 
     fd_case(build, [r.normal(size=(3, 1)), r.normal(size=(3, 2))])
 
@@ -382,8 +356,8 @@ def test_grad_check_helper_catches_wrong_backward():
         lambda: ad.row(ad.constant(np.zeros((2, 2))), 2),
         lambda: ad.constant(np.zeros((2, 2))).item(),
         lambda: ad.scale(ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((2, 2)))),
-        lambda: ad.reshape(ad.constant(np.zeros((2, 3))), 4, 2),
-        lambda: ad.repeat_rows(ad.constant(np.zeros((2, 3))), 0),
+        lambda: ad.concat([ad.constant(np.zeros((1, 2)))], axis=2),
+        lambda: ad.row(ad.constant(np.zeros((2, 2))), -1),
     ],
 )
 def test_shape_errors(build):
@@ -405,7 +379,7 @@ def test_float32_graphs_stay_float32():
 
 
 EVERY_OP = {
-    "matmul": lambda a, c, s: ad.matmul(a, ad.transpose(a)),
+    "matmul": lambda a, c, s: ad.matmul(a, ad.constant(a.data.T.copy())),
     "add": lambda a, c, s: ad.add(a, a),
     "add-bias": lambda a, c, s: ad.add(a, ad.row(a, 0)),
     "mul": lambda a, c, s: ad.mul(a, a),
@@ -414,18 +388,12 @@ EVERY_OP = {
     "scale-column": lambda a, c, s: ad.scale(c, a),
     "concat-rows": lambda a, c, s: ad.concat([a, a], axis=0),
     "concat-cols": lambda a, c, s: ad.concat([a, c], axis=1),
-    "transpose": lambda a, c, s: ad.transpose(a),
-    "reshape": lambda a, c, s: ad.reshape(a, 1, a.data.size),
     "row": lambda a, c, s: ad.row(a, 1),
-    "repeat_rows": lambda a, c, s: ad.repeat_rows(a, 3),
     "gather_rows": lambda a, c, s: ad.gather_rows(a, [2, 0, 2]),
     "gather_rows-empty": lambda a, c, s: ad.gather_rows(a, []),
     "sigmoid": lambda a, c, s: ad.sigmoid(a),
     "tanh": lambda a, c, s: ad.tanh(a),
     "relu": lambda a, c, s: ad.relu(a),
-    "softmax": lambda a, c, s: ad.softmax(a),
-    "log": lambda a, c, s: ad.log(ad.sigmoid(a)),
-    "clamp": lambda a, c, s: ad.clamp(a, -0.5, 0.5),
     "sum_all": lambda a, c, s: ad.sum_all(a),
     "mean_all": lambda a, c, s: ad.mean_all(a),
     "binary_cross_entropy": lambda a, c, s: ad.binary_cross_entropy(ad.sigmoid(c), [1, 0, 1]),
@@ -569,15 +537,6 @@ def test_training_is_deterministic():
 # property tests
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_softmax_rows_always_sum_to_one(nrows, ncols, seed):
-    x = rng(seed).normal(scale=10.0, size=(nrows, ncols))
-    out = ad.softmax(ad.constant(x)).data
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(nrows), atol=1e-12)
-    assert np.all(out >= 0)
-
-
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_matmul_grad_matches_fd_on_random_shapes(n, k, m, seed):
@@ -609,6 +568,8 @@ def test_checkpoint_round_trip(tmp_path):
         "slow/emb": rng(7).normal(size=(5, 3)).astype(np.float32),
         "slow/w": np.zeros((2, 2), dtype=np.float32),
         "fast/all/b": np.array([[1.5, -2.5]], dtype=np.float32),
+        "scalar": np.float32(0.25),
+        "vector": np.arange(5, dtype=np.float32),
     }
     ad.save_checkpoint(path, arrays)
     loaded = ad.load_checkpoint(path)
@@ -616,6 +577,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name in arrays:
         np.testing.assert_array_equal(loaded[name], arrays[name])
         assert loaded[name].dtype == np.float32
+        assert loaded[name].shape == np.shape(arrays[name])
 
 
 def test_checkpoint_header_layout(tmp_path):

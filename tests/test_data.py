@@ -16,7 +16,7 @@ def write(path, text):
 def test_parse_ml1m_first_ratings_line(tmp_path):
     path = write(tmp_path / "ratings.dat", "1::1193::5::978300760\n")
     interactions, users, items = dt.parse_ml1m(path)
-    assert interactions == [dt.Interaction(user=0, item=0, timestamp=978300760, kind="click")]
+    assert interactions == [dt.Interaction(user=0, item=0, timestamp=978300760)]
     assert users.to_raw(0) == 1 and items.to_raw(0) == 1193
 
 
@@ -29,7 +29,6 @@ def test_parse_ml1m_any_rating_counts_as_click(tmp_path):
     text = "".join(f"1::{100 + k}::{k + 1}::{1000 + k}\n" for k in range(5))
     interactions, _, _ = dt.parse_ml1m(write(tmp_path / "r.dat", text))
     assert len(interactions) == 5
-    assert all(it.kind == "click" for it in interactions)
 
 
 def test_parse_ml1m_malformed_line_reports_line_number(tmp_path):
@@ -51,10 +50,14 @@ def test_parse_ml1m_dense_reindex_is_sorted_and_bijective(tmp_path):
 
 
 def test_parse_tsv_with_and_without_kind_column(tmp_path):
-    path = write(tmp_path / "t.tsv", "# comment\n5\t7\t100\n5\t8\t101\texposure\n")
+    path = write(tmp_path / "t.tsv", "# comment\n5\t7\t100\n5\t8\t101\tclick\n")
     interactions, users, items = dt.parse_tsv(path)
-    assert [it.kind for it in interactions] == ["click", "exposure"]
+    assert [(it.item, it.timestamp) for it in interactions] == [(0, 100), (1, 101)]
     assert len(users) == 1 and len(items) == 2
+    # no caller reads exposures from files, so an exposure row is an error, not a dropped row
+    exposure = write(tmp_path / "e.tsv", "# comment\n5\t7\t100\n5\t8\t101\texposure\n")
+    with pytest.raises(dt.ParseError, match=":3: interaction kind 'exposure'"):
+        dt.parse_tsv(exposure)
 
 
 def test_parse_tsv_rejects_unknown_kind_and_bad_width(tmp_path):

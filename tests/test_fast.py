@@ -207,7 +207,7 @@ def test_fast_has_fewer_trainable_parameters_than_slow():
     # default experiment dims: 32-dim embeddings, ML-1M-sized vocabulary
     slow = SlowModel(3706, 32, rng(20), interactive=True)
     fast = FastModel(3706, 32, rng(21), interactive=True)
-    assert fast.param_count() < slow.param_count()
+    assert sum(p.data.size for p in fast.params()) < sum(p.data.size for p in slow.params())
 
 
 def test_batched_scores_match_graph_forward_plain():
@@ -276,10 +276,10 @@ def test_gru_sync_overwrites_device_copy():
 
 def test_checkpoint_prefix_and_round_trip(tmp_path):
     m = make_model(27, interactive=True)
-    assert all(name.startswith("fast/all/") for name in m.named_arrays())
+    assert all(p.name.startswith("fast/all/") for p in m.params())
     path = tmp_path / "fast.sfpk"
-    ad.save_checkpoint(path, m.named_arrays())
+    ad.save_checkpoint(path, {p.name: p.data for p in m.params()})
     m2 = make_model(28, interactive=True)
-    m2.load_arrays(ad.load_checkpoint(path))
+    ad.load_params(m2.params(), ad.load_checkpoint(path))
     for p, q in zip(m.params(), m2.params()):
         np.testing.assert_array_equal(q.data, p.data.astype(np.float32).astype(np.float64))

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sfrec import autodiff as ad
 from sfrec.config import ExperimentConfig
 from sfrec.exchange import MessageKind
 from sfrec.harness import (
@@ -260,6 +261,16 @@ def test_non_finite_fast_loss_names_the_first_failing_context(cluster_prepared):
     assert prefixes_seen == [[1, 2, 3, 4], [1], [2]]
 
 
+def test_nan_embedding_row_in_a_refresh_names_the_first_context_reading_it(cluster_prepared):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(variant="f2s", max_positions_per_user=32), 0, split, users)
+    failing = 3  # the positive at this slow position has a NaN embedding row
+    user = next(u for u in users if split.users[u].slow.count(split.users[u].slow[failing]) == 1)
+    run.slow.embedding.table.data[split.users[user].slow[failing]] = np.nan
+    with pytest.raises(LifecycleError, match=rf"'slow-refresh' at user {user}, position {failing}$"):
+        run._refresh_slow(user)
+
+
 @pytest.mark.parametrize("batch_size, n_train_neg", [(4, 1), (6, 2), (5, 1), (7, 2)])
 def test_adam_steps_follow_the_example_count(cluster_prepared, batch_size, n_train_neg):
     split, users = cluster_prepared
@@ -425,6 +436,25 @@ def test_replay_rejects_a_wrong_shaped_payload_by_message(cluster_prepared, s2f_
     want = f"message {index} ({kind.name}) for user {bad.user}: payload '{name}' has shape ({rows}, {cols})"
     with pytest.raises(LifecycleError, match=re.escape(want)):
         evaluate_from_state(cfg, 0, cluster_prepared, arrays, altered, exposures)
+
+
+@pytest.mark.parametrize("name", ["slow/emb", "fast/all/head/b2", "device/emb", "device/synced"])
+def test_replay_names_a_tensor_the_checkpoint_lacks(tmp_path, cluster_prepared, s2f_state, name):
+    cfg, arrays, messages, exposures = s2f_state
+    path = tmp_path / "seed0.ckpt"
+    ad.save_checkpoint(path, {k: v for k, v in arrays.items() if k != name})
+    loaded = ad.load_checkpoint(path)
+    assert set(arrays) - set(loaded) == {name}
+    with pytest.raises(ad.CheckpointError, match=f"no tensor {name!r}"):
+        evaluate_from_state(cfg, 0, cluster_prepared, loaded, messages, exposures)
+
+
+@pytest.mark.parametrize("name", ["device/emb", "device/synced"])
+def test_replay_rejects_a_device_mirror_of_the_wrong_size(cluster_prepared, s2f_state, name):
+    cfg, arrays, messages, exposures = s2f_state
+    cut = {**arrays, name: arrays[name][:-1]}
+    with pytest.raises(ad.ShapeError, match="device mirror"):
+        evaluate_from_state(cfg, 0, cluster_prepared, cut, messages, exposures)
 
 
 def test_replay_rejects_an_interactive_user_without_a_prior(cluster_prepared, s2f_state):

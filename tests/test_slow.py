@@ -250,10 +250,10 @@ def test_interactive_context_tape_node_count():
 def test_named_arrays_round_trip_through_checkpoint(tmp_path):
     m = make_model(22, interactive=True)
     path = tmp_path / "slow.sfpk"
-    ad.save_checkpoint(path, m.named_arrays())
+    ad.save_checkpoint(path, {p.name: p.data for p in m.params()})
     loaded = ad.load_checkpoint(path)
     assert all(name.startswith("slow/") for name in loaded)
     m2 = make_model(23, interactive=True)
-    m2.load_arrays(loaded)
+    ad.load_params(m2.params(), loaded)
     for p, q in zip(m.params(), m2.params()):
         np.testing.assert_allclose(q.data, p.data.astype(np.float32), rtol=0, atol=0)
