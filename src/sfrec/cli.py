@@ -27,7 +27,7 @@ from . import exchange as ex
 from .atomic import write_atomic
 from .config import ExperimentConfig, load_config
 from .fast import FastModel
-from .harness import evaluate_from_state, prepare_data, run_lifecycle, write_results
+from .harness import LifecycleError, evaluate_from_state, prepare_data, run_lifecycle, write_results
 from .slow import InterestExport, SlowModel
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -64,6 +64,30 @@ def write_exposures(path, exposures):
     write_atomic(path, json.dumps({str(u): log for u, log in exposures.items()}).encode("utf-8"))
 
 
+def read_exposures(path):
+    """The per-user shown-item streams :func:`write_exposures` wrote, keyed by int user.
+
+    Anything but a JSON object of ``user: [[item, ...], ...]`` with integer
+    users and items raises :class:`LifecycleError` naming ``path``.
+    """
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as err:  # also a non-UTF-8 file
+        raise LifecycleError(f"{path}: not a JSON exposures file: {err}") from None
+    if not isinstance(data, dict):
+        raise LifecycleError(f"{path}: exposures must be a JSON object keyed by user, not {type(data).__name__}")
+    exposures = {}
+    for user, log in data.items():
+        if not user.isdecimal():
+            raise LifecycleError(f"{path}: user key {user!r} is not an integer")
+        if not isinstance(log, list) or not all(
+            isinstance(step, list) and all(type(i) is int for i in step) for step in log
+        ):
+            raise LifecycleError(f"{path}: user {user}'s exposures must be a list of lists of integer items")
+        exposures[int(user)] = log
+    return exposures
+
+
 def cmd_train(args):
     config = _build_config(args)
     prepared = prepare_data(config)
@@ -88,8 +112,7 @@ def cmd_eval(args):
     ckpt, msgs, expo = _state_paths(args.state_dir, seed)
     arrays = ad.load_checkpoint(ckpt)
     messages = ex.read_message_log(msgs)
-    with open(expo, encoding="utf-8") as fh:
-        exposures = {int(u): log for u, log in json.load(fh).items()}
+    exposures = read_exposures(expo)
     records = evaluate_from_state(config, seed, prepare_data(config), arrays, messages, exposures)
     if args.results:
         write_results(records, args.results)
@@ -111,21 +134,17 @@ def _gradcheck_graphs(dim, seed):
 
     graphs = []
     for interactive in (False, True):
+        wiring = "interactive" if interactive else "plain"
         slow = SlowModel(n_items, dim, np.random.default_rng(seed), interactive=interactive, head_hidden=(8, 4))
-        if interactive:
-            fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0], neg_memory=memory)
-        else:
-            fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0])
-        graphs.append((f"slow-{'interactive' if interactive else 'plain'}", fn, slow.params()))
+        fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0], neg_memory=memory)
+        graphs.append((f"slow-{wiring}", fn, slow.params()))
     for interactive in (False, True):
+        wiring = "interactive" if interactive else "plain"
         fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive=interactive, head_hidden=(8, 4))
         ids = np.arange(n_items)
         fast.sync_rows(ids, np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim)))
-        if interactive:
-            fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
-        else:
-            fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0])
-        graphs.append((f"fast-{'interactive' if interactive else 'plain'}", fn, fast.params()))
+        fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
+        graphs.append((f"fast-{wiring}", fn, fast.params()))
     return graphs
 
 

@@ -65,25 +65,6 @@ class IdMap:
     def to_raw(self, dense):
         return self.dense_to_raw[dense]
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("raw\tdense\n")
-            for dense, raw in enumerate(self.dense_to_raw):
-                fh.write(f"{raw}\t{dense}\n")
-
-    @classmethod
-    def load(cls, path):
-        out = cls([])
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != "raw\tdense":
-                raise ParseError(f"{path}: not an id-map file")
-            for line in fh:
-                raw, dense = line.rstrip("\n").split("\t")
-                out.dense_to_raw.append(int(raw))
-                out.raw_to_dense[int(raw)] = int(dense)
-        return out
-
 
 def _densify(rows):
     users = IdMap(r[0] for r in rows)

@@ -10,11 +10,12 @@ table rows it has been sent (``sync_rows``).  Looking up a row that was never
 synced is a hard error, which keeps the simulation honest about what is
 actually on the device.
 
-The graph forward takes a candidate list and, optionally, a ``(clicks,
-exposures)`` prefix length per candidate: training runs a segment (one
-user's consecutive contexts, whose windows only grow) through one graph, each
-GRU running once over the longest windows and every candidate reading the
-states at its own context's prefixes.
+Both wirings run through one graph ``forward``, which takes the prior and
+which the plain wiring ignores.  It takes a candidate list and, optionally,
+a ``(clicks, exposures)`` prefix length per candidate: training runs a
+segment (one user's consecutive contexts, whose windows only grow) through
+one graph, each GRU running once over the longest windows and every
+candidate reading the states at its own context's prefixes.
 
 Scoring comes in two pieces: ``encode_context`` turns a click window, an
 exposure window and (interactive) the downloaded prior into a
@@ -177,17 +178,6 @@ class FastModel:
         r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose, expose_lengths)
         return r_click, r_expose
 
-    def forward(self, clicked, exposed, candidates, prefixes=None):
-        """Plain wiring: both GRUs start from zero state and run once for all candidates."""
-        if self.interactive:
-            raise RuntimeError("interactive model: use forward_interactive")
-        zero = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
-        r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), zero, zero, prefixes)
-        targets = self.lookup(candidates)
-        blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
-        prob = ly.predict_head(self.head, ad.concat([blended, targets], axis=1))
-        return FastForward(prob, r_click, r_expose)
-
     def _prior_states(self, r_n, r_t):
         """Blend the downloaded interest pair and project to GRU init states."""
         rn_c = ad.constant(np.asarray(r_n, dtype=self._emb.dtype))
@@ -200,20 +190,30 @@ class FastModel:
         init_expose = ad.relu(ad.add(ad.matmul(blended_prior, self.init_expose_w), self.init_expose_b))
         return init_click, init_expose
 
-    def forward_interactive(self, clicked, exposed, candidates, prior, prefixes=None):
-        """Cloud-primed wiring; ``prior`` supplies (r_n, r_t) arrays shared by all candidates."""
-        if not self.interactive:
-            raise RuntimeError("plain model: use forward")
-        r_n, r_t = prior.r_n, prior.r_t
-        if np.asarray(r_n).shape != (1, self.dim) or np.asarray(r_t).shape != (1, self.dim):
-            raise ad.ShapeError(f"prior vectors must be (1,{self.dim})")
-        init_click, init_expose = self._prior_states(r_n, r_t)
+    def forward(self, clicked, exposed, candidates, prior=None, prefixes=None):
+        """(n, 1) click probabilities plus the click and exposure states each candidate read.
+
+        The interactive wiring starts both GRUs from states derived from
+        ``prior``, whose (1, d) ``r_n`` and ``r_t`` all candidates share, and
+        its head also reads ``r_t``; the plain wiring ignores ``prior`` and
+        starts both GRUs from zero.
+        """
+        if self.interactive:
+            r_n, r_t = prior.r_n, prior.r_t
+            if np.asarray(r_n).shape != (1, self.dim) or np.asarray(r_t).shape != (1, self.dim):
+                raise ad.ShapeError(f"prior vectors must be (1,{self.dim})")
+            init_click, init_expose = self._prior_states(r_n, r_t)
+        else:
+            init_click = init_expose = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
         r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), init_click, init_expose, prefixes)
         targets = self.lookup(candidates)
         blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
-        rt_rep = ad.constant(np.repeat(np.asarray(r_t, dtype=self._emb.dtype), targets.shape[0], axis=0))
-        prob = ly.predict_head(self.head, ad.concat([blended, rt_rep, targets], axis=1))
-        return FastForward(prob, r_click, r_expose)
+        if self.interactive:
+            rt_rep = ad.constant(np.repeat(np.asarray(r_t, dtype=self._emb.dtype), targets.shape[0], axis=0))
+            feats = [blended, rt_rep, targets]
+        else:
+            feats = [blended, targets]
+        return FastForward(ly.predict_head(self.head, ad.concat(feats, axis=1)), r_click, r_expose)
 
     def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
         """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
@@ -223,11 +223,7 @@ class FastModel:
         candidate's ``(clicks, exposures)`` lengths (None: one context, every
         candidate sees both whole windows).  The plain wiring ignores ``prior``.
         """
-        if self.interactive:
-            out = self.forward_interactive(clicked, exposed, candidates, prior, prefixes)
-        else:
-            out = self.forward(clicked, exposed, candidates, prefixes)
-        return ad.binary_cross_entropy(out.prob, labels)
+        return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes).prob, labels)
 
     # -- batched no-graph scoring ---------------------------------------------
 

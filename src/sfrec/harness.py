@@ -171,8 +171,9 @@ class _SeedRun:
     def _window(self, items):
         return items[-self.config.max_history_len :]
 
-    def _zero_memory(self):
-        return np.zeros((1, self.config.dim), dtype=self.dtype)
+    def _memory(self, user):
+        """The cloud's latest negative memory of ``user``: zeros before any upload."""
+        return self.slow_memory.get(user, np.zeros((1, self.config.dim), dtype=self.dtype))
 
     def _sync_device_rows(self, ids):
         ids = np.asarray(ids, dtype=np.intp)
@@ -220,8 +221,7 @@ class _SeedRun:
             windows += [(start - skipped, end - skipped)] * len(ctx.candidates)
             candidates += ctx.candidates
             labels += ctx.labels
-        memory = self.slow_memory.get(user, self._zero_memory()) if self.slow.interactive else None
-        return self.slow.loss(history, candidates, labels, neg_memory=memory, windows=windows)
+        return self.slow.loss(history, candidates, labels, neg_memory=self._memory(user), windows=windows)
 
     def _slow_user_contexts(self, user, positions):
         """One context per slow position: the positive first, then its
@@ -241,8 +241,7 @@ class _SeedRun:
             jv = len(seq) - 1
             context = self._window(seq[:jv])
             neg = int(self.sampler.draw(user, "slow", jv, 1)[0])
-            memory = self.slow_memory.get(user, self._zero_memory()) if self.slow.interactive else None
-            scores = self.slow.score_candidates(context, [seq[jv], neg], neg_memory=memory)
+            scores = self.slow.score_candidates(context, [seq[jv], neg], neg_memory=self._memory(user))
             p = np.clip(scores, 1e-7, 1.0 - 1e-7)
             total += -np.log(p[0]) - np.log(1.0 - p[1])
             n += 2
@@ -404,14 +403,9 @@ class _SeedRun:
         pool = self.sampler.complement(user)
         self._sync_device_rows(np.unique(np.concatenate([pool, np.asarray(clicked + [item], dtype=np.int64)])))
         prior = self.priors.get(user)
-
-        def score_fn(ids):
-            if self.fast.interactive:
-                return self.fast.score_candidates(clicked, exposed, ids, prior=prior)
-            return self.fast.score_candidates(clicked, exposed, ids)
-
         shown = simulate_exposures(
-            score_fn, pool, item, self.serving_rng, pool_size=cfg.pool_size, expose_k=cfg.expose_k
+            lambda ids: self.fast.score_candidates(clicked, exposed, ids, prior=prior),
+            pool, item, self.serving_rng, pool_size=cfg.pool_size, expose_k=cfg.expose_k,
         )
         self.exposure_log[user].append(shown)
         if cfg.variant != "independent":
@@ -495,7 +489,7 @@ class _SeedRun:
         for user in self.users:
             us = self.split.users[user]
             slow_ctx = self._window(us.slow)
-            memory = self.slow_memory.get(user, self._zero_memory()) if self.slow.interactive else None
+            memory = self._memory(user)
             prior = self.priors.get(user)
             exposed_full = self._window([i for step in self.exposure_log[user] for i in step])
             device = None

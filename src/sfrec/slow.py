@@ -4,14 +4,16 @@ Two wirings share one parameter set shape: the plain variant scores a
 candidate from the pooled history alone, and the interactive variant also
 consumes the device's negative-memory vector through a gated GRU step.  The
 prediction head width differs between them (2d vs 3d input), so a model is
-constructed for one wiring and stays there.
+constructed for one wiring and stays there.  Both run through one
+``forward``, which takes the exchange input and which the plain wiring
+ignores.
 
-The graph forwards take a candidate list and give one row per candidate,
-with an optional ``[start, end)`` history window per candidate.  Training
-builds one graph per segment: a run of one user's consecutive contexts (each
-a positive plus its negatives) over the union of their history windows, each
-candidate attending only to its own context's window.  A single context is
-a segment of one (every window the whole history).
+``forward`` takes a candidate list and gives one row per candidate, with an
+optional ``[start, end)`` history window per candidate.  Training builds one
+graph per segment: a run of one user's consecutive contexts (each a positive
+plus its negatives) over the union of their history windows, each candidate
+attending only to its own context's window.  A single context is a segment
+of one (every window the whole history).
 Scoring large candidate sets goes through ``score_candidates``: attention is
 the same fused ``din_attention`` node run on constants with no tape, and the
 GRU refresh, gate and head use the layers' numpy twins, pinned to the graph
@@ -21,13 +23,22 @@ forward by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
 
-__all__ = ["SlowModel", "InterestExport"]
+__all__ = ["SlowModel", "SlowForward", "InterestExport"]
+
+
+class SlowForward(NamedTuple):
+    """(n, 1) probabilities plus the (n, d) interest stacks the head read: r_n (None in the plain wiring) and r_t."""
+
+    prob: "ad.Tensor"
+    r_n: "ad.Tensor | None"
+    r_t: "ad.Tensor"
 
 
 @dataclass
@@ -61,50 +72,33 @@ class SlowModel:
             out += self.gru_n.params() + [self.gate_w, self.gate_b]
         return out + self.head.params()
 
-    # -- forward graphs ------------------------------------------------------
+    # -- forward graph -------------------------------------------------------
 
-    def interest(self, seq_ids, candidates, windows=None):
-        """Pooled history interest r_t per candidate, plus the candidate rows: both (n, d).
+    def forward(self, seq_ids, candidates, neg_memory=None, windows=None):
+        """(n, 1) click probabilities plus the (n, d) interest stacks, one row per candidate.
 
         ``windows`` holds one ``[start, end)`` slice of ``seq_ids`` per
-        candidate (None: all of it for every candidate).
+        candidate (None: all of it for every candidate).  ``neg_memory`` is the
+        device-uploaded (1, d) array shared by every candidate; the plain
+        wiring ignores it and its ``r_n`` is None.
         """
         if len(seq_ids) == 0:
             raise ad.ShapeError("slow sequences must be non-empty")
+        if self.interactive:
+            neg_memory = np.asarray(neg_memory)
+            if neg_memory.shape != (1, self.dim):
+                raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
         history = self.embedding.lookup(seq_ids)
         targets = self.embedding.lookup(candidates)
-        return ly.din_attention(self.attention, history, targets, windows), targets
-
-    def forward(self, seq_ids, candidates, windows=None):
-        """(n, 1) probabilities that the user clicks each candidate (plain wiring)."""
-        if self.interactive:
-            raise RuntimeError("interactive model: use forward_interactive")
-        r_t, targets = self.interest(seq_ids, candidates, windows)
-        return ly.predict_head(self.head, ad.concat([r_t, targets], axis=1))
-
-    def forward_interactive(self, seq_ids, candidates, neg_memory, gate_override=None, windows=None):
-        """Exposure-aware (n, 1) probabilities plus the two (n, d) interest stacks.
-
-        ``neg_memory`` is the device-uploaded vector (plain (1, d) array),
-        shared by every candidate.  ``gate_override`` pins the write gate to a
-        constant, used by tests.
-        """
+        r_t = ly.din_attention(self.attention, history, targets, windows)
         if not self.interactive:
-            raise RuntimeError("plain model: use forward")
-        neg_memory = np.asarray(neg_memory)
-        if neg_memory.shape != (1, self.dim):
-            raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
-        r_t, targets = self.interest(seq_ids, candidates, windows)
+            return SlowForward(ly.predict_head(self.head, ad.concat([r_t, targets], axis=1)), None, r_t)
         n = targets.shape[0]
         memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), n, axis=0))
         refreshed = self.gru_n.step(targets, memory_state)
-        if gate_override is None:
-            gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, targets], axis=1), self.gate_w), self.gate_b))
-        else:
-            gate = ad.constant(np.full((n, 1), gate_override, dtype=targets.dtype))
+        gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, targets], axis=1), self.gate_w), self.gate_b))
         r_n = ad.scale(gate, refreshed)
-        prob = ly.predict_head(self.head, ad.concat([r_n, r_t, targets], axis=1))
-        return prob, r_n, r_t
+        return SlowForward(ly.predict_head(self.head, ad.concat([r_n, r_t, targets], axis=1)), r_n, r_t)
 
     def loss(self, seq_ids, candidates, labels, neg_memory=None, windows=None):
         """Training loss of one segment under the model's own wiring.
@@ -115,28 +109,23 @@ class SlowModel:
         candidate; the loss is the (1,1) sum of the per-candidate
         cross-entropies, which is the sum of the segment's context losses.
         """
-        if self.interactive:
-            prob, _, _ = self.forward_interactive(seq_ids, candidates, neg_memory, windows=windows)
-        else:
-            prob = self.forward(seq_ids, candidates, windows)
-        return ad.binary_cross_entropy(prob, labels)
+        return ad.binary_cross_entropy(self.forward(seq_ids, candidates, neg_memory, windows).prob, labels)
 
     # -- exchange ------------------------------------------------------------
 
     def export_interest(self, user, seq_ids, round_no, neg_memory=None):
         """Interest snapshot for one user, conditioned on their latest click.
 
-        Before any upload has arrived the r_n slot is all zeros (there is no
-        exposure signal to refresh); afterwards it is exactly the interactive
-        forward's r_n for the most recent slow-phase item.
+        Before any upload has arrived (``neg_memory`` None) the r_n slot is
+        all zeros, as there is no exposure signal to refresh; afterwards it is
+        exactly the interactive forward's r_n for the most recent slow-phase
+        item.  The plain wiring always ships zeros there.
         """
-        candidates = [seq_ids[-1]]
-        if neg_memory is None or not self.interactive:
-            r_t, _ = self.interest(seq_ids, candidates)
-            r_n = np.zeros((1, self.dim), dtype=r_t.data.dtype)
-            return InterestExport(user=user, round=round_no, r_n=r_n, r_t=r_t.data.copy())
-        _, r_n, r_t = self.forward_interactive(seq_ids, candidates, neg_memory)
-        return InterestExport(user=user, round=round_no, r_n=r_n.data.copy(), r_t=r_t.data.copy())
+        memory = np.zeros((1, self.dim)) if neg_memory is None else neg_memory
+        out = self.forward(seq_ids, [seq_ids[-1]], memory)
+        r_t = out.r_t.data.copy()
+        r_n = np.zeros_like(r_t) if neg_memory is None or out.r_n is None else out.r_n.data.copy()
+        return InterestExport(user=user, round=round_no, r_n=r_n, r_t=r_t)
 
     # -- batched no-graph scoring ---------------------------------------------
 

@@ -168,7 +168,7 @@ def test_acceptance_reduction_to_independent_fast():
     zero_prior = InterestExport(0, 0, np.zeros((1, dim)), np.zeros((1, dim)))
 
     clicked, exposed, cand = [3, 17, 8, 25], [5, 30, 2], 21
-    got = interactive.forward_interactive(clicked, exposed, [cand], zero_prior)
+    got = interactive.forward(clicked, exposed, [cand], zero_prior)
     want = plain.forward(clicked, exposed, [cand])
     assert np.array_equal(got.r_click.data, want.r_click.data)
     assert np.array_equal(got.r_expose.data, want.r_expose.data)

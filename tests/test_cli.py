@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven in-process via main(argv)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -113,3 +114,39 @@ def test_missing_state_dir_is_reported(tmp_path, capsys):
     assert main(["eval", "--state-dir", str(tmp_path / "absent"), *TINY]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "FileNotFoundError"
+
+
+def _rekey(text):
+    return json.dumps({f"user{u}": log for u, log in json.loads(text).items()})
+
+
+def _scalar_step(text):
+    return json.dumps({u: [7, *log] for u, log in json.loads(text).items()})
+
+
+def _top_level_list(text):
+    return json.dumps(list(json.loads(text).values()))
+
+
+@pytest.fixture(scope="module")
+def trained_state(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--results", str(root / "r.csv"), "--state-dir", str(root / "state"), *TINY]) == 0
+    return root / "state"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: text[:-5], _rekey, _scalar_step, _top_level_list],
+    ids=["truncated", "non-integer-user", "step-not-a-list", "top-level-not-an-object"],
+)
+def test_eval_names_a_malformed_exposures_file(trained_state, tmp_path, capsys, corrupt):
+    state = tmp_path / "state"
+    shutil.copytree(trained_state, state)
+    expo = state / "seed0_exposures.json"
+    expo.write_text(corrupt(expo.read_text()))
+    capsys.readouterr()
+    assert main(["eval", "--state-dir", str(state), *TINY]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "LifecycleError"
+    assert str(expo) in payload["detail"]

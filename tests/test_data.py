@@ -67,17 +67,6 @@ def test_parse_tsv_rejects_unknown_kind_and_bad_width(tmp_path):
         dt.parse_tsv(write(tmp_path / "b.tsv", "1\t2\n"))
 
 
-def test_id_map_save_load_round_trip(tmp_path):
-    original = dt.IdMap([42, 7, 42, 19])
-    path = tmp_path / "map.tsv"
-    original.save(path)
-    loaded = dt.IdMap.load(path)
-    assert loaded.dense_to_raw == original.dense_to_raw
-    assert loaded.raw_to_dense == original.raw_to_dense
-    with pytest.raises(dt.ParseError):
-        dt.IdMap.load(write(tmp_path / "junk.tsv", "not\tan\tidmap\n"))
-
-
 def test_group_by_user_sorts_by_timestamp_with_file_order_ties():
     interactions = [
         dt.Interaction(1, 10, 100),

@@ -72,12 +72,36 @@ def test_plain_forward_matches_layer_composition():
     assert m.forward(clicked, exposed, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
 
 
-def test_plain_forward_rejects_empty_clicks_and_wrong_mode():
+def test_plain_forward_rejects_empty_clicks():
     m = make_model(6)
     with pytest.raises(ad.ShapeError):
         m.forward([], [1], [2])
-    with pytest.raises(RuntimeError):
-        m.forward_interactive([1], [], [2], prior_of(m, 0))
+
+
+def _plain_forward_inputs(model):
+    """A plain model, its positional forward arguments and its exchange input."""
+    if model == "slow":
+        m = SlowModel(12, 4, rng(40), interactive=False)
+        return m, ([1, 6, 10], [0, 2, 3]), {"neg_memory": rng(41).normal(size=(1, 4))}
+    m = make_model(42)
+    return m, ([1, 6], [10, 0, 2], [0, 2, 3]), {"prior": prior_of(m, 43)}
+
+
+@pytest.mark.parametrize("model", ["slow", "fast"])
+def test_plain_wiring_ignores_the_exchange_input_bit_for_bit(model):
+    m, args, exchange = _plain_forward_inputs(model)
+    np.testing.assert_array_equal(m.forward(*args, **exchange).prob.data, m.forward(*args).prob.data)
+    grads = []
+    for kwargs in ({}, exchange):
+        for p in m.params():
+            p.zero_grad()
+        with ad.tape() as t:
+            loss = m.loss(*args, [1, 0, 0], **kwargs)
+            t.backward(loss)
+        grads.append((loss.item(), [p.grad.copy() for p in m.params()]))
+    assert grads[0][0] == grads[1][0]
+    for without, with_input in zip(grads[0][1], grads[1][1]):
+        np.testing.assert_array_equal(with_input, without)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +132,7 @@ def test_reduction_zero_prior_and_projections_reproduce_plain_encodings():
     zero = np.zeros((1, 4))
     prior = InterestExport(user=0, round=0, r_n=zero, r_t=zero)
     clicked, exposed, cand = [1, 5, 8], [0, 2], 3
-    out_i = mi.forward_interactive(clicked, exposed, [cand], prior)
+    out_i = mi.forward(clicked, exposed, [cand], prior)
     out_p = mp.forward(clicked, exposed, [cand])
     np.testing.assert_array_equal(out_i.r_click.data, out_p.r_click.data)
     np.testing.assert_array_equal(out_i.r_expose.data, out_p.r_expose.data)
@@ -124,7 +148,7 @@ def test_interactive_matches_step_by_step_oracle():
     tgt = m.lookup_np([cand])
     blended = ly.target_aware_fusion_np(m.fusion, r1, r2, tgt)
     expected = m.head.apply_np(np.hstack([blended, prior.r_t, tgt]))[0, 0]
-    out = m.forward_interactive(clicked, exposed, [cand], prior)
+    out = m.forward(clicked, exposed, [cand], prior)
     assert out.prob.item() == pytest.approx(expected, rel=1e-12)
 
 
@@ -132,7 +156,7 @@ def test_interactive_rejects_bad_prior_shape():
     m = make_model(12, interactive=True)
     bad = InterestExport(user=0, round=0, r_n=np.zeros((1, 3)), r_t=np.zeros((1, 4)))
     with pytest.raises(ad.ShapeError):
-        m.forward_interactive([1], [], [2], bad)
+        m.forward([1], [], [2], bad)
 
 
 def test_full_interactive_graph_gradients():
@@ -226,7 +250,7 @@ def test_batched_scores_match_graph_forward_interactive():
     cands = [3, 5, 7, 9]
     batched = m.score_candidates(clicked, exposed, cands, prior=prior)
     for i, c in enumerate(cands):
-        out = m.forward_interactive(clicked, exposed, [c], prior)
+        out = m.forward(clicked, exposed, [c], prior)
         assert batched[i] == pytest.approx(out.prob.item(), rel=1e-12)
 
 

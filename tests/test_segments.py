@@ -177,9 +177,7 @@ def float64_config(**overrides):
 
 def slow_context_loss(run, user, ctx):
     window = run._window(run.split.users[user].slow[: ctx.position])
-    memory = run.slow_memory.get(user, run._zero_memory()) if run.slow.interactive else None
-    kwargs = {"neg_memory": memory} if run.slow.interactive else {}
-    return run.slow.loss(window, ctx.candidates, ctx.labels, **kwargs)
+    return run.slow.loss(window, ctx.candidates, ctx.labels, neg_memory=run._memory(user))
 
 
 def reference_train_slow(run):

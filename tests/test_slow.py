@@ -52,7 +52,7 @@ def test_plain_forward_zeroed_head_gives_half():
     m = make_model(1)
     m.head.mlp.weights[-1].data[:] = 0.0
     m.head.mlp.biases[-1].data[:] = 0.0
-    assert m.forward([0, 1, 2], [5]).item() == 0.5
+    assert m.forward([0, 1, 2], [5]).prob.item() == 0.5
 
 
 def test_plain_forward_single_item_history_with_unit_attention():
@@ -60,7 +60,7 @@ def test_plain_forward_single_item_history_with_unit_attention():
     for p in m.attention.params():
         p.data[:] = 0.0
     m.attention.mlp.biases[-1].data[:] = 1.0
-    prob = m.forward([7], [3])
+    prob = m.forward([7], [3]).prob
     e1 = m.embedding.lookup_np([7])
     e_t = m.embedding.lookup_np([3])
     direct = ly.predict_head(m.head, ad.constant(np.hstack([e1, e_t])))
@@ -74,15 +74,13 @@ def test_plain_forward_matches_layer_composition():
     tgt = m.embedding.lookup_np([cand])
     pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
     expected = m.head.apply_np(np.hstack([pooled, tgt]))[0, 0]
-    assert m.forward(seq, [cand]).item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(seq, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
 
 
-def test_plain_forward_rejects_empty_history_and_wrong_mode():
+def test_plain_forward_rejects_empty_history():
     m = make_model(4)
     with pytest.raises(ad.ShapeError):
         m.forward([], [1])
-    with pytest.raises(RuntimeError):
-        m.forward_interactive([1], [2], np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +92,7 @@ def test_interactive_zeroed_gate_params_halve_the_refreshed_state():
     m.gate_w.data[:] = 0.0
     m.gate_b.data[:] = 0.0
     mem = rng(6).normal(size=(1, 4))
-    _, r_n, _ = m.forward_interactive([1, 2], [3], mem)
+    r_n = m.forward([1, 2], [3], mem).r_n
     refreshed = m.gru_n.step_np(m.embedding.lookup_np([3]), mem)
     np.testing.assert_allclose(r_n.data, 0.5 * refreshed, rtol=1e-12)
 
@@ -103,7 +101,7 @@ def test_interactive_zero_memory_and_zero_gru_collapses_r_n():
     m = make_model(7, interactive=True)
     for p in m.gru_n.params():
         p.data[:] = 0.0
-    _, r_n, _ = m.forward_interactive([1, 2], [3], np.zeros((1, 4)))
+    r_n = m.forward([1, 2], [3], np.zeros((1, 4))).r_n
     np.testing.assert_array_equal(r_n.data, np.zeros((1, 4)))
 
 
@@ -118,23 +116,26 @@ def test_interactive_matches_step_by_step_oracle():
     gate = sig(np.hstack([refreshed, tgt]) @ m.gate_w.data + m.gate_b.data)
     r_n = gate * refreshed
     expected = m.head.apply_np(np.hstack([r_n, pooled, tgt]))[0, 0]
-    prob, _, _ = m.forward_interactive(seq, [cand], mem)
-    assert prob.item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(seq, [cand], mem).prob.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_interactive_rejects_bad_memory_shape():
     m = make_model(10, interactive=True)
     with pytest.raises(ad.ShapeError):
-        m.forward_interactive([1], [2], np.zeros((1, 3)))
+        m.forward([1], [2], np.zeros((1, 3)))
 
 
 def test_gate_forced_to_zero_equals_feeding_zero_memory_feature():
     # with the gate pinned at 0 the head sees [0, r_t, e_i]; build that input
-    # directly and check the score (hence any ranking order) is identical
+    # directly and check the score (hence any ranking order) is identical.
+    # sigmoid(-1e4) is exactly 0.0 in float64, whatever the refreshed state.
     m = make_model(11, interactive=True)
+    m.gate_w.data[:] = 0.0
+    m.gate_b.data[:] = -1e4
     seq, mem = [2, 5], rng(12).normal(size=(1, 4))
     for cand in (1, 6, 8):
-        prob, _, _ = m.forward_interactive(seq, [cand], mem, gate_override=0.0)
+        prob, r_n, _ = m.forward(seq, [cand], mem)
+        np.testing.assert_array_equal(r_n.data, np.zeros((1, 4)))
         hist = m.embedding.lookup_np(seq)
         tgt = m.embedding.lookup_np([cand])
         pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
@@ -175,8 +176,8 @@ def test_export_cold_start_zero_memory_slot():
     m = make_model(15, interactive=True)
     export = m.export_interest(user=7, seq_ids=[1, 2, 3], round_no=0)
     np.testing.assert_array_equal(export.r_n, np.zeros((1, 4)))
-    r_t, _ = m.interest([1, 2, 3], [3])
-    np.testing.assert_array_equal(export.r_t, r_t.data)
+    # r_t does not read the memory: any memory gives the same pooled interest
+    np.testing.assert_array_equal(export.r_t, m.forward([1, 2, 3], [3], rng(26).normal(size=(1, 4))).r_t.data)
     assert (export.user, export.round) == (7, 0)
 
 
@@ -185,7 +186,7 @@ def test_export_after_upload_matches_interactive_forward_bit_exactly():
     seq = [4, 0, 9]
     mem = rng(17).normal(size=(1, 4))
     export = m.export_interest(user=1, seq_ids=seq, round_no=3, neg_memory=mem)
-    _, r_n, r_t = m.forward_interactive(seq, [seq[-1]], mem)
+    _, r_n, r_t = m.forward(seq, [seq[-1]], mem)
     np.testing.assert_array_equal(export.r_n, r_n.data)
     np.testing.assert_array_equal(export.r_t, r_t.data)
 
@@ -209,7 +210,7 @@ def test_batched_scores_match_graph_forward_plain():
     cands = [1, 3, 5, 7, 9, 11]
     batched = m.score_candidates(seq, cands)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(seq, [c]).item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(seq, [c]).prob.item(), rel=1e-12)
 
 
 def test_batched_scores_match_graph_forward_interactive():
@@ -219,8 +220,7 @@ def test_batched_scores_match_graph_forward_interactive():
     cands = [0, 2, 3, 5, 11]
     batched = m.score_candidates(seq, cands, neg_memory=mem)
     for i, c in enumerate(cands):
-        prob, _, _ = m.forward_interactive(seq, [c], mem)
-        assert batched[i] == pytest.approx(prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(seq, [c], mem).prob.item(), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-1, 12])
