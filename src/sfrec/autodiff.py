@@ -98,7 +98,7 @@ class Tensor:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -322,10 +322,9 @@ def concat(parts, axis=1):
         if p.shape[other] != w:
             raise ShapeError(f"concat axis={axis} mismatch: {[p.shape for p in parts]}")
     _require_same_dtype(*parts)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.track:
                 p.accumulate(g[lo:hi, :] if axis == 0 else g[:, lo:hi])
@@ -386,13 +385,13 @@ def tanh(a):
 
 def relu(a):
     """``max(a, 0)``; a NaN input stays NaN, so the loss check downstream sees it."""
-    mask = a.data > 0
+    out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
         if a.track:
-            a.accumulate(g * mask)
+            a.accumulate(g * (out_data > 0))
 
-    return node(np.maximum(a.data, 0.0), (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def sum_all(a):

@@ -17,14 +17,16 @@ segment (one user's consecutive contexts, whose windows only grow) through
 one graph, each GRU running once over the longest windows and every
 candidate reading the states at its own context's prefixes.
 
-Scoring comes in two pieces: ``encode_context`` turns a click window, an
-exposure window and (interactive) the downloaded prior into a
-:class:`DeviceContext` once, and ``score_context`` runs the fusion and the
-head for any number of candidates against it.  ``score_candidates`` is the
-two composed.  A caller that consumes clicks one by one carries the context
-forward with ``extend_clicks`` (one click-GRU step per new click) and
-rebuilds only the click state with ``reencode_clicks`` when its window
-slides; both take the same steps, in the same order, as a full re-encode.
+Scoring runs the two parts of ``forward`` with no tape open:
+``encode_context`` (the prior-derived init states, then both GRUs) turns a
+click window, an exposure window and (interactive) the downloaded prior into
+a :class:`DeviceContext` once, and ``score_context`` runs the scoring tail
+(fusion, feature concat, head) for any number of candidates against it.
+``score_candidates`` is the two composed.  A caller that consumes clicks one
+by one carries the context forward with ``extend_clicks`` (one click-GRU step
+per new click) and rebuilds only the click state with ``reencode_clicks``
+when its window slides; both take the same steps, in the same order, as a
+full re-encode.
 """
 
 from __future__ import annotations
@@ -178,17 +180,35 @@ class FastModel:
         r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose, expose_lengths)
         return r_click, r_expose
 
-    def _prior_states(self, r_n, r_t):
-        """Blend the downloaded interest pair and project to GRU init states."""
-        rn_c = ad.constant(np.asarray(r_n, dtype=self._emb.dtype))
-        rt_c = ad.constant(np.asarray(r_t, dtype=self._emb.dtype))
+    def _prior_states(self, prior):
+        """Both GRUs' (1, d) init states, projected from the blended interest
+        pair of ``prior``, and the (1, d) ``r_t`` the head reads; a missing or
+        misshapen prior is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
+        dtype = self._emb.dtype
+        if not self.interactive:
+            zero = ad.constant(np.zeros((1, self.dim), dtype=dtype))
+            return zero, zero, None
+        if prior is None:
+            raise ad.ShapeError("the interactive device model needs a prior (r_n, r_t), got None")
+        r_n, r_t = np.asarray(prior.r_n, dtype=dtype), np.asarray(prior.r_t, dtype=dtype)
+        if r_n.shape != (1, self.dim) or r_t.shape != (1, self.dim):
+            raise ad.ShapeError(f"prior vectors must be (1,{self.dim}), got {r_n.shape} and {r_t.shape}")
+        rn_c, rt_c = ad.constant(r_n), ad.constant(r_t)
         alpha = ad.sigmoid(ad.add(ad.matmul(ad.concat([rn_c, rt_c], axis=1), self.prior_gate_w), self.prior_gate_b))
         blended_prior = ad.add(
             ad.scale(alpha, rn_c), ad.scale(ad.affine(alpha, mul=-1.0, add=1.0), rt_c)
         )
         init_click = ad.relu(ad.add(ad.matmul(blended_prior, self.init_click_w), self.init_click_b))
         init_expose = ad.relu(ad.add(ad.matmul(blended_prior, self.init_expose_w), self.init_expose_b))
-        return init_click, init_expose
+        return init_click, init_expose, r_t
+
+    def _score(self, r_click, r_expose, targets, r_t):
+        """The scoring tail, fusion and head: (n, 1) probabilities from (n, d) click
+        and exposure rows and targets (plus the shared (1, d) ``r_t``, interactive)."""
+        feats = [ly.target_aware_fusion(r_click, r_expose, targets, self.fusion), targets]
+        if self.interactive:
+            feats.insert(1, ad.constant(r_t.repeat(targets.shape[0], axis=0)))
+        return ly.predict_head(self.head, ad.concat(feats, axis=1))
 
     def forward(self, clicked, exposed, candidates, prior=None, prefixes=None):
         """(n, 1) click probabilities plus the click and exposure states each candidate read.
@@ -198,22 +218,9 @@ class FastModel:
         its head also reads ``r_t``; the plain wiring ignores ``prior`` and
         starts both GRUs from zero.
         """
-        if self.interactive:
-            r_n, r_t = prior.r_n, prior.r_t
-            if np.asarray(r_n).shape != (1, self.dim) or np.asarray(r_t).shape != (1, self.dim):
-                raise ad.ShapeError(f"prior vectors must be (1,{self.dim})")
-            init_click, init_expose = self._prior_states(r_n, r_t)
-        else:
-            init_click = init_expose = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
+        init_click, init_expose, r_t = self._prior_states(prior)
         r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), init_click, init_expose, prefixes)
-        targets = self.lookup(candidates)
-        blended = ly.target_aware_fusion(r_click, r_expose, targets, self.fusion)
-        if self.interactive:
-            rt_rep = ad.constant(np.repeat(np.asarray(r_t, dtype=self._emb.dtype), targets.shape[0], axis=0))
-            feats = [blended, rt_rep, targets]
-        else:
-            feats = [blended, targets]
-        return FastForward(ly.predict_head(self.head, ad.concat(feats, axis=1)), r_click, r_expose)
+        return FastForward(self._score(r_click, r_expose, self.lookup(candidates), r_t), r_click, r_expose)
 
     def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
         """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
@@ -225,30 +232,16 @@ class FastModel:
         """
         return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes).prob, labels)
 
-    # -- batched no-graph scoring ---------------------------------------------
-
-    def _prior_states_np(self, r_n, r_t):
-        pair = np.hstack([r_n, r_t]).astype(self._emb.dtype)
-        with np.errstate(over="ignore"):
-            alpha = 1.0 / (1.0 + np.exp(-(pair @ self.prior_gate_w.data + self.prior_gate_b.data)))
-        blended = alpha * r_n + (1.0 - alpha) * r_t
-        init_click = np.maximum(blended @ self.init_click_w.data + self.init_click_b.data, 0.0)
-        init_expose = np.maximum(blended @ self.init_expose_w.data + self.init_expose_b.data, 0.0)
-        return init_click, init_expose
+    # -- scoring: forward's two parts run with no tape open ---------------------
 
     def encode_context(self, clicked, exposed, prior=None):
         """Encode one device context: the prior-derived init states, then both GRUs."""
         if len(clicked) == 0:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        if self.interactive:
-            init_click, init_expose = self._prior_states_np(prior.r_n, prior.r_t)
-            r_t = np.asarray(prior.r_t, dtype=self._emb.dtype)
-        else:
-            init_click = init_expose = np.zeros((1, self.dim), dtype=self._emb.dtype)
-            r_t = None
-        r_click = self.gru_click.encode_np(self.lookup_np(clicked), init_click)
-        r_expose = self.gru_expose.encode_np(self.lookup_np(exposed), init_expose)
-        return DeviceContext(init_click, r_click, r_expose, r_t)
+        init_click, init_expose, r_t = self._prior_states(prior)
+        r_click = self.gru_click.encode_np(self.lookup_np(clicked), init_click.data)
+        r_expose = self.gru_expose.encode_np(self.lookup_np(exposed), init_expose.data)
+        return DeviceContext(init_click.data, r_click, r_expose, r_t)
 
     def extend_clicks(self, context, clicks):
         """``context`` with its click state advanced by newly consumed ``clicks``, one step each."""
@@ -262,13 +255,9 @@ class FastModel:
 
     def score_context(self, context, candidate_ids):
         """Click probabilities for many candidates against an encoded context."""
-        targets = self.lookup_np(candidate_ids)
-        blended = ly.target_aware_fusion_np(self.fusion, context.r_click, context.r_expose, targets)
-        if self.interactive:
-            feats = np.hstack([blended, np.broadcast_to(context.r_t, targets.shape), targets])
-        else:
-            feats = np.hstack([blended, targets])
-        return self.head.apply_np(feats)[:, 0]
+        targets = self.lookup(candidate_ids)
+        r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (context.r_click, context.r_expose))
+        return self._score(r_click, r_expose, targets, context.r_t).data[:, 0]
 
     def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
         """Click probabilities for many candidates against one device context."""

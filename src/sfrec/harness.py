@@ -142,6 +142,7 @@ class _SeedRun:
         self.dtype = np.float32 if config.precision == "float32" else np.float64
         vocab = split.vocab_size
         hidden = config.mlp_hidden()
+        # the one reading of the variant: everything else asks the wirings
         slow_interactive = config.variant != "independent"
         fast_interactive = config.variant == "s2f_full"
         self.slow = SlowModel(
@@ -329,7 +330,7 @@ class _SeedRun:
         export.r_n = down.payload["r_n"].astype(self.dtype)
         export.r_t = down.payload["r_t"].astype(self.dtype)
         self.priors[user] = export
-        self.fast.gru_expose.load_gates(sync.payload, dtype=self.dtype)
+        self.fast.gru_expose.load_gates(sync.payload)
         self._resync_device()
         self.counts["downloads"] += 1
 
@@ -341,7 +342,7 @@ class _SeedRun:
         self.slow_memory[user] = msg.payload["r2_hat"].astype(self.dtype)
         self.counts["uploads"] += 1
         self._refresh_slow(user)
-        if self.config.variant == "s2f_full":
+        if self.fast.interactive:
             self._download(user, round_no)
 
     # -- serving plus fast training -------------------------------------------
@@ -408,7 +409,7 @@ class _SeedRun:
             pool, item, self.serving_rng, pool_size=cfg.pool_size, expose_k=cfg.expose_k,
         )
         self.exposure_log[user].append(shown)
-        if cfg.variant != "independent":
+        if self.slow.interactive:
             self.memories[user].record(shown)
             if self.scheduler.tick(user) == ex.Decision.UPLOAD_NOW:
                 self._upload(user)
@@ -423,7 +424,7 @@ class _SeedRun:
             interactions_needed.update(us.test)
         self._sync_device_rows(sorted(interactions_needed))
 
-        uploads = cfg.variant != "independent"
+        uploads = self.slow.interactive
         for epoch in range(cfg.fast_epochs):
             order = self.epoch_rng.permutation(self.users) if epoch else list(self.users)
             pending = 0
@@ -548,7 +549,7 @@ def run_lifecycle(config, prepared=None, collect_state=False):
         started = time.perf_counter()
         run = _SeedRun(config, seed, split, users)
         run.train_slow()
-        if config.variant == "s2f_full":
+        if run.fast.interactive:
             for user in users:
                 run._download(user, round_no=0)
         run.serve_and_train_fast()
@@ -595,8 +596,9 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     For float32 runs the records match the training-time evaluation exactly.
     An interest or negative-memory payload that is not a (1, dim) row raises
     :class:`LifecycleError` naming the message, and so does an interactive
-    device model with a user no interest download reached.  A tensor that
-    ``arrays`` lacks raises :class:`~sfrec.autodiff.CheckpointError` naming it.
+    device model with a user no interest download reached, or a user of the
+    run that ``exposures`` lacks.  A tensor that ``arrays`` lacks raises
+    :class:`~sfrec.autodiff.CheckpointError` naming it.
     """
     split, users = prepared
     run = _SeedRun(config, seed, split, users)
@@ -618,6 +620,9 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
             raise LifecycleError(f"no INTEREST_DOWN message for user {unprimed[0]}: the device model needs its prior")
     for user, log in exposures.items():
         run.exposure_log[int(user)] = [[int(i) for i in step] for step in log]
+    unexposed = set(users).difference(int(user) for user in exposures)
+    if unexposed:
+        raise LifecycleError(f"the exposures have no stream for user {next(u for u in users if u in unexposed)}")
     slow_results, fast_results = run.evaluate()
     tag = _dataset_tag(config)
     return run.aggregate(slow_results, "slow", tag, 0.0) + run.aggregate(fast_results, "fast", tag, 0.0)

@@ -11,15 +11,15 @@ per-row window, ``gru_encode`` returns the states at per-row prefix lengths
 from one pass, and ``target_aware_fusion`` takes an interest row per target.
 Every block exposes ``params()`` for optimizer registration.
 
-Attention pooling is one fused node that serves training and scoring alike:
-run on constants with no tape open it records nothing, and it scores 301
-candidates against a 30-item history in 0.24-0.34 ms (dim 32, float32).
-The GRU, MLP and head still keep ``*_np`` twins that evaluate the same
-function on plain arrays for scoring; tests pin them to the graph.
-``GruCell.encode_np`` folds one-row ``step_np`` calls from a given state, so a
-caller can carry a hidden state forward a click at a time and reach the same
-bits as encoding the whole sequence at once (the device model's evaluation
-does this).
+Attention pooling, the MLP and the target-aware fusion are one fused tape
+node each; the MLP's and the fusion's hand-written backwards repeat the float
+operations of the composed graphs they replaced, bit for bit.  Run on
+constants with no tape open, every graph function records nothing, which
+makes it the scoring path as well.  The GRU keeps a numpy path
+(``GruCell.step_np``, shared with ``step``): ``encode_np`` folds one-row
+steps from a given state, so a caller can carry a hidden state forward a
+click at a time and reach the same bits as encoding the whole sequence at
+once (the device model's evaluation does this).
 """
 
 from __future__ import annotations
@@ -119,13 +119,13 @@ class GruCell:
         """All nine gate tensors keyed by short name (w_z, u_z, ...)."""
         return {tag: p.data.copy() for tag, p in zip(self.GATE_NAMES, self.params())}
 
-    def load_gates(self, arrays, dtype=None):
-        """Overwrite all nine gate tensors from a short-name -> array mapping."""
+    def load_gates(self, arrays):
+        """Overwrite all nine gate tensors, in their own dtype, from a short-name -> array mapping."""
         for tag, p in zip(self.GATE_NAMES, self.params()):
             src = np.asarray(arrays[tag])
             if src.shape != p.data.shape:
                 raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
-            p.data = src.astype(dtype or p.data.dtype, copy=True)
+            p.data = src.astype(p.data.dtype, copy=True)
 
     def step(self, x, h):
         """One GRU step over ``n`` rows (x (n, in), h (n, hidden)) as a single fused tape node."""
@@ -139,7 +139,6 @@ class GruCell:
         wh, uh, bh = self.w_h, self.u_h, self.b_h
         xd, hd = x.data, h.data
         z, r, c, out = self._forward_np(xd, hd)
-        rh = r * hd
 
         def backward(g):
             dz = g * (c - hd)
@@ -148,7 +147,7 @@ class GruCell:
             dah = dc * (1.0 - c * c)
             if wh.track:
                 wh.accumulate(xd.T @ dah)
-                uh.accumulate(rh.T @ dah)
+                uh.accumulate((r * hd).T @ dah)
                 bh.accumulate(dah.sum(axis=0, keepdims=True))
             drh = dah @ uh.data.T
             dr = drh * hd
@@ -234,22 +233,40 @@ class Mlp:
         return [t for pair in zip(self.weights, self.biases) for t in pair]
 
     def apply(self, x):
-        out = x
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = ad.add(ad.matmul(out, w), b)
-            if k != last:
-                out = ad.relu(out)
-        return out
+        """The MLP on an (n, in) stack as one tape node; its backward runs :meth:`backprop`."""
+        if x.shape[1] != self.dims[0] or x.dtype != self.weights[0].dtype:
+            raise ad.ShapeError(f"mlp wants (n,{self.dims[0]}) {self.weights[0].dtype} input, got {x.shape} {x.dtype}")
+        acts = self.activations(x.data)
 
-    def apply_np(self, x):
-        out = x
-        last = len(self.weights) - 1
+        def backward(g):
+            gx = self.backprop(acts, g)
+            if x.track:
+                x.accumulate(gx)
+
+        return ad.node(acts[-1], (x, *self.params()), backward)
+
+    def activations(self, x):
+        """The input array and every layer's output, ``[x, h_1, ..., out]``."""
+        acts = [x]
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = out @ w.data + b.data
-            if k != last:
-                out = np.maximum(out, 0.0)
-        return out
+            out = acts[-1] @ w.data + b.data
+            acts.append(out if k == len(self.weights) - 1 else np.maximum(out, 0.0))
+        return acts
+
+    def backprop(self, acts, g):
+        """Accumulate the parameter gradients of an :meth:`activations` run whose
+        output gradient is ``g`` and return the input's gradient, with the float
+        operations, in order, of the composed matmul, bias-add and ReLU nodes."""
+        for k in range(len(self.weights) - 1, -1, -1):
+            w, b = self.weights[k], self.biases[k]
+            if k != len(self.weights) - 1:
+                g = g * (acts[k + 1] > 0)
+            if b.track:
+                b.accumulate(g.sum(axis=0, keepdims=True))
+            if w.track:
+                w.accumulate(acts[k].T @ g)
+            g = g @ w.data.T
+        return g
 
 
 class AttentionUnit:
@@ -364,29 +381,40 @@ def target_aware_fusion(r1, r2, targets, mlp):
     interests.  One shared MLP scores each of them concatenated with its
     target; a softmax over the two logits gives that target's blend weights
     (a two-way softmax is the sigmoid of the logit difference).  Returns (n, d).
-    """
+
+    One fused tape node, whose backward repeats the float operations of the
+    composed graph (concats, MLP calls, ``l1 + (-1.0 * l2 + 0.0)``, a sigmoid
+    and two scales) in that graph's reverse order."""
     if r1.shape != targets.shape or r2.shape != targets.shape:
         raise ad.ShapeError(
             f"fusion wants (n,d) interest rows per target, got {r1.shape}, {r2.shape} for targets {targets.shape}"
         )
-    logit1 = mlp.apply(ad.concat([r1, targets], axis=1))
-    logit2 = mlp.apply(ad.concat([r2, targets], axis=1))
-    w1 = ad.sigmoid(ad.add(logit1, ad.affine(logit2, mul=-1.0)))
-    return ad.add(ad.scale(w1, r1), ad.scale(ad.affine(w1, mul=-1.0, add=1.0), r2))
+    if not r1.dtype == r2.dtype == targets.dtype == mlp.weights[0].dtype:
+        raise ad.ShapeError(f"mixed dtypes {r1.dtype}, {r2.dtype}, {targets.dtype}, {mlp.weights[0].dtype}")
+    d = targets.shape[1]
+    rd1, rd2, td = r1.data, r2.data, targets.data
+    acts1 = mlp.activations(np.concatenate([rd1, td], axis=1))
+    acts2 = mlp.activations(np.concatenate([rd2, td], axis=1))
+    with np.errstate(over="ignore"):
+        w1 = 1.0 / (1.0 + np.exp(-(acts1[-1] + (-1.0 * acts2[-1] + 0.0))))
+    w2 = -1.0 * w1 + 1.0
 
+    def backward(g):
+        g_w2 = (g * rd2).sum(axis=1, keepdims=True)
+        if r2.track:
+            r2.accumulate(w2 * g)
+        g_w1 = -1.0 * g_w2 + (g * rd1).sum(axis=1, keepdims=True)
+        if r1.track:
+            r1.accumulate(w1 * g)
+        g_diff = g_w1 * w1 * (1.0 - w1)
+        for r, acts, g_logit in ((r2, acts2, -1.0 * g_diff), (r1, acts1, g_diff)):
+            g_pair = mlp.backprop(acts, g_logit)
+            if r.track:
+                r.accumulate(g_pair[:, :d])
+            if targets.track:
+                targets.accumulate(g_pair[:, d:])
 
-def target_aware_fusion_np(mlp, r1, r2, targets):
-    """Batched blend: r1/r2 are (n, d) (or (1, d) broadcast), targets (n, d)."""
-    n = targets.shape[0]
-    r1 = np.broadcast_to(r1, (n, r1.shape[1]))
-    r2 = np.broadcast_to(r2, (n, r2.shape[1]))
-    l1 = mlp.apply_np(np.hstack([r1, targets]))
-    l2 = mlp.apply_np(np.hstack([r2, targets]))
-    logits = np.hstack([l1, l2])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    w = e / e.sum(axis=1, keepdims=True)
-    return w[:, :1] * r1 + w[:, 1:] * r2
+    return ad.node(w1 * rd1 + w2 * rd2, (r1, r2, targets, *mlp.params()), backward)
 
 
 class MlpHead:
@@ -399,16 +427,9 @@ class MlpHead:
     def params(self):
         return self.mlp.params()
 
-    def apply(self, features):
-        return ad.sigmoid(self.mlp.apply(features))
-
-    def apply_np(self, features):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-self.mlp.apply_np(features)))
-
 
 def predict_head(head, features):
     """Click probability per feature row: (n, in_dim) -> (n, 1)."""
     if features.shape[1] != head.in_dim:
         raise ad.ShapeError(f"head wants (n,{head.in_dim}) features, got {features.shape}")
-    return head.apply(features)
+    return ad.sigmoid(head.mlp.apply(features))

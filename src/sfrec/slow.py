@@ -14,10 +14,9 @@ graph per segment: a run of one user's consecutive contexts (each a positive
 plus its negatives) over the union of their history windows, each candidate
 attending only to its own context's window.  A single context is a segment
 of one (every window the whole history).
-Scoring large candidate sets goes through ``score_candidates``: attention is
-the same fused ``din_attention`` node run on constants with no tape, and the
-GRU refresh, gate and head use the layers' numpy twins, pinned to the graph
-forward by tests.
+Scoring large candidate sets goes through ``score_candidates``, which is
+``forward`` run with no tape open: each op computes its value and records
+nothing, and the attention pool and the head's MLP are one fused node each.
 """
 
 from __future__ import annotations
@@ -127,22 +126,8 @@ class SlowModel:
         r_n = np.zeros_like(r_t) if neg_memory is None or out.r_n is None else out.r_n.data.copy()
         return InterestExport(user=user, round=round_no, r_n=r_n, r_t=r_t)
 
-    # -- batched no-graph scoring ---------------------------------------------
+    # -- scoring ----------------------------------------------------------------
 
     def score_candidates(self, seq_ids, candidate_ids, neg_memory=None):
-        """Click probabilities for many candidates against one context.
-
-        Call it with no tape open; equals the graph forward to float precision.
-        """
-        history = self.embedding.lookup_np(seq_ids)
-        targets = self.embedding.lookup_np(candidate_ids)
-        pooled = ly.din_attention(self.attention, ad.constant(history), ad.constant(targets)).data
-        if not self.interactive:
-            return self.head.apply_np(np.hstack([pooled, targets]))[:, 0]
-        n = targets.shape[0]
-        memory = np.broadcast_to(np.asarray(neg_memory, dtype=targets.dtype), (n, self.dim))
-        refreshed = self.gru_n.step_np(targets, memory)
-        with np.errstate(over="ignore"):
-            gate = 1.0 / (1.0 + np.exp(-(np.hstack([refreshed, targets]) @ self.gate_w.data + self.gate_b.data)))
-        r_n = gate * refreshed
-        return self.head.apply_np(np.hstack([r_n, pooled, targets]))[:, 0]
+        """Click probabilities for many candidates against one context: ``forward`` with no tape open."""
+        return self.forward(seq_ids, candidate_ids, neg_memory).prob.data[:, 0]

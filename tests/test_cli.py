@@ -150,3 +150,18 @@ def test_eval_names_a_malformed_exposures_file(trained_state, tmp_path, capsys, 
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "LifecycleError"
     assert str(expo) in payload["detail"]
+
+
+def test_eval_names_a_user_the_exposures_file_lacks(trained_state, tmp_path, capsys):
+    state = tmp_path / "state"
+    shutil.copytree(trained_state, state)
+    expo = state / "seed0_exposures.json"
+    streams = json.loads(expo.read_text())
+    dropped = next(iter(streams))
+    del streams[dropped]
+    expo.write_text(json.dumps(streams))
+    capsys.readouterr()
+    assert main(["eval", "--state-dir", str(state), *TINY]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "LifecycleError"
+    assert f"user {dropped}" in payload["detail"]

@@ -18,6 +18,36 @@ def make_model(seed=0, interactive=False, n_items=12, dim=4, synced=True):
     return m
 
 
+def sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_mlp(mlp, x):
+    """An MLP written out in numpy: affine layers, ReLU between them."""
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        x = x @ w.data + b.data
+        if k != len(mlp.weights) - 1:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def reference_score(m, r1, r2, tgt, r_t=None):
+    """Fusion (a softmax over the two interest logits) and head, in numpy, for one target row."""
+    logits = np.hstack([reference_mlp(m.fusion, np.hstack([r1, tgt])), reference_mlp(m.fusion, np.hstack([r2, tgt]))])
+    w = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    blended = w[0, 0] * r1 + w[0, 1] * r2
+    feats = [blended, tgt] if r_t is None else [blended, r_t, tgt]
+    return sig(reference_mlp(m.head.mlp, np.hstack(feats)))[0, 0]
+
+
+def reference_prior_states(m, prior):
+    """The interactive GRU init states, in numpy."""
+    alpha = sig(np.hstack([prior.r_n, prior.r_t]) @ m.prior_gate_w.data + m.prior_gate_b.data)
+    blended = alpha * prior.r_n + (1.0 - alpha) * prior.r_t
+    init_click = np.maximum(blended @ m.init_click_w.data + m.init_click_b.data, 0.0)
+    return init_click, np.maximum(blended @ m.init_expose_w.data + m.init_expose_b.data, 0.0)
+
+
 def prior_of(m, seed):
     r = rng(seed)
     return InterestExport(user=0, round=0, r_n=r.normal(size=(1, m.dim)), r_t=r.normal(size=(1, m.dim)))
@@ -66,9 +96,7 @@ def test_plain_forward_matches_layer_composition():
     clicked, exposed, cand = [1, 4, 9], [2, 7], 6
     r1 = m.gru_click.encode_np(m.lookup_np(clicked), np.zeros((1, 4)))
     r2 = m.gru_expose.encode_np(m.lookup_np(exposed), np.zeros((1, 4)))
-    tgt = m.lookup_np([cand])
-    blended = ly.target_aware_fusion_np(m.fusion, r1, r2, tgt)
-    expected = m.head.apply_np(np.hstack([blended, tgt]))[0, 0]
+    expected = reference_score(m, r1, r2, m.lookup_np([cand]))
     assert m.forward(clicked, exposed, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
 
 
@@ -113,13 +141,13 @@ def test_zeroed_prior_gate_averages_the_two_prior_vectors():
     m.prior_gate_w.data[:] = 0.0
     m.prior_gate_b.data[:] = 0.0
     prior = prior_of(m, 8)
-    init_click, init_expose = m._prior_states_np(prior.r_n, prior.r_t)
+    init_click, init_expose, _ = m._prior_states(prior)
     blend = (prior.r_n + prior.r_t) / 2.0
     np.testing.assert_allclose(
-        init_click, np.maximum(blend @ m.init_click_w.data + m.init_click_b.data, 0.0), rtol=1e-12
+        init_click.data, np.maximum(blend @ m.init_click_w.data + m.init_click_b.data, 0.0), rtol=1e-12
     )
     np.testing.assert_allclose(
-        init_expose, np.maximum(blend @ m.init_expose_w.data + m.init_expose_b.data, 0.0), rtol=1e-12
+        init_expose.data, np.maximum(blend @ m.init_expose_w.data + m.init_expose_b.data, 0.0), rtol=1e-12
     )
 
 
@@ -142,12 +170,10 @@ def test_interactive_matches_step_by_step_oracle():
     m = make_model(10, interactive=True)
     prior = prior_of(m, 11)
     clicked, exposed, cand = [0, 3, 7], [5, 1], 9
-    init_click, init_expose = m._prior_states_np(prior.r_n, prior.r_t)
+    init_click, init_expose = reference_prior_states(m, prior)
     r1 = m.gru_click.encode_np(m.lookup_np(clicked), init_click)
     r2 = m.gru_expose.encode_np(m.lookup_np(exposed), init_expose)
-    tgt = m.lookup_np([cand])
-    blended = ly.target_aware_fusion_np(m.fusion, r1, r2, tgt)
-    expected = m.head.apply_np(np.hstack([blended, prior.r_t, tgt]))[0, 0]
+    expected = reference_score(m, r1, r2, m.lookup_np([cand]), prior.r_t)
     out = m.forward(clicked, exposed, [cand], prior)
     assert out.prob.item() == pytest.approx(expected, rel=1e-12)
 
@@ -157,6 +183,22 @@ def test_interactive_rejects_bad_prior_shape():
     bad = InterestExport(user=0, round=0, r_n=np.zeros((1, 3)), r_t=np.zeros((1, 4)))
     with pytest.raises(ad.ShapeError):
         m.forward([1], [], [2], bad)
+
+
+MISSING_EXCHANGE_INPUT = {
+    "fast-forward": (lambda m, s: m.forward([1, 2], [3], [4]), "prior"),
+    "fast-encode_context": (lambda m, s: m.encode_context([1, 2], [3]), "prior"),
+    "fast-score_candidates": (lambda m, s: m.score_candidates([1, 2], [3], [4, 5]), "prior"),
+    "slow-no-memory": (lambda m, s: s.score_candidates([1], [2, 3]), "memory"),
+    "slow-short-memory": (lambda m, s: s.score_candidates([1], [2, 3], np.zeros((1, 3))), "memory"),
+}
+
+
+@pytest.mark.parametrize("call, named", MISSING_EXCHANGE_INPUT.values(), ids=MISSING_EXCHANGE_INPUT.keys())
+def test_interactive_model_without_its_exchange_input_raises_shape_error(call, named):
+    device, cloud = make_model(50, interactive=True), SlowModel(12, 4, rng(51), interactive=True)
+    with pytest.raises(ad.ShapeError, match=named):
+        call(device, cloud)
 
 
 def test_full_interactive_graph_gradients():

@@ -382,6 +382,45 @@ def test_fused_attention_keeps_float32():
 # fusion
 
 
+def reference_mlp(mlp, x):
+    """The MLP written out in numpy: affine layers, ReLU between them."""
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        x = x @ w.data + b.data
+        if k != len(mlp.weights) - 1:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def composed_mlp(mlp, x):
+    """The MLP as a graph of matmul, bias-add and ReLU nodes."""
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        x = ad.add(ad.matmul(x, w), b)
+        if k != len(mlp.weights) - 1:
+            x = ad.relu(x)
+    return x
+
+
+def composed_fusion(r1, r2, targets, mlp):
+    """Target-aware fusion as a graph of the engine's elementary nodes."""
+    logit1 = composed_mlp(mlp, ad.concat([r1, targets], axis=1))
+    logit2 = composed_mlp(mlp, ad.concat([r2, targets], axis=1))
+    w1 = ad.sigmoid(ad.add(logit1, ad.affine(logit2, mul=-1.0)))
+    return ad.add(ad.scale(w1, r1), ad.scale(ad.affine(w1, mul=-1.0, add=1.0), r2))
+
+
+def run_twice(graph, inputs, params, probe):
+    """Output and every gradient after two backward passes of ``sum(graph * probe)``
+    with no zeroing between, so each pass adds onto existing gradients."""
+    tensors = list({id(t): t for t in (*inputs, *params) if t.track}.values())
+    for t in tensors:
+        t.zero_grad()
+    for _ in range(2):
+        with ad.tape() as tp:
+            out = graph(*inputs)
+            tp.backward(ad.sum_all(ad.mul(out, probe)))
+    return [out.data] + [t.grad for t in tensors]
+
+
 def fusion_parts(d, seed):
     r = rng(seed)
     mlp = ly.Mlp([2 * d, 8, 1], r, name="fuse")
@@ -411,8 +450,8 @@ def test_fusion_saturated_logit_picks_one_side():
 
 def test_fusion_matches_hand_evaluation():
     mlp, r1, r2, tgt = fusion_parts(5, 35)
-    l1 = mlp.apply_np(np.hstack([r1, tgt]))[0, 0]
-    l2 = mlp.apply_np(np.hstack([r2, tgt]))[0, 0]
+    l1 = reference_mlp(mlp, np.hstack([r1, tgt]))[0, 0]
+    l2 = reference_mlp(mlp, np.hstack([r2, tgt]))[0, 0]
     e1, e2 = np.exp(l1 - max(l1, l2)), np.exp(l2 - max(l1, l2))
     w1 = e1 / (e1 + e2)
     expected = w1 * r1 + (1.0 - w1) * r2
@@ -429,15 +468,36 @@ def test_fusion_output_is_convex_combination():
         assert np.all(out >= lo) and np.all(out <= hi)
 
 
-def test_fusion_numpy_path_matches_graph():
-    mlp, r1, r2, tgt = fusion_parts(4, 36)
-    targets = rng(37).normal(size=(5, 4))
-    batched = ly.target_aware_fusion_np(mlp, r1, r2, targets)
-    for i in range(5):
-        one = ly.target_aware_fusion(
-            ad.constant(r1), ad.constant(r2), ad.constant(targets[i : i + 1]), mlp
-        )
-        np.testing.assert_allclose(batched[i : i + 1], one.data, atol=1e-12)
+def test_fused_fusion_node_matches_composed_graph_bit_for_bit():
+    for dtype in (np.float32, np.float64):
+        r = rng(36)
+        mlp = ly.Mlp([8, 6, 1], r, name="fuse", dtype=dtype)
+        arrays = [r.normal(size=(5, 4)).astype(dtype) for _ in range(3)]
+        probe = ad.constant(r.normal(size=(5, 4)).astype(dtype))
+        for case in ("untracked", "tracked", "aliased"):
+            if case == "untracked":
+                inputs = [ad.constant(a) for a in arrays]
+            else:
+                inputs = [ad.parameter(a.copy(), f"x{i}") for i, a in enumerate(arrays)]
+                if case == "aliased":  # one tensor as r1 and as targets: its gradient order shows
+                    inputs[2] = inputs[0]
+            fused = run_twice(lambda a, b, t: ly.target_aware_fusion(a, b, t, mlp), inputs, mlp.params(), probe)
+            composed = run_twice(lambda a, b, t: composed_fusion(a, b, t, mlp), inputs, mlp.params(), probe)
+            assert len(fused) == len(composed)
+            for got, want in zip(fused, composed):
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def test_fused_fusion_is_one_tape_node_and_records_nothing_without_a_tape():
+    mlp, r1, r2, tgt = fusion_parts(4, 39)
+    with ad.tape() as t:
+        ly.target_aware_fusion(ad.parameter(r1, "r1"), ad.constant(r2), ad.constant(tgt), mlp)
+    assert len(t.nodes) == 1
+    out = ly.target_aware_fusion(ad.constant(r1), ad.constant(r2), ad.constant(tgt), mlp)
+    assert not out.track
+    with pytest.raises(ad.ShapeError):
+        ly.target_aware_fusion(ad.constant(r1.astype(np.float32)), ad.constant(r2), ad.constant(tgt), mlp)
 
 
 def test_fusion_graph_on_many_targets_matches_one_target_at_a_time():
@@ -513,14 +573,30 @@ def test_head_rejects_wrong_width():
         ly.predict_head(head, ad.constant(np.zeros((1, 5))))
 
 
-def test_head_numpy_path_matches_graph():
-    r = rng(46)
-    head = ly.MlpHead(7, r)
-    xs = r.normal(size=(4, 7))
-    batched = head.apply_np(xs)
-    for i in range(4):
-        one = ly.predict_head(head, ad.constant(xs[i : i + 1]))
-        np.testing.assert_allclose(batched[i : i + 1], one.data, atol=1e-12)
+def test_fused_mlp_node_matches_composed_graph_bit_for_bit():
+    for dtype in (np.float32, np.float64):
+        r = rng(46)
+        mlp = ly.Mlp([7, 6, 5, 1], r, name="head", dtype=dtype)
+        for n in (1, 4):  # one row adds the bias without a column sum
+            x = r.normal(size=(n, 7)).astype(dtype)
+            probe = ad.constant(r.normal(size=(n, 1)).astype(dtype))
+            for inputs in ([ad.constant(x)], [ad.parameter(x.copy(), "x")]):
+                fused = run_twice(mlp.apply, inputs, mlp.params(), probe)
+                composed = run_twice(lambda t: composed_mlp(mlp, t), inputs, mlp.params(), probe)
+                for got, want in zip(fused, composed):
+                    assert got.dtype == dtype
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_fused_mlp_is_one_tape_node_and_checks_its_input():
+    mlp = ly.Mlp([3, 4, 1], rng(49))
+    with ad.tape() as t:
+        mlp.apply(ad.constant(np.ones((2, 3))))
+    assert len(t.nodes) == 1
+    np.testing.assert_array_equal(mlp.apply(ad.constant(np.ones((2, 3)))).data, reference_mlp(mlp, np.ones((2, 3))))
+    for bad in (np.ones((2, 4)), np.ones((2, 3), dtype=np.float32)):
+        with pytest.raises(ad.ShapeError):
+            mlp.apply(ad.constant(bad))
 
 
 def test_head_gradients():
