@@ -129,6 +129,7 @@ def _gradcheck_graphs(dim, seed):
     n_items = 12
     rng = np.random.default_rng(seed)
     clicked, exposed = [1, 5, 3], [2, 7]
+    segment = [(1, 0), (1, 0), (2, 1), (2, 1), (3, 2), (3, 2)]
     memory = rng.normal(scale=0.1, size=(1, dim))
     prior = InterestExport(0, 0, rng.normal(scale=0.1, size=(1, dim)), rng.normal(scale=0.1, size=(1, dim)))
 
@@ -145,6 +146,9 @@ def _gradcheck_graphs(dim, seed):
         fast.sync_rows(ids, np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim)))
         fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
         graphs.append((f"fast-{wiring}", fn, fast.params()))
+        # a three-context segment: repeated prefix lengths, and no exposures yet in the first context
+        fn = lambda m=fast: m.loss(clicked, exposed, [4, 9, 6, 10, 8, 11], [1, 0] * 3, prior=prior, prefixes=segment)
+        graphs.append((f"fast-segment-{wiring}", fn, fast.params()))
     return graphs
 
 

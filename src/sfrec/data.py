@@ -75,6 +75,17 @@ def _densify(rows):
     return interactions, users, items
 
 
+def _numbered_lines(path):
+    """``(lineno, line)`` of a UTF-8 text file, ``\\r\\n`` read as ``\\n``; non-UTF-8 bytes are a :class:`ParseError`."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
+            yield lineno, line.replace("\r\n", "\n")
+
+
 def parse_ml1m(path):
     """Read a MovieLens-1M ratings file: ``UserID::MovieID::Rating::Timestamp``.
 
@@ -83,19 +94,18 @@ def parse_ml1m(path):
     densely from 0.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 '::'-separated fields, got {len(parts)}")
-            try:
-                user, item, _rating, ts = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
-            except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
-            rows.append((user, item, ts))
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 '::'-separated fields, got {len(parts)}")
+        try:
+            user, item, _rating, ts = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
+        rows.append((user, item, ts))
     return _densify(rows)
 
 
@@ -106,20 +116,19 @@ def parse_tsv(path):
     :class:`ParseError` naming the line.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ParseError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
-            if len(parts) == 4 and parts[3] != "click":
-                raise ParseError(f"{path}:{lineno}: interaction kind {parts[3]!r} is not 'click'")
-            try:
-                rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
-            except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
+    for lineno, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
+        if len(parts) == 4 and parts[3] != "click":
+            raise ParseError(f"{path}:{lineno}: interaction kind {parts[3]!r} is not 'click'")
+        try:
+            rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
     return _densify(rows)
 
 

@@ -14,13 +14,14 @@ Both wirings run through one graph ``forward``, which takes the prior and
 which the plain wiring ignores.  It takes a candidate list and, optionally,
 a ``(clicks, exposures)`` prefix length per candidate: training runs a
 segment (one user's consecutive contexts, whose windows only grow) through
-one graph, each GRU running once over the longest windows and every
-candidate reading the states at its own context's prefixes.
+one graph, each GRU running once over the longest windows as one tape node
+and every candidate reading the states at its own context's prefixes.
 
 Scoring runs the two parts of ``forward`` with no tape open:
-``encode_context`` (the prior-derived init states, then both GRUs) turns a
-click window, an exposure window and (interactive) the downloaded prior into
-a :class:`DeviceContext` once, and ``score_context`` runs the scoring tail
+``encode_context`` (the prior-derived init states, then both GRUs, running
+the training node's kernel on plain arrays) turns a click window, an
+exposure window and (interactive) the downloaded prior into a
+:class:`DeviceContext` once, and ``score_context`` runs the scoring tail
 (fusion, feature concat, head) for any number of candidates against it.
 ``score_candidates`` is the two composed.  A caller that consumes clicks one
 by one carries the context forward with ``extend_clicks`` (one click-GRU step

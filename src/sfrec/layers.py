@@ -11,15 +11,15 @@ per-row window, ``gru_encode`` returns the states at per-row prefix lengths
 from one pass, and ``target_aware_fusion`` takes an interest row per target.
 Every block exposes ``params()`` for optimizer registration.
 
-Attention pooling, the MLP and the target-aware fusion are one fused tape
-node each; the MLP's and the fusion's hand-written backwards repeat the float
-operations of the composed graphs they replaced, bit for bit.  Run on
-constants with no tape open, every graph function records nothing, which
-makes it the scoring path as well.  The GRU keeps a numpy path
-(``GruCell.step_np``, shared with ``step``): ``encode_np`` folds one-row
-steps from a given state, so a caller can carry a hidden state forward a
-click at a time and reach the same bits as encoding the whole sequence at
-once (the device model's evaluation does this).
+Attention pooling, the MLP, the target-aware fusion and a GRU sequence are
+one fused tape node each; the MLP's and the fusion's hand-written backwards
+repeat the float operations of the composed graphs they replaced, bit for
+bit.  Run on constants with no tape open, every graph function records
+nothing, which makes it the scoring path as well.  The GRU's one kernel
+takes one step per input row (``GruCell.encode_np`` runs it on plain
+arrays), so a caller can carry a hidden state forward a click at a time and
+reach the same bits as encoding the whole sequence at once (the device
+model's evaluation does this).
 """
 
 from __future__ import annotations
@@ -88,17 +88,16 @@ class EmbeddingTable:
 
 
 class GruCell:
-    """Standard GRU cell: z, r gates and tanh candidate.
+    """Standard GRU cell: z, r gates and tanh candidate, ``(1 - z) * h + z * candidate``.
 
-    The whole step is one fused tape node with a hand-written backward, so a
-    long encode does not blow up the tape.  A step advances ``n`` independent
-    rows at once.  Output convention: ``(1 - z) * h + z * candidate``.
+    One kernel, :meth:`_fold`, runs T steps over an ``(n, hidden)`` state:
+    :func:`gru_encode` is one tape node over it, :meth:`step` that node with
+    one step, and :meth:`encode_np` the kernel on plain arrays.
     """
 
     def __init__(self, in_dim, hidden_dim, rng, name="gru", dtype=np.float64):
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
-        self.name = name
 
         def w(tag, fi, fo):
             return ad.parameter(glorot(rng, fi, fo, dtype), f"{name}/{tag}", decay=True)
@@ -127,93 +126,100 @@ class GruCell:
                 raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
             p.data = src.astype(p.data.dtype, copy=True)
 
-    def step(self, x, h):
-        """One GRU step over ``n`` rows (x (n, in), h (n, hidden)) as a single fused tape node."""
-        n = x.shape[0]
-        if x.shape[1] != self.in_dim or h.shape != (n, self.hidden_dim):
-            raise ad.ShapeError(
-                f"gru step wants x (n,{self.in_dim}) and h (n,{self.hidden_dim}), got {x.shape}, {h.shape}"
-            )
-        wz, uz, bz = self.w_z, self.u_z, self.b_z
-        wr, ur, br = self.w_r, self.u_r, self.b_r
-        wh, uh, bh = self.w_h, self.u_h, self.b_h
-        xd, hd = x.data, h.data
-        z, r, c, out = self._forward_np(xd, hd)
+    def _fold(self, xs, h):
+        """Fold the cell over ``xs``, T ``(n, in)`` input blocks, from the ``(n, hidden)`` array ``h``.
+
+        Returns the ``(T + 1, n, hidden)`` states and, per step, the z and r
+        gates and the candidate.  The gate weights are stacked, so one product
+        gives a step's three input projections and one its z and r recurrences
+        (each block is that gate's own product, bit for bit).  Each step keeps
+        its own input product: a T-row product rounds differently, and a
+        carried click state must equal a full encode.
+        """
+        w = np.array([self.w_z.data, self.w_r.data, self.w_h.data])
+        u_zr, b_zr = np.array([self.u_z.data, self.u_r.data]), np.array([self.b_z.data, self.b_r.data])
+        steps, n, k, dtype = xs.shape[0], h.shape[0], self.hidden_dim, np.result_type(h, w)
+        states = np.empty((steps + 1, n, k), dtype)
+        states[0] = h
+        gates, cands = np.empty((steps, 2, n, k), dtype), np.empty_like(states[1:])
+        with np.errstate(over="ignore"):
+            for j, x in enumerate(xs):
+                h, zr, c = states[j], gates[j], cands[j]
+                a = x @ w
+                np.divide(1.0, 1.0 + np.exp(-(a[:2] + h @ u_zr + b_zr)), out=zr)
+                z, r = zr
+                np.tanh(a[2] + (r * h) @ self.u_h.data + self.b_h.data, out=c)
+                np.add((1.0 - z) * h, z * c, out=states[j + 1])
+        return states, gates, cands
+
+    def _node(self, x, init, xs, lengths):
+        """One tape node over :meth:`_fold` of ``xs`` (T blocks of ``x``'s rows) from ``init``: the states
+        after each of ``lengths`` steps, stacked.  Its backward runs BPTT, then one product per weight."""
+        n, k = init.shape[0], self.hidden_dim
+        if x.shape[1] != self.in_dim or init.shape[1] != k or xs.shape[1] != n:
+            raise ad.ShapeError(f"gru wants x (.,{self.in_dim}) and h ({n},{k}) rows, got {x.shape}, {init.shape}")
+        states, gates, cands = self._fold(xs, init.data)
+        out = states[lengths[0]] if len(lengths) == 1 else np.concatenate([states[t] for t in lengths])
 
         def backward(g):
-            dz = g * (c - hd)
-            dc = g * z
-            dh = g * (1.0 - z)
-            dah = dc * (1.0 - c * c)
-            if wh.track:
-                wh.accumulate(xd.T @ dah)
-                uh.accumulate((r * hd).T @ dah)
-                bh.accumulate(dah.sum(axis=0, keepdims=True))
-            drh = dah @ uh.data.T
-            dr = drh * hd
-            dh = dh + drh * r
-            dar = dr * r * (1.0 - r)
-            if wr.track:
-                wr.accumulate(xd.T @ dar)
-                ur.accumulate(hd.T @ dar)
-                br.accumulate(dar.sum(axis=0, keepdims=True))
-            dh = dh + dar @ ur.data.T
-            daz = dz * z * (1.0 - z)
-            if wz.track:
-                wz.accumulate(xd.T @ daz)
-                uz.accumulate(hd.T @ daz)
-                bz.accumulate(daz.sum(axis=0, keepdims=True))
-            dh = dh + daz @ uz.data.T
+            steps = xs.shape[0]
+            g_at = [np.zeros((n, k), dtype=g.dtype)] * (steps + 1)  # the output gradient on the state after j steps
+            for i, t in enumerate(lengths):
+                g_at[t] = g_at[t] + g[i * n : (i + 1) * n]
+            z, u_z_t, u_r_t, u_h_t = gates[:, 0], self.u_z.data.T, self.u_r.data.T, self.u_h.data.T
+            d_sig, keep, d_tanh = gates * (1.0 - gates), 1.0 - z, z * (1.0 - cands * cands)
+            d_a = np.empty((3, steps, n, k), dtype=g.dtype)  # pre-activation gradients of z, r and the candidate
+            dh = g_at[steps]
+            for j in range(steps - 1, -1, -1):
+                da_z, da_r, da_c = d_a[:, j]
+                np.multiply(dh, d_tanh[j], out=da_c)
+                drh = da_c @ u_h_t
+                np.multiply(dh, cands[j] - states[j], out=da_z)
+                np.multiply(drh, states[j], out=da_r)
+                d_a[:2, j] *= d_sig[j]
+                if j or init.track:  # the gradient on the init state feeds only a tracked init
+                    dh = dh * keep[j] + drh * gates[j, 1] + da_z @ u_z_t + da_r @ u_r_t + g_at[j]
+            if init.track:
+                init.accumulate(dh)
+            d_a = d_a.reshape(3, steps * n, k)
+            d_w = xs.reshape(steps * n, self.in_dim).T @ d_a
+            d_u = states[:-1].reshape(steps * n, k).T @ d_a[:2]
+            d_u_h = (gates[:, 1] * states[:-1]).reshape(steps * n, k).T @ d_a[2]
+            d_b = d_a.sum(axis=1, keepdims=True)
+            for p, dp in zip(self.params(), (d_w[0], d_u[0], d_b[0], d_w[1], d_u[1], d_b[1], d_w[2], d_u_h, d_b[2])):
+                p.accumulate(dp)
             if x.track:
-                x.accumulate(dah @ wh.data.T + dar @ wr.data.T + daz @ wz.data.T)
-            if h.track:
-                h.accumulate(dh)
+                dx = np.zeros_like(x.data)
+                dx[: steps * n] = sum(da @ p.data.T for da, p in zip(d_a, (self.w_z, self.w_r, self.w_h)))
+                x.accumulate(dx)
 
-        return ad.node(out, (x, h, *self.params()), backward)
+        return ad.node(out, (x, init, *self.params()), backward)
 
-    def _forward_np(self, xd, hd):
-        with np.errstate(over="ignore"):
-            z = 1.0 / (1.0 + np.exp(-(xd @ self.w_z.data + hd @ self.u_z.data + self.b_z.data)))
-            r = 1.0 / (1.0 + np.exp(-(xd @ self.w_r.data + hd @ self.u_r.data + self.b_r.data)))
-        c = np.tanh(xd @ self.w_h.data + (r * hd) @ self.u_h.data + self.b_h.data)
-        return z, r, c, (1.0 - z) * hd + z * c
-
-    def step_np(self, xd, hd):
-        """Plain-array step; xd (n, in) and hd (n, hidden) batch row-wise."""
-        return self._forward_np(xd, hd)[3]
+    def step(self, x, h):
+        """One GRU step over ``n`` rows (x (n, in), h (n, hidden)): the sequence node with T = 1."""
+        return self._node(x, h, x.data[None], [1])
 
     def encode_np(self, seq, init):
-        """Fold ``step_np`` over the rows of ``seq`` from ``init``, one row at a time.
-
-        Encoding ``a + b`` from ``init`` equals encoding ``b`` from the state
-        that encoding ``a`` returned, bit for bit.
-        """
-        h = init
-        for j in range(seq.shape[0]):
-            h = self.step_np(seq[j : j + 1, :], h)
-        return h
+        """The state after folding the rows of ``seq`` from ``init``, on plain arrays.
+        Encoding ``a + b`` equals encoding ``b`` from the state ``a`` ends in, bit for bit."""
+        return self._fold(seq[:, None, :], init)[0][-1].copy()  # not a view that keeps every state alive
 
 
 def gru_encode(cell, seq, init, lengths=None):
-    """Fold cell.step over the rows of ``seq`` starting from ``init``.
+    """The GRU state after the rows of ``seq``, starting from ``init``, as one tape node.
 
-    Returns the state after the whole of ``seq``; an empty sequence returns
-    ``init`` unchanged (the fold identity).  With ``lengths``, one run of
+    An empty sequence returns ``init`` itself.  With ``lengths``, one run of
     ``max(lengths)`` steps gives the state after each listed prefix length,
-    stacked in the order given (one row per entry, repeats allowed; length 0
-    is ``init``), so training contexts that share a growing sequence read
-    their states from a single pass.
+    stacked in the order given (repeats allowed; length 0 is ``init``), so
+    training contexts that share a growing sequence read one pass.
     """
     if lengths is None:
         lengths = [seq.shape[0]]
     if min(lengths) < 0 or max(lengths) > seq.shape[0]:
         raise ad.ShapeError(f"prefix lengths must lie in [0, {seq.shape[0]}], got {min(lengths)}..{max(lengths)}")
-    states = [init]
-    for j in range(max(lengths)):
-        states.append(cell.step(ad.row(seq, j), states[-1]))
-    if len(lengths) == 1:
-        return states[lengths[0]]
-    return ad.concat([states[k] for k in lengths], axis=0)
+    if len(lengths) == 1 and lengths[0] == 0:
+        return init
+    return cell._node(seq, init, seq.data[: max(lengths), None, :], lengths)
 
 
 class Mlp:

@@ -58,10 +58,11 @@ def test_eval_prints_a_table_without_results_flag(tmp_path, capsys):
 def test_gradcheck_passes_and_reports_each_graph(capsys):
     assert main(["gradcheck", "--dim", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 4
+    assert len(out) == 6
     assert all(line.startswith("PASS") for line in out)
     names = {line.split()[1].rstrip(":") for line in out}
-    assert names == {"slow-plain", "slow-interactive", "fast-plain", "fast-interactive"}
+    fast = {f"fast-{graph}{wiring}" for graph in ("", "segment-") for wiring in ("plain", "interactive")}
+    assert names == {"slow-plain", "slow-interactive", *fast}
 
 
 def test_inspect_split_emits_machine_readable_stats(capsys):

@@ -67,6 +67,20 @@ def test_parse_tsv_rejects_unknown_kind_and_bad_width(tmp_path):
         dt.parse_tsv(write(tmp_path / "b.tsv", "1\t2\n"))
 
 
+def test_parse_ml1m_non_utf8_bytes_raise_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "r.dat"
+    path.write_bytes(b"1::10::5::100\n\xff\xfe::11::4::101\n")
+    with pytest.raises(dt.ParseError, match=r"r\.dat:2: not UTF-8"):
+        dt.parse_ml1m(path)
+
+
+def test_parse_tsv_non_utf8_bytes_raise_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"1\t10\t100\n\xff\xfe\t11\t101\n")
+    with pytest.raises(dt.ParseError, match=r"bad\.tsv:2: not UTF-8"):
+        dt.parse_tsv(path)
+
+
 def test_group_by_user_sorts_by_timestamp_with_file_order_ties():
     interactions = [
         dt.Interaction(1, 10, 100),

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfrec import autodiff as ad
 from sfrec import exchange as ex
 
 
@@ -139,6 +141,35 @@ def test_schema_enforced_on_decode():
     blob[5] = int(ex.MessageKind.INTEREST_DOWN)  # now the payload set is wrong
     with pytest.raises(ex.SchemaViolation):
         ex.decode_message(bytes(blob))
+
+
+ROW_CASES = [
+    (ex.MessageKind.INTEREST_DOWN, {"r_n": (3, 2), "r_t": (1, 8)}),
+    (ex.MessageKind.INTEREST_DOWN, {"r_n": (1, 4), "r_t": (1, 8)}),
+    (ex.MessageKind.INTEREST_DOWN, {"r_n": (1, 0), "r_t": (1, 0)}),
+    (ex.MessageKind.NEGATIVE_MEMORY_UP, {"r2_hat": (2, 3, 4)}),
+    (ex.MessageKind.NEGATIVE_MEMORY_UP, {"r2_hat": (4,)}),
+    (ex.MessageKind.NEGATIVE_MEMORY_UP, {"r2_hat": (4, 1)}),
+]
+
+
+def row_error(kind, shapes):
+    return re.escape(f"{kind.name} tensors must be (1, d) rows of one width d, got {shapes}")
+
+
+@pytest.mark.parametrize("kind, shapes", ROW_CASES)
+def test_row_kinds_refuse_other_shapes_on_encode(kind, shapes):
+    payload = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    with pytest.raises(ex.SchemaViolation, match=row_error(kind, shapes)):
+        ex.encode_message(ex.ExchangeMessage(kind, 0, 1, payload))
+
+
+@pytest.mark.parametrize("kind, shapes", ROW_CASES)
+def test_row_kinds_refuse_other_shapes_on_decode(kind, shapes):
+    payload = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    blob = ex._HEADER.pack(ex.MAGIC, ex.VERSION, int(kind), 0, 1, len(payload)) + ad.encode_records(b"", payload)
+    with pytest.raises(ex.SchemaViolation, match=row_error(kind, shapes)):
+        ex.decode_message(blob)
 
 
 def test_unknown_kind_byte_rejected():

@@ -212,6 +212,15 @@ def test_full_interactive_graph_gradients():
     assert report.passed, str(report)
 
 
+def test_interactive_context_tape_node_count():
+    # each GRU is one sequence node: 20 nodes, was 30 when every GRU step was
+    # a node of its own (4 + 6 steps) and each GRU's per-candidate states a concat
+    m = make_model(31, interactive=True)
+    with ad.tape() as t:
+        m.loss([1, 5, 3, 2], [6, 7, 8, 0, 10, 11], [4, 9], [1, 0], prior=prior_of(m, 33))
+    assert len(t.nodes) == 20
+
+
 def test_loss_matches_slow_loss_bit_exactly():
     r = rng(15)
     for _ in range(1000):

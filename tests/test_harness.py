@@ -388,11 +388,11 @@ def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, vari
     steps = Counter()
     for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
 
-        def counted(xd, hd, step=cell.step_np, name=name):
-            steps[name] += xd.shape[0]
-            return step(xd, hd)
+        def counted(seq, init, encode=cell.encode_np, name=name):
+            steps[name] += seq.shape[0]
+            return encode(seq, init)
 
-        cell.step_np = counted
+        cell.encode_np = counted
     run.evaluate()
     want = Counter()
     per_ranking = 0

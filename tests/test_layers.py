@@ -87,6 +87,20 @@ def test_gru_step_matches_handwritten_reference():
     np.testing.assert_allclose(out.data, ref_gru_step(cell_arrays(cell), x, h), rtol=1e-14)
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("dim", [3, 5, 6, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_step_equals_separate_gate_products_bit_for_bit(dtype, dim, rows):
+    # the kernel stacks the gate weights; each gate's block of a stacked
+    # product is that gate's own product, so scoring keeps its bits
+    r = rng(59)
+    cell = ly.GruCell(dim, dim, r, dtype=dtype)
+    x, h = r.normal(size=(rows, dim)).astype(dtype), r.normal(size=(rows, dim)).astype(dtype)
+    out = cell.step(ad.constant(x), ad.constant(h)).data
+    np.testing.assert_array_equal(out, ref_gru_step(cell_arrays(cell), x, h))
+    np.testing.assert_array_equal(cell.encode_np(x[:1], h[:1]), ref_gru_step(cell_arrays(cell), x[:1], h[:1]))
+
+
 def test_gru_step_shape_errors():
     cell = ly.GruCell(3, 4, rng(0))
     with pytest.raises(ad.ShapeError):
@@ -185,9 +199,69 @@ def test_gru_numpy_paths_match_graph():
     # batched rows advance independently
     xs = r.normal(size=(3, 4))
     hs = r.normal(size=(3, 4))
-    batched = cell.step_np(xs, hs)
+    batched = cell.step(ad.constant(xs), ad.constant(hs)).data
     for i in range(3):
-        np.testing.assert_allclose(batched[i : i + 1], cell.step_np(xs[i : i + 1], hs[i : i + 1]), atol=1e-14)
+        one = cell.step(ad.constant(xs[i : i + 1]), ad.constant(hs[i : i + 1])).data
+        np.testing.assert_allclose(batched[i : i + 1], one, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_node_prefix_states_equal_encode_np_and_folded_steps_bit_for_bit(dtype, dim):
+    r = rng(60)
+    cell = ly.GruCell(dim, dim, r, dtype=dtype)
+    seq = r.normal(size=(7, dim)).astype(dtype)
+    init = r.normal(size=(1, dim)).astype(dtype)
+    lengths = list(range(8))
+    with ad.tape() as t:
+        states = ly.gru_encode(cell, ad.constant(seq), ad.parameter(init, "init"), lengths)
+    assert len(t.nodes) == 1 and states.dtype == dtype
+    h = ad.constant(init)
+    for k in lengths:
+        np.testing.assert_array_equal(states.data[k : k + 1], cell.encode_np(seq[:k], init))
+        np.testing.assert_array_equal(states.data[k : k + 1], h.data)
+        if k < len(seq):
+            h = cell.step(ad.constant(seq[k : k + 1]), h)
+
+
+def test_gru_node_gradients_with_repeated_and_zero_prefix_lengths():
+    r = rng(61)
+    cell = ly.GruCell(3, 4, r)
+    seq = ad.parameter(r.normal(size=(6, 3)), "seq")  # the last row lies past every prefix
+    init = ad.parameter(r.normal(size=(1, 4)), "init")
+    lengths = [2, 0, 5, 2, 5, 0, 1]
+    probe = ad.constant(r.normal(size=(len(lengths), 4)))
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(ly.gru_encode(cell, seq, init, lengths), probe))
+
+    report = ad.grad_check(loss_fn, [seq, init, *cell.params()], tolerance=1e-4)
+    assert report.passed, str(report)
+
+
+def test_gru_step_gradients_on_three_rows_with_tracked_input():
+    r = rng(62)
+    cell = ly.GruCell(3, 4, r)
+    x = ad.parameter(r.normal(size=(3, 3)), "x")
+    h = ad.constant(r.normal(size=(3, 4)))
+    probe = ad.constant(r.normal(size=(3, 4)))
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(cell.step(x, h), probe))
+
+    report = ad.grad_check(loss_fn, [x, *cell.params()], tolerance=1e-4)
+    assert report.passed, str(report)
+
+
+def test_gru_encode_of_only_empty_prefixes_stacks_init():
+    cell = ly.GruCell(3, 4, rng(63))
+    init = ad.parameter(rng(64).normal(size=(1, 4)), "init")
+    with ad.tape() as t:
+        out = ly.gru_encode(cell, ad.constant(np.zeros((2, 3))), init, [0, 0])
+        t.backward(ad.sum_all(out))
+    np.testing.assert_array_equal(out.data, np.vstack([init.data, init.data]))
+    np.testing.assert_array_equal(init.grad, np.full((1, 4), 2.0))
+    assert all(not p.grad.any() for p in cell.params())
 
 
 def test_gru_gate_export_import_round_trip_and_shape_guard():
