@@ -42,7 +42,6 @@ __all__ = [
     "affine",
     "scale",
     "concat",
-    "row",
     "gather_rows",
     "sigmoid",
     "tanh",
@@ -88,7 +87,7 @@ class Tensor:
     subgraphs of constants cost nothing at backward time.
     """
 
-    __slots__ = ("data", "grad", "track", "param", "name", "decay", "sparse_decay", "_backward")
+    __slots__ = ("data", "grad", "track", "name", "decay", "sparse_decay", "_backward")
 
     def __init__(self, data, *, param=False, name=None, decay=False, sparse_decay=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -102,7 +101,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        self.param = param
         self.track = param
         self.name = name
         self.decay = decay
@@ -135,22 +133,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tag})"
-
-    # operator sugar; everything funnels through the module-level ops
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, affine(other, mul=-1.0))
-
-    def __neg__(self):
-        return affine(self, mul=-1.0)
 
 
 class Tape:
@@ -199,7 +181,7 @@ def _wrap(data):
     out = object.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.param = out.track = out.decay = out.sparse_decay = False
+    out.track = out.decay = out.sparse_decay = False
     out.name = None
     out._backward = None
     return out
@@ -330,20 +312,6 @@ def concat(parts, axis=1):
                 p.accumulate(g[lo:hi, :] if axis == 0 else g[:, lo:hi])
 
     return node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
-
-
-def row(a, i):
-    """Row ``i`` of a matrix as a (1, m) tensor."""
-    if not 0 <= i < a.shape[0]:
-        raise ShapeError(f"row {i} out of range for shape {a.shape}")
-
-    def backward(g):
-        if a.track:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i, :] += g[0, :]
-
-    return node(a.data[i : i + 1, :].copy(), (a,), backward)
 
 
 def gather_rows(table, ids):

@@ -33,6 +33,11 @@ steps count examples, so the step schedule is the per-example one whenever
 ``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at the
 first context boundary at or past ``batch_size``.  Segmenting changes only
 the order of float summation, not the steps, the negatives or any rng draw.
+The step schedule and the close-at-the-step rule live in ``_Segments``, which
+slow epochs, refreshes (one step per refresh) and fast epochs all train
+through; the device-side closing checks stay in ``serve_and_train_fast``.
+A received message takes effect in one place, ``_SeedRun._receive``, both
+live and when ``evaluate_from_state`` replays the message log.
 
 Everything is deterministic given (config, seed): rngs hang off one seed
 sequence per purpose, users iterate in sorted or seeded-permutation order,
@@ -115,6 +120,49 @@ def _purpose_int(seed, purpose):
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)).generate_state(1)[0])
 
 
+class _Segments:
+    """One training phase's open segment (one user's pending contexts) and
+    its examples since the last Adam step: ``add`` closes the segment and
+    steps once ``batch_size`` examples are pending."""
+
+    def __init__(self, opt, segment_loss, phase, batch_size):
+        self.opt = opt
+        self.segment_loss = segment_loss
+        self.phase = phase
+        self.batch_size = batch_size
+        self.user = None
+        self.pending = []
+        self.examples = 0
+
+    def add(self, user, ctx):
+        self.user = user
+        self.pending.append(ctx)
+        self.examples += len(ctx.candidates)
+        if self.examples >= self.batch_size:
+            self.close()
+            self.step()
+
+    def close(self):
+        """Forward and backward the pending contexts on one tape.  A
+        non-finite loss is traced to the first context whose own loss is
+        non-finite; a finite one costs no more than the check."""
+        segment, self.pending = self.pending, []
+        if not segment:
+            return
+        with ad.tape() as t:
+            loss = self.segment_loss(self.user, segment)
+            t.backward(loss)
+        if not np.isfinite(loss.item()):
+            failing = next((c for c in segment if not np.isfinite(self.segment_loss(self.user, [c]).item())), segment[0])
+            raise LifecycleError(f"non-finite loss in phase {self.phase!r} at user {self.user}, position {failing.position}")
+
+    def step(self):
+        if self.examples:
+            self.opt.step(scale=1.0 / self.examples)
+            self.opt.zero_grad()
+            self.examples = 0
+
+
 def prepare_data(config):
     """Load, split, and (optionally) subsample users; fixed across seeds."""
     if config.data_format == "cluster":
@@ -185,19 +233,9 @@ class _SeedRun:
         if ids.size:
             self._sync_device_rows(ids)
 
-    def _train_segment(self, segment_loss, user, segment, phase):
-        """Forward and backward one segment on one tape.
-
-        A non-finite segment loss is traced to the first context whose own
-        loss is non-finite, so the error names that context's position; a
-        finite loss costs no more than the check.
-        """
-        with ad.tape() as t:
-            loss = segment_loss(user, segment)
-            t.backward(loss)
-        if not np.isfinite(loss.item()):
-            failing = next((c for c in segment if not np.isfinite(segment_loss(user, [c]).item())), segment[0])
-            raise LifecycleError(f"non-finite loss in phase {phase!r} at user {user}, position {failing.position}")
+    def _exposed(self, user, steps=None):
+        """The exposure window over ``user``'s first ``steps`` serving steps (None: all of them)."""
+        return self._window([i for step in self.exposure_log[user][:steps] for i in step])
 
     # -- slow training ------------------------------------------------------
 
@@ -234,19 +272,27 @@ class _SeedRun:
             out.append(_Context(j, [seq[j]] + [int(n) for n in negs], [1] + [0] * len(negs)))
         return out
 
+    def _train_slow_user(self, user, segments, held_out):
+        """Queue ``user``'s slow contexts, at most ``max_positions_per_user``
+        positions before the last ``held_out`` items (the validation item in
+        epochs, none in refreshes), and close the segment."""
+        positions = np.arange(1, len(self.split.users[user].slow) - held_out)
+        if positions.size > self.config.max_positions_per_user:
+            positions = np.sort(self.epoch_rng.choice(positions, size=self.config.max_positions_per_user, replace=False))
+        for ctx in self._slow_user_contexts(user, positions.tolist()):
+            segments.add(user, ctx)
+        segments.close()
+
     def _slow_validation_loss(self):
         """Mean loss on each user's held-out last slow item (plus one negative)."""
-        total, n = 0.0, 0
+        total = 0.0
         for user in self.users:
             seq = self.split.users[user].slow
             jv = len(seq) - 1
-            context = self._window(seq[:jv])
             neg = int(self.sampler.draw(user, "slow", jv, 1)[0])
-            scores = self.slow.score_candidates(context, [seq[jv], neg], neg_memory=self._memory(user))
-            p = np.clip(scores, 1e-7, 1.0 - 1e-7)
-            total += -np.log(p[0]) - np.log(1.0 - p[1])
-            n += 2
-        return total / n
+            loss = self.slow.loss(self._window(seq[:jv]), [seq[jv], neg], [1, 0], neg_memory=self._memory(user))
+            total += loss.item()
+        return total / (2 * len(self.users))
 
     def train_slow(self):
         cfg = self.config
@@ -254,30 +300,10 @@ class _SeedRun:
         best_snapshot = None
         bad_epochs = 0
         for epoch in range(cfg.slow_epochs):
-            order = self.epoch_rng.permutation(self.users)
-            pending = 0
-            for user in order:
-                user = int(user)
-                seq = self.split.users[user].slow
-                trainable = np.arange(1, len(seq) - 1)
-                if trainable.size > cfg.max_positions_per_user:
-                    picked = self.epoch_rng.choice(trainable, size=cfg.max_positions_per_user, replace=False)
-                    trainable = np.sort(picked)
-                segment = []
-                for ctx in self._slow_user_contexts(user, trainable.tolist()):
-                    segment.append(ctx)
-                    pending += len(ctx.candidates)
-                    if pending >= cfg.batch_size:
-                        self._train_segment(self._slow_segment_loss, user, segment, "slow-train")
-                        segment = []
-                        self.opt_slow.step(scale=1.0 / pending)
-                        self.opt_slow.zero_grad()
-                        pending = 0
-                if segment:
-                    self._train_segment(self._slow_segment_loss, user, segment, "slow-train")
-            if pending:
-                self.opt_slow.step(scale=1.0 / pending)
-                self.opt_slow.zero_grad()
+            segments = _Segments(self.opt_slow, self._slow_segment_loss, "slow-train", cfg.batch_size)
+            for user in self.epoch_rng.permutation(self.users):
+                self._train_slow_user(int(user), segments, held_out=1)
+            segments.step()
             val = self._slow_validation_loss()
             if val < best_loss:
                 best_loss = val
@@ -293,17 +319,9 @@ class _SeedRun:
     def _refresh_slow(self, user):
         """One interactive epoch over a single user's slow data, one step:
         all of the user's contexts form one segment."""
-        seq = self.split.users[user].slow
-        trainable = np.arange(1, len(seq))
-        if trainable.size > self.config.max_positions_per_user:
-            picked = self.epoch_rng.choice(trainable, size=self.config.max_positions_per_user, replace=False)
-            trainable = np.sort(picked)
-        self.opt_slow.zero_grad()
-        segment = self._slow_user_contexts(user, trainable.tolist())
-        if segment:
-            self._train_segment(self._slow_segment_loss, user, segment, "slow-refresh")
-            self.opt_slow.step(scale=1.0 / sum(len(ctx.candidates) for ctx in segment))
-            self.opt_slow.zero_grad()
+        segments = _Segments(self.opt_slow, self._slow_segment_loss, "slow-refresh", np.inf)
+        self._train_slow_user(user, segments, held_out=0)
+        segments.step()
         self.counts["refreshes"] += 1
 
     # -- exchange ------------------------------------------------------------
@@ -319,17 +337,21 @@ class _SeedRun:
         self.messages.append(decoded)
         return decoded
 
+    def _receive(self, msg):
+        """Store what a decoded message carries, cast to the run's dtype: the
+        prior of an ``INTEREST_DOWN``, the memory of a ``NEGATIVE_MEMORY_UP``."""
+        if msg.kind == ex.MessageKind.INTEREST_DOWN:
+            r_n, r_t = (msg.payload[k].astype(self.dtype) for k in ("r_n", "r_t"))
+            self.priors[msg.user] = InterestExport(msg.user, msg.round, r_n, r_t)
+        elif msg.kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
+            self.slow_memory[msg.user] = msg.payload["r2_hat"].astype(self.dtype)
+
     def _download(self, user, round_no):
         """Interest snapshot plus GRU sync, cloud to device, via the wire."""
         seq = self._window(self.split.users[user].slow)
         export = self.slow.export_interest(user, seq, round_no, neg_memory=self.slow_memory.get(user))
-        down = self._send(
-            ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t}
-        )
+        self._receive(self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t}))
         sync = self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
-        export.r_n = down.payload["r_n"].astype(self.dtype)
-        export.r_t = down.payload["r_t"].astype(self.dtype)
-        self.priors[user] = export
         self.fast.gru_expose.load_gates(sync.payload)
         self._resync_device()
         self.counts["downloads"] += 1
@@ -337,9 +359,8 @@ class _SeedRun:
     def _upload(self, user):
         export = self.memories[user].export(self.fast, user)
         round_no = self.scheduler.next_round(user)
-        msg = self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat})
+        self._receive(self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat}))
         self.tracker.accept(user, round_no)
-        self.slow_memory[user] = msg.payload["r2_hat"].astype(self.dtype)
         self.counts["uploads"] += 1
         self._refresh_slow(user)
         if self.fast.interactive:
@@ -349,9 +370,7 @@ class _SeedRun:
 
     def _fast_contexts(self, user, j):
         """Click and exposure contexts available when event j is scored."""
-        clicked = self._window(self.split.users[user].fast[:j])
-        exposed = [i for step in self.exposure_log[user][: j + 1] for i in step]
-        return clicked, self._window(exposed)
+        return self._window(self.split.users[user].fast[:j]), self._exposed(user, j + 1)
 
     def _fast_segment_loss(self, user, segment):
         """Summed loss of consecutive device contexts of ``user`` in one graph.
@@ -369,12 +388,6 @@ class _SeedRun:
         return self.fast.loss(
             last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
         )
-
-    def _flush_fast(self, user, segment):
-        """Train the pending device contexts as one segment, if any, and empty the list."""
-        if segment:
-            self._train_segment(self._fast_segment_loss, user, segment, "fast-train")
-            segment.clear()
 
     @staticmethod
     def _extends(segment, ctx):
@@ -400,7 +413,7 @@ class _SeedRun:
         clicked = self._window(self.split.users[user].fast[:j])
         if not clicked:
             clicked = self.split.users[user].slow[-1:]  # device shows something before any fast click
-        exposed = self._window([i for step in self.exposure_log[user] for i in step])
+        exposed = self._exposed(user)
         pool = self.sampler.complement(user)
         self._sync_device_rows(np.unique(np.concatenate([pool, np.asarray(clicked + [item], dtype=np.int64)])))
         prior = self.priors.get(user)
@@ -427,16 +440,14 @@ class _SeedRun:
         uploads = self.slow.interactive
         for epoch in range(cfg.fast_epochs):
             order = self.epoch_rng.permutation(self.users) if epoch else list(self.users)
-            pending = 0
+            segments = _Segments(self.opt_fast, self._fast_segment_loss, "fast-train", cfg.batch_size)
             for user in order:
                 user = int(user)
-                seq = self.split.users[user].fast
-                segment = []
-                for j, item in enumerate(seq):
+                for j, item in enumerate(self.split.users[user].fast):
                     # the serving event and the negatives' sync below may change
                     # what pending contexts read: close the segment first
-                    if (epoch == 0 and uploads and self.scheduler.due(user)) or self._reads_stale_rows(segment):
-                        self._flush_fast(user, segment)
+                    if (epoch == 0 and uploads and self.scheduler.due(user)) or self._reads_stale_rows(segments.pending):
+                        segments.close()
                     if epoch == 0:
                         self._serve_event(user, j, item)
                     if j == 0:
@@ -445,19 +456,11 @@ class _SeedRun:
                     negs = self.sampler.draw(user, "fast", j, cfg.n_train_neg)
                     self._sync_device_rows(negs)
                     ctx = _Context(j, [item] + [int(n) for n in negs], [1] + [0] * len(negs), clicked, exposed)
-                    if not self._extends(segment, ctx):
-                        self._flush_fast(user, segment)
-                    segment.append(ctx)
-                    pending += len(ctx.candidates)
-                    if pending >= cfg.batch_size:
-                        self._flush_fast(user, segment)
-                        self.opt_fast.step(scale=1.0 / pending)
-                        self.opt_fast.zero_grad()
-                        pending = 0
-                self._flush_fast(user, segment)
-            if pending:
-                self.opt_fast.step(scale=1.0 / pending)
-                self.opt_fast.zero_grad()
+                    if not self._extends(segments.pending, ctx):
+                        segments.close()
+                    segments.add(user, ctx)
+                segments.close()
+            segments.step()
 
     # -- evaluation -------------------------------------------------------------
 
@@ -492,7 +495,7 @@ class _SeedRun:
             slow_ctx = self._window(us.slow)
             memory = self._memory(user)
             prior = self.priors.get(user)
-            exposed_full = self._window([i for step in self.exposure_log[user] for i in step])
+            exposed_full = self._exposed(user)
             device = None
             for j, positive in enumerate(us.test):
                 negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
@@ -537,11 +540,23 @@ def _dataset_tag(config):
     return name or config.data_format
 
 
+def _check_negative_counts(config, split, users):
+    """Every user must have as many never-clicked items as the larger of
+    ``n_train_neg`` and ``n_eval_neg`` asks for, checked before any training."""
+    key = max(("n_train_neg", "n_eval_neg"), key=lambda name: getattr(config, name))
+    need = getattr(config, key)
+    for user in users:
+        unseen = split.vocab_size - len(set(split.users[user].all_items()))
+        if unseen < need:
+            raise LifecycleError(f"user {user} has {unseen} unseen items, fewer than {key} = {need} negatives")
+
+
 def run_lifecycle(config, prepared=None, collect_state=False):
     """Run the full per-seed lifecycle grid for one config."""
     split, users = prepared if prepared is not None else prepare_data(config)
     if not users:
         raise LifecycleError("no users survived the split; nothing to run")
+    _check_negative_counts(config, split, users)
     outcome = LifecycleOutcome()
     tag = _dataset_tag(config)
     for offset in range(config.seeds):
@@ -596,11 +611,13 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     For float32 runs the records match the training-time evaluation exactly.
     An interest or negative-memory payload that is not a (1, dim) row raises
     :class:`LifecycleError` naming the message, and so does an interactive
-    device model with a user no interest download reached, or a user of the
-    run that ``exposures`` lacks.  A tensor that ``arrays`` lacks raises
+    device model with a user no interest download reached, a user of the
+    run that ``exposures`` lacks, or one with fewer unseen items than
+    ``n_eval_neg`` or ``n_train_neg``.  A tensor that ``arrays`` lacks raises
     :class:`~sfrec.autodiff.CheckpointError` naming it.
     """
     split, users = prepared
+    _check_negative_counts(config, split, users)
     run = _SeedRun(config, seed, split, users)
     ad.load_params(run.slow.params() + run.fast.params(), arrays)
     synced = np.asarray(ad.checkpoint_array(arrays, "device/synced")) > 0.5
@@ -608,12 +625,7 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     for index, m in enumerate(messages):
         if m.kind in _CONSUMED_KINDS:
             _check_payload_shapes(index, m, config.dim)
-        if m.kind == ex.MessageKind.INTEREST_DOWN:
-            run.priors[m.user] = InterestExport(
-                m.user, m.round, m.payload["r_n"].astype(run.dtype), m.payload["r_t"].astype(run.dtype)
-            )
-        elif m.kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
-            run.slow_memory[m.user] = m.payload["r2_hat"].astype(run.dtype)
+        run._receive(m)
     if run.fast.interactive:
         unprimed = [u for u in users if u not in run.priors]
         if unprimed:

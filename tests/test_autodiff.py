@@ -146,15 +146,6 @@ def test_gather_rows_empty_id_list():
     assert out.shape == (0, 3)
 
 
-def test_row_gradient_hits_only_that_row():
-    m = ad.parameter(np.arange(6.0).reshape(3, 2), "m")
-    with ad.tape() as t:
-        t.backward(ad.sum_all(ad.row(m, 1)))
-    expected = np.zeros((3, 2))
-    expected[1] = 1.0
-    np.testing.assert_array_equal(m.grad, expected)
-
-
 def test_gradient_accumulates_across_tapes():
     # two per-example tapes, no zero_grad in between: grads add up
     x = ad.parameter([[1.0]], "x")
@@ -228,7 +219,7 @@ def test_fd_scale_and_row_and_gather():
 
     def build(s, table):
         picked = ad.gather_rows(table, [0, 2, 2])
-        return ad.sum_all(ad.scale(s, ad.add(picked, ad.row(table, 1))))
+        return ad.sum_all(ad.scale(s, ad.add(picked, ad.gather_rows(table, [1]))))
 
     fd_case(build, [r.normal(size=(1, 1)), r.normal(size=(4, 3))])
 
@@ -353,11 +344,10 @@ def test_grad_check_helper_catches_wrong_backward():
         lambda: ad.scale(ad.constant(np.zeros((1, 2))), ad.constant(np.zeros((2, 2)))),
         lambda: ad.concat([ad.constant(np.zeros((1, 2))), ad.constant(np.zeros((2, 2)))], axis=1),
         lambda: ad.concat([], axis=1),
-        lambda: ad.row(ad.constant(np.zeros((2, 2))), 2),
+        lambda: ad.binary_cross_entropy(ad.constant(np.full((2, 2), 0.5)), [0, 1]),
         lambda: ad.constant(np.zeros((2, 2))).item(),
         lambda: ad.scale(ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((2, 2)))),
         lambda: ad.concat([ad.constant(np.zeros((1, 2)))], axis=2),
-        lambda: ad.row(ad.constant(np.zeros((2, 2))), -1),
     ],
 )
 def test_shape_errors(build):
@@ -381,14 +371,13 @@ def test_float32_graphs_stay_float32():
 EVERY_OP = {
     "matmul": lambda a, c, s: ad.matmul(a, ad.constant(a.data.T.copy())),
     "add": lambda a, c, s: ad.add(a, a),
-    "add-bias": lambda a, c, s: ad.add(a, ad.row(a, 0)),
+    "add-bias": lambda a, c, s: ad.add(a, ad.gather_rows(a, [0])),
     "mul": lambda a, c, s: ad.mul(a, a),
     "affine": lambda a, c, s: ad.affine(a, mul=-2.0, add=0.5),
     "scale": lambda a, c, s: ad.scale(s, a),
     "scale-column": lambda a, c, s: ad.scale(c, a),
     "concat-rows": lambda a, c, s: ad.concat([a, a], axis=0),
     "concat-cols": lambda a, c, s: ad.concat([a, c], axis=1),
-    "row": lambda a, c, s: ad.row(a, 1),
     "gather_rows": lambda a, c, s: ad.gather_rows(a, [2, 0, 2]),
     "gather_rows-empty": lambda a, c, s: ad.gather_rows(a, []),
     "sigmoid": lambda a, c, s: ad.sigmoid(a),

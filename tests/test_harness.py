@@ -296,6 +296,42 @@ def test_lifecycle_needs_users():
         run_lifecycle(cfg, (split, []))
 
 
+def fewest_unseen(prepared):
+    """The first user with the fewest never-clicked items, and that count."""
+    split, users = prepared
+    unseen = {u: split.vocab_size - len(set(split.users[u].all_items())) for u in users}
+    fewest = min(unseen.values())
+    return next(u for u in users if unseen[u] == fewest), fewest
+
+
+@pytest.mark.parametrize("key", ["n_train_neg", "n_eval_neg"])
+def test_an_impossible_negative_count_fails_before_any_training(cluster_prepared, monkeypatch, key):
+    user, fewest = fewest_unseen(cluster_prepared)
+    cfg = tiny_config(**{key: fewest + 1})
+
+    def train_slow(self):
+        raise AssertionError("trained before checking the negative counts")
+
+    monkeypatch.setattr(_SeedRun, "train_slow", train_slow)
+    want = f"user {user} has {fewest} unseen items, fewer than {key} = {fewest + 1} negatives"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        run_lifecycle(cfg, cluster_prepared)
+
+
+def test_slow_validation_loss_is_the_mean_held_out_cross_entropy(cluster_prepared):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(variant="f2s", precision="float64"), 0, split, users)
+    run.slow_memory[users[0]] = np.random.default_rng(3).normal(size=(1, run.config.dim))
+    total = 0.0
+    for user in users:
+        seq = split.users[user].slow
+        neg = int(run.sampler.draw(user, "slow", len(seq) - 1, 1)[0])
+        scores = run.slow.score_candidates(run._window(seq[:-1]), [seq[-1], neg], neg_memory=run._memory(user))
+        p = np.clip(scores, 1e-7, 1.0 - 1e-7)
+        total += -np.log(p[0]) - np.log(1.0 - p[1])
+    assert run._slow_validation_loss() == pytest.approx(total / (2 * len(users)), rel=1e-12, abs=0)
+
+
 def test_saved_state_reproduces_training_time_evaluation(cluster_prepared):
     cfg = tiny_config(variant="s2f_full")
     out = run_lifecycle(cfg, cluster_prepared, collect_state=True)
@@ -463,3 +499,12 @@ def test_replay_rejects_an_interactive_user_without_a_prior(cluster_prepared, s2
     kept = [m for m in messages if not (m.kind == MessageKind.INTEREST_DOWN and m.user == user)]
     with pytest.raises(LifecycleError, match=f"no INTEREST_DOWN message for user {user}"):
         evaluate_from_state(cfg, 0, cluster_prepared, arrays, kept, exposures)
+
+
+def test_replay_checks_the_negative_count_before_ranking(cluster_prepared, s2f_state):
+    cfg, arrays, messages, exposures = s2f_state
+    user, fewest = fewest_unseen(cluster_prepared)
+    cfg = dataclasses.replace(cfg, n_eval_neg=fewest + 1)
+    want = f"user {user} has {fewest} unseen items, fewer than n_eval_neg = {fewest + 1} negatives"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, messages, exposures)
