@@ -36,6 +36,7 @@ __all__ = [
     "ShapeError",
     "NonScalarLossError",
     "NanGradientError",
+    "DetachedParameterError",
     "matmul",
     "add",
     "mul",
@@ -410,12 +411,26 @@ def binary_cross_entropy(p, labels):
 # optimizer
 
 
+class DetachedParameterError(RuntimeError):
+    """Raised by the optimizer when a parameter's data no longer views its buffer slot."""
+
+
 class Adam:
     """Adam with the L2 term folded into the gradient before the moment update.
 
     Decay covers parameters flagged ``decay=True``; embedding-style parameters
     flagged ``sparse_decay=True`` are decayed only on rows touched by the
     current gradient.  Biases are created without either flag.
+
+    The optimizer owns one contiguous buffer for its parameters (all of one
+    dtype), laid out as the ``decay`` parameters, then the ``sparse_decay``
+    ones, then the rest.  Construction copies each parameter into its slot and
+    rebinds its ``data`` to a view of that slot.  A step gathers the gradients
+    into one reused flat buffer and updates it with whole-vector ufuncs that
+    repeat a per-parameter update's element-wise operations, so every bit
+    matches one.  Load new values in place (``p.data[...] = values``): a
+    parameter whose ``data`` was rebound raises :class:`DetachedParameterError`
+    at the next step.
     """
 
     def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8, l2_weight=1e-4):
@@ -423,14 +438,41 @@ class Adam:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("optimizer parameters must have unique names")
+        dtype = self.params[0].data.dtype if self.params else np.dtype(np.float64)
+        for p in self.params:
+            if p.data.dtype != dtype:
+                raise ShapeError(f"optimizer parameters mix dtypes: {p.name!r} is {p.data.dtype}, not {dtype}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.l2_weight = l2_weight
         self.step_count = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+
+        def kind(p):  # 0: dense decay, 1: row decay, 2: none; row decay wins when both are set
+            return 1 if p.sparse_decay else 0 if p.decay else 2
+
+        total = sum(p.data.size for p in self.params)
+        self._flat = np.empty(total, dtype=dtype)
+        self._grad = np.empty(total, dtype=dtype)
+        self._m = np.zeros(total, dtype=dtype)
+        self._v = np.zeros(total, dtype=dtype)
+        self._tmp = np.empty(total, dtype=dtype)
+        self._n_decay = sum(p.data.size for p in self.params if kind(p) == 0)
+        self._sparse = []  # (gradient, data, scratch) (rows, dim) views of each row-decayed slot
+        self._views = [None] * len(self.params)
+        self._grads = [None] * len(self.params)
+        lo = 0
+        for i in sorted(range(len(self.params)), key=lambda i: kind(self.params[i])):
+            p = self.params[i]
+            hi = lo + p.data.size
+            view = self._flat[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = self._views[i] = view
+            self._grads[i] = self._grad[lo:hi].reshape(view.shape)
+            if kind(p) == 1:
+                self._sparse.append((self._grads[i], view, self._tmp[lo:hi].reshape(view.shape)))
+            lo = hi
 
     def zero_grad(self):
         for p in self.params:
@@ -441,30 +483,49 @@ class Adam:
 
         ``scale`` multiplies raw gradients first (1/batch for accumulated
         minibatches).  Parameters with no gradient this step still advance
-        their moments, as in any dense Adam.
+        their moments, as in any dense Adam.  A detached parameter or a
+        non-finite gradient raises before any value or moment changes.
         """
+        for p, view, grad in zip(self.params, self._views, self._grads):
+            if p.data is not view:
+                raise DetachedParameterError(
+                    f"parameter {p.name!r} was rebound away from the optimizer's buffer; load values with p.data[...] ="
+                )
+            if p.grad is None:
+                grad.fill(0.0)
+            else:
+                grad[...] = p.grad
+        g, flat, m, v = self._grad, self._flat, self._m, self._v
+        g *= scale
+        if not np.isfinite(g).all():
+            bad = next(p for p, grad in zip(self.params, self._grads) if not np.isfinite(grad).all())
+            raise NanGradientError(f"non-finite gradient for parameter {bad.name!r}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in self.params:
-            g = p.grad
-            g = np.zeros_like(p.data) if g is None else scale * g
-            if not np.all(np.isfinite(g)):
-                raise NanGradientError(f"non-finite gradient for parameter {p.name!r}")
-            if self.l2_weight:
-                if p.sparse_decay:
-                    touched = np.any(g != 0.0, axis=1, keepdims=True)
-                    g = g + self.l2_weight * p.data * touched
-                elif p.decay:
-                    g = g + self.l2_weight * p.data
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        tmp = self._tmp
+        if self.l2_weight:
+            d = self._n_decay
+            g[:d] += np.multiply(flat[:d], self.l2_weight, out=tmp[:d])
+            for rows, data, decay in self._sparse:
+                np.multiply(data, self.l2_weight, out=decay)
+                decay *= np.any(rows != 0.0, axis=1, keepdims=True)
+                rows += decay
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v *= self.beta2
+        v += tmp
+        g *= 1.0 - self.beta1  # the last read of the gradient: g holds the update from here on
+        m *= self.beta1
+        m += g
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        g /= tmp
+        flat -= g
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +758,7 @@ def checkpoint_array(arrays, name):
 
 
 def load_params(params, arrays):
-    """Set each parameter's data to a copy of the same-named checkpoint array.
+    """Copy each same-named checkpoint array into its parameter's data, in place.
 
     A missing tensor raises :class:`CheckpointError` and a shape that differs
     from the parameter's raises :class:`ShapeError`, both naming the tensor.
@@ -706,4 +767,4 @@ def load_params(params, arrays):
         src = np.asarray(checkpoint_array(arrays, p.name))
         if src.shape != p.data.shape:
             raise ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
-        p.data = src.astype(p.data.dtype, copy=True)
+        p.data[...] = src

@@ -202,7 +202,8 @@ class NegativeSampler:
     Each (user, phase, position) gets its own generator derived from the base
     seed, so any draw is reproducible regardless of the order requests arrive
     in.  Negatives are uniform over items the user never clicked, distinct
-    within one draw.
+    within one draw.  Draws are memoised per ``(user, phase, index, n)``, since
+    training redraws the same slow positions in every epoch and refresh.
     """
 
     _PHASES = {"slow": 0, "fast": 1, "test": 2}
@@ -212,6 +213,7 @@ class NegativeSampler:
         self.n_items = n_items
         self.seed = seed
         self._complements = {}
+        self._draws = {}
 
     def complement(self, user):
         """All item ids the user never clicked, ascending."""
@@ -229,10 +231,31 @@ class NegativeSampler:
         return np.random.default_rng(key)
 
     def draw(self, user, phase, index, n):
+        """``n`` distinct negatives for ``user``'s ``index``-th ``phase`` position, as a read-only array."""
+        if index < 0:
+            raise ValueError(f"negative position index {index}")
+        table = self._draws.get((user, phase, n))
+        if table is None or index >= len(table) or (n and table[index, 0] < 0):
+            table = self._fill(user, phase, index, n, table)
+        row = table[index]
+        row.flags.writeable = False
+        return row
+
+    def _fill(self, user, phase, index, n, table):
+        """Draw row ``index`` into the memo's ``(positions, n)`` table for
+        ``(user, phase, n)``, where -1 marks rows not drawn yet."""
         pool = self.complement(user)
         if n > pool.size:
             raise ValueError(f"user {user}: asked for {n} negatives, only {pool.size} unseen items")
-        return self._rng(user, phase, index).choice(pool, size=n, replace=False)
+        drawn = self._rng(user, phase, index).choice(pool, size=n, replace=False)
+        if table is None or index >= len(table):
+            rows = max(index + 1, len(getattr(self.split.users[user], phase)))
+            grown = np.full((rows, n), -1, dtype=np.int64)
+            if table is not None:
+                grown[: len(table)] = table
+            self._draws[user, phase, n] = table = grown
+        table[index] = drawn
+        return table
 
 
 def simulate_exposures(score_fn, pool, next_click, rng, pool_size=20, expose_k=4):

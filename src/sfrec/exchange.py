@@ -7,10 +7,10 @@ Wire layout (little-endian throughout):
 then ``count`` payload tensors as the records of
 :func:`sfrec.autodiff.encode_records`, which documents their layout.
 
-Each message kind carries a fixed payload schema, (1, d) rows of one width
-d for the interest and negative-memory kinds; both encode and decode enforce
-it.  Message logs on disk are a sequence of u32-length-prefixed encoded
-messages.
+Each message kind carries a fixed payload schema: (1, d) rows of one width
+d for the interest and negative-memory kinds, and the nine gate tensors of
+one GRU cell for the sync; both encode and decode enforce it.  Message logs
+on disk are a sequence of u32-length-prefixed encoded messages.
 """
 
 from __future__ import annotations
@@ -115,10 +115,17 @@ def _check_schema(kind, payload):
         raise SchemaViolation(
             f"{MessageKind(kind).name} payload mismatch: missing {missing}, unexpected {extra}"
         )
-    if kind != MessageKind.GRU_N_SYNC:  # the interest and negative-memory kinds carry rows
-        shapes = {name: np.shape(payload[name]) for name in sorted(payload)}
-        if len(set(shapes.values())) != 1 or any(len(s) != 2 or s[0] != 1 or s[1] < 1 for s in shapes.values()):
-            raise SchemaViolation(f"{MessageKind(kind).name} tensors must be (1, d) rows of one width d, got {shapes}")
+    shapes = {name: np.shape(payload[name]) for name in sorted(payload)}
+    if kind == MessageKind.GRU_N_SYNC:  # the nine gate tensors of one (in, h) cell
+        n_in, h = shapes["w_z"] if len(shapes["w_z"]) == 2 else (0, 0)
+        want = {name: {"w": (n_in, h), "u": (h, h), "b": (1, h)}[name[0]] for name in shapes}
+        if n_in < 1 or h < 1 or shapes != want:
+            raise SchemaViolation(
+                f"{MessageKind(kind).name} tensors must be w_* (in, h), u_* (h, h) and b_* (1, h) "
+                f"of one in and one h, got {shapes}"
+            )
+    elif len(set(shapes.values())) != 1 or any(len(s) != 2 or s[0] != 1 or s[1] < 1 for s in shapes.values()):
+        raise SchemaViolation(f"{MessageKind(kind).name} tensors must be (1, d) rows of one width d, got {shapes}")
 
 
 def _check_header_field(name, value, bits):

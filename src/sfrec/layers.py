@@ -119,12 +119,12 @@ class GruCell:
         return {tag: p.data.copy() for tag, p in zip(self.GATE_NAMES, self.params())}
 
     def load_gates(self, arrays):
-        """Overwrite all nine gate tensors, in their own dtype, from a short-name -> array mapping."""
+        """Overwrite all nine gate tensors in place, in their own dtype, from a short-name -> array mapping."""
         for tag, p in zip(self.GATE_NAMES, self.params()):
             src = np.asarray(arrays[tag])
             if src.shape != p.data.shape:
                 raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
-            p.data = src.astype(p.data.dtype, copy=True)
+            p.data[...] = src
 
     def _fold(self, xs, h):
         """Fold the cell over ``xs``, T ``(n, in)`` input blocks, from the ``(n, hidden)`` array ``h``.

@@ -189,9 +189,9 @@ def test_acceptance_exchange_suite():
     for i in range(1_000):
         kind = MessageKind(int(rng.integers(0, 3)))
         dim = int(rng.integers(1, 48))
-        payload = {
-            name: rng.normal(size=(1, dim)).astype(np.float32) for name in schemas[kind]
-        }
+        # the sync carries a GRU cell: (dim, dim) w_* and u_*, (1, dim) b_*
+        rows = {name: dim if kind == MessageKind.GRU_N_SYNC and name[0] != "b" else 1 for name in schemas[kind]}
+        payload = {name: rng.normal(size=(n, dim)).astype(np.float32) for name, n in rows.items()}
         msg = ExchangeMessage(
             kind=kind, user=int(rng.integers(0, 2**32)), round=int(rng.integers(0, 2**20)), payload=payload
         )

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrec import autodiff as ad
+from sfrec.layers import GruCell
 
 
 def central_diff(loss_fn, arr, h=1e-5):
@@ -504,6 +505,127 @@ def test_adam_aborts_on_nan_gradient_naming_the_parameter():
 def test_adam_requires_unique_names():
     with pytest.raises(ValueError):
         ad.Adam([ad.parameter([[1.0]], "w"), ad.parameter([[2.0]], "w")])
+
+
+class LoopAdam:
+    """The per-parameter Adam loop the fused step must match bit for bit."""
+
+    def __init__(self, params, lr, l2_weight, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.l2_weight = list(params), lr, l2_weight
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+
+    def step(self, scale=1.0):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for p in self.params:
+            g = p.grad
+            g = np.zeros_like(p.data) if g is None else scale * g
+            if self.l2_weight:
+                if p.sparse_decay:
+                    touched = np.any(g != 0.0, axis=1, keepdims=True)
+                    g = g + self.l2_weight * p.data * touched
+                elif p.decay:
+                    g = g + self.l2_weight * p.data
+            m = self._m[p.name]
+            v = self._v[p.name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def adam_case(dtype):
+    """A row-decayed table, decayed weights, an undecayed bias, a weight with no gradient."""
+    r = rng(3)
+    return [
+        ad.parameter(r.normal(size=(6, 3)), "emb", sparse_decay=True, dtype=dtype),
+        ad.parameter(r.normal(size=(3, 4)), "w", decay=True, dtype=dtype),
+        ad.parameter(r.normal(size=(1, 4)), "b", dtype=dtype),
+        ad.parameter(r.normal(size=(4, 2)), "w_idle", decay=True, dtype=dtype),
+        ad.parameter(r.normal(size=(2, 2)), "v", decay=True, dtype=dtype),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
+    fused_params, loop_params = adam_case(dtype), adam_case(dtype)
+    start = {p.name: p.data.copy() for p in fused_params}
+    fused = ad.Adam(fused_params, lr=0.01, l2_weight=0.05)
+    loop = LoopAdam(loop_params, lr=0.01, l2_weight=0.05)
+    r = rng(4)
+    for step in range(6):
+        touched_rows = [step % 3, 3] if step % 2 else [1]  # rows 4 and 5 never get a gradient
+        for fp, lp in zip(fused_params, loop_params):
+            fp.zero_grad()
+            lp.zero_grad()
+            if fp.name == "w_idle":
+                continue
+            g = r.normal(size=fp.shape).astype(dtype)
+            if fp.name == "emb":
+                g[[i for i in range(6) if i not in touched_rows]] = 0.0
+            fp.accumulate(g)
+            lp.accumulate(g)
+        scale = 1.0 / (step + 2)
+        fused.step(scale=scale)
+        loop.step(scale=scale)
+        for fp, lp in zip(fused_params, loop_params):
+            assert fp.data.dtype == dtype
+            np.testing.assert_array_equal(fp.data, lp.data, err_msg=f"{fp.name} after step {step + 1}")
+    emb = fused_params[0].data
+    np.testing.assert_array_equal(emb[4:], start["emb"][4:])
+    assert not np.array_equal(emb[:4], start["emb"][:4])
+    assert not np.array_equal(fused_params[3].data, start["w_idle"])  # decay alone still moves it
+    assert fused.step_count == loop.step_count == 6
+
+
+def test_adam_names_the_non_finite_parameter_and_changes_nothing():
+    params = adam_case(np.float64)
+    opt = ad.Adam(params, lr=0.1)
+    before = [p.data.copy() for p in params]
+    for p in params:
+        p.accumulate(np.ones(p.shape))
+    params[4].grad[1, 0] = np.inf
+    with pytest.raises(ad.NanGradientError, match="'v'"):
+        opt.step()
+    for p, old in zip(params, before):
+        np.testing.assert_array_equal(p.data, old)
+    assert opt.step_count == 0
+
+
+def test_adam_refuses_a_parameter_whose_data_was_rebound():
+    params = adam_case(np.float64)
+    opt = ad.Adam(params, lr=0.1)
+    opt.step()
+    params[2].data = params[2].data.copy()
+    with pytest.raises(ad.DetachedParameterError, match="'b'"):
+        opt.step()
+
+
+def test_adam_refuses_mixed_dtypes():
+    with pytest.raises(ad.ShapeError, match="dtype"):
+        ad.Adam([ad.parameter([[1.0]], "a", dtype=np.float32), ad.parameter([[1.0]], "b", dtype=np.float64)])
+
+
+def test_loads_keep_parameters_in_their_slots(tmp_path):
+    cell = GruCell(3, 2, rng(5), name="gru", dtype=np.float32)
+    params = cell.params()
+    opt = ad.Adam(params, lr=0.1)
+    slots = [p.data for p in params]
+    source = GruCell(3, 2, rng(6), name="gru", dtype=np.float32)
+    cell.load_gates(source.export_gates())
+    ad.save_checkpoint(tmp_path / "c.ckpt", {p.name: p.data for p in source.params()})
+    ad.load_params(params, ad.load_checkpoint(tmp_path / "c.ckpt"))
+    for p, slot, q in zip(params, slots, source.params()):
+        assert p.data is slot
+        np.testing.assert_array_equal(p.data, q.data)
+    opt.step()
+    assert all(not np.array_equal(p.data, q.data) for p, q in zip(params, source.params()) if p.name.split("/")[1][0] != "b")
 
 
 def test_training_is_deterministic():

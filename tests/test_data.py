@@ -252,6 +252,37 @@ def test_sampler_is_call_order_independent():
     np.testing.assert_array_equal(s2.draw(user, "slow", 2, 1), first)
 
 
+def test_a_repeated_draw_returns_the_memoised_values():
+    split = cluster_split(seed=7)
+    user = sorted(split.users)[2]
+    sampler = dt.NegativeSampler(split, 100, seed=15)
+    first = sampler.draw(user, "slow", 4, 3).copy()
+    sampler.draw(user, "slow", 5, 3)
+    np.testing.assert_array_equal(sampler.draw(user, "slow", 4, 3), first)
+
+
+def test_a_draw_cannot_be_written():
+    split = cluster_split(seed=7)
+    sampler = dt.NegativeSampler(split, 100, seed=15)
+    drawn = sampler.draw(sorted(split.users)[0], "test", 1, 5)
+    assert not drawn.flags.writeable
+    with pytest.raises(ValueError):
+        drawn[0] = -1
+
+
+def test_draws_do_not_depend_on_the_order_of_requests():
+    split = cluster_split(seed=7)
+    users = sorted(split.users)[:3]
+    # index 7 lies past the 5-item test phase, so the memo grows its table
+    keys = [(u, phase, j, n) for u in users for phase, j, n in
+            [("slow", 1, 1), ("slow", 3, 1), ("fast", 2, 4), ("test", 0, 10), ("test", 7, 10), ("test", 0, 2)]]
+    forward = dt.NegativeSampler(split, 100, seed=15)
+    backward = dt.NegativeSampler(split, 100, seed=15)
+    drawn = {key: forward.draw(*key) for key in keys}
+    for key in reversed(keys):
+        np.testing.assert_array_equal(backward.draw(*key), drawn[key])
+
+
 def test_sampler_rejects_oversized_draws():
     split = cluster_split(seed=8)
     sampler = dt.NegativeSampler(split, 100, seed=16)

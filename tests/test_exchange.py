@@ -172,6 +172,50 @@ def test_row_kinds_refuse_other_shapes_on_decode(kind, shapes):
         ex.decode_message(blob)
 
 
+def gru_shapes(**overrides):
+    """Gate shapes of a cell with input width 5 and hidden width 3, some replaced."""
+    shapes = {tag: {"w": (5, 3), "u": (3, 3), "b": (1, 3)}[tag[0]] for tag in sorted(ex.SCHEMAS[ex.MessageKind.GRU_N_SYNC])}
+    return {**shapes, **overrides}
+
+
+GRU_CASES = [
+    gru_shapes(u_z=(3, 4)),  # u not (h, h)
+    gru_shapes(b_r=(2, 3)),  # b not one row
+    gru_shapes(w_h=(4, 3)),  # two input widths
+    gru_shapes(w_r=(5, 2)),  # two hidden widths
+    gru_shapes(w_z=(3,)),  # not a matrix
+    {tag: (0, 3) if tag[0] == "w" else shape for tag, shape in gru_shapes().items()},  # no input
+]
+
+
+def gru_error(shapes):
+    return re.escape(
+        f"GRU_N_SYNC tensors must be w_* (in, h), u_* (h, h) and b_* (1, h) of one in and one h, got {shapes}"
+    )
+
+
+@pytest.mark.parametrize("shapes", GRU_CASES)
+def test_gru_sync_refuses_misshapen_gates_on_encode(shapes):
+    payload = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    with pytest.raises(ex.SchemaViolation, match=gru_error(shapes)):
+        ex.encode_message(ex.ExchangeMessage(ex.MessageKind.GRU_N_SYNC, 0, 1, payload))
+
+
+@pytest.mark.parametrize("shapes", GRU_CASES)
+def test_gru_sync_refuses_misshapen_gates_on_decode(shapes):
+    payload = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    kind = int(ex.MessageKind.GRU_N_SYNC)
+    blob = ex._HEADER.pack(ex.MAGIC, ex.VERSION, kind, 0, 1, len(payload)) + ad.encode_records(b"", payload)
+    with pytest.raises(ex.SchemaViolation, match=gru_error(shapes)):
+        ex.decode_message(blob)
+
+
+def test_gru_sync_with_distinct_input_and_hidden_widths_round_trips():
+    payload = {name: f32(rng(7), shape) for name, shape in gru_shapes().items()}
+    msg = ex.ExchangeMessage(ex.MessageKind.GRU_N_SYNC, 3, 2, payload)
+    assert ex.decode_message(ex.encode_message(msg)) == msg
+
+
 def test_unknown_kind_byte_rejected():
     blob = bytearray(ex.encode_message(random_message(rng(6))))
     blob[5] = 200
