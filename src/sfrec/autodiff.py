@@ -85,10 +85,12 @@ class Tensor:
 
     ``track`` marks tensors whose gradient matters (parameters and anything
     computed from one).  Constants built from raw data are untracked, so
-    subgraphs of constants cost nothing at backward time.
+    subgraphs of constants cost nothing at backward time.  ``version`` counts
+    the in-place writes to a parameter's values (optimizer steps and loads),
+    so a cache of values computed from it can tell when it went stale.
     """
 
-    __slots__ = ("data", "grad", "track", "name", "decay", "sparse_decay", "_backward")
+    __slots__ = ("data", "grad", "track", "name", "decay", "sparse_decay", "version", "_backward")
 
     def __init__(self, data, *, param=False, name=None, decay=False, sparse_decay=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -106,6 +108,7 @@ class Tensor:
         self.name = name
         self.decay = decay
         self.sparse_decay = sparse_decay
+        self.version = 0
         self._backward = None
 
     @property
@@ -526,6 +529,8 @@ class Adam:
         tmp += self.eps
         g /= tmp
         flat -= g
+        for p in self.params:
+            p.version += 1
 
 
 # ---------------------------------------------------------------------------
@@ -768,3 +773,4 @@ def load_params(params, arrays):
         if src.shape != p.data.shape:
             raise ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
         p.data[...] = src
+        p.version += 1

@@ -202,8 +202,9 @@ class NegativeSampler:
     Each (user, phase, position) gets its own generator derived from the base
     seed, so any draw is reproducible regardless of the order requests arrive
     in.  Negatives are uniform over items the user never clicked, distinct
-    within one draw.  Draws are memoised per ``(user, phase, index, n)``, since
-    training redraws the same slow positions in every epoch and refresh.
+    within one draw.  Training draws are memoised per ``(user, phase, index,
+    n)``, since training redraws the same slow positions in every epoch and
+    refresh; a test draw, made once per evaluation, is not kept.
     """
 
     _PHASES = {"slow": 0, "fast": 1, "test": 2}
@@ -234,20 +235,27 @@ class NegativeSampler:
         """``n`` distinct negatives for ``user``'s ``index``-th ``phase`` position, as a read-only array."""
         if index < 0:
             raise ValueError(f"negative position index {index}")
-        table = self._draws.get((user, phase, n))
-        if table is None or index >= len(table) or (n and table[index, 0] < 0):
-            table = self._fill(user, phase, index, n, table)
-        row = table[index]
+        if phase == "test":
+            row = self._fresh(user, phase, index, n)
+        else:
+            table = self._draws.get((user, phase, n))
+            if table is None or index >= len(table) or (n and table[index, 0] < 0):
+                table = self._fill(user, phase, index, n, table)
+            row = table[index]
         row.flags.writeable = False
         return row
+
+    def _fresh(self, user, phase, index, n):
+        """A new draw from the position's own generator."""
+        pool = self.complement(user)
+        if n > pool.size:
+            raise ValueError(f"user {user}: asked for {n} negatives, only {pool.size} unseen items")
+        return self._rng(user, phase, index).choice(pool, size=n, replace=False)
 
     def _fill(self, user, phase, index, n, table):
         """Draw row ``index`` into the memo's ``(positions, n)`` table for
         ``(user, phase, n)``, where -1 marks rows not drawn yet."""
-        pool = self.complement(user)
-        if n > pool.size:
-            raise ValueError(f"user {user}: asked for {n} negatives, only {pool.size} unseen items")
-        drawn = self._rng(user, phase, index).choice(pool, size=n, replace=False)
+        drawn = self._fresh(user, phase, index, n)
         if table is None or index >= len(table):
             rows = max(index + 1, len(getattr(self.split.users[user], phase)))
             grown = np.full((rows, n), -1, dtype=np.int64)

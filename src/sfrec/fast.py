@@ -23,11 +23,15 @@ the training node's kernel on plain arrays) turns a click window, an
 exposure window and (interactive) the downloaded prior into a
 :class:`DeviceContext` once, and ``score_context`` runs the scoring tail
 (fusion, feature concat, head) for any number of candidates against it.
-``score_candidates`` is the two composed.  A caller that consumes clicks one
-by one carries the context forward with ``extend_clicks`` (one click-GRU step
-per new click) and rebuilds only the click state with ``reencode_clicks``
-when its window slides; both take the same steps, in the same order, as a
-full re-encode.
+``score_candidates`` is the two composed.
+
+A :class:`DeviceSession` carries one user's context from event to event,
+as a session-based GRU carries its hidden state: while the model's
+``version`` and the prior hold, it keeps the init states and steps each GRU
+over only the rows its window gained, and re-encodes a GRU from its init
+state only where its window slid.  Each step is the one a full encode takes,
+so a carried context equals ``encode_context`` on the same windows bit for
+bit.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "FastModel",
     "FastForward",
     "DeviceContext",
+    "DeviceSession",
     "ExposureMemory",
     "NegativeMemoryExport",
     "UnsyncedRowError",
@@ -65,13 +70,14 @@ class FastForward(NamedTuple):
 class DeviceContext(NamedTuple):
     """An encoded device context: everything scoring needs except the candidates.
 
-    ``init_click`` is the click GRU's start state (prior-derived, or zero in
-    the plain wiring), kept so a slid click window can be re-encoded without
-    recomputing the prior; ``r_t`` is the long-term interest row the
-    interactive head reads (None in the plain wiring).
+    ``init_click`` and ``init_expose`` are the GRUs' start states
+    (prior-derived, or zero in the plain wiring), kept so a slid window can be
+    re-encoded without recomputing the prior; ``r_t`` is the long-term
+    interest row the interactive head reads (None in the plain wiring).
     """
 
     init_click: np.ndarray
+    init_expose: np.ndarray
     r_click: np.ndarray
     r_expose: np.ndarray
     r_t: "np.ndarray | None"
@@ -93,6 +99,7 @@ class FastModel:
         self.n_items = n_items
         self._emb = np.zeros((n_items, dim), dtype=dtype)
         self._synced = np.zeros(n_items, dtype=bool)
+        self._mirror_version = 0
         self.gru_click = ly.GruCell(dim, dim, rng, name=f"{name}/gru_p", dtype=dtype)
         self.gru_expose = ly.GruCell(dim, dim, rng, name=f"{name}/gru_n", dtype=dtype)
         self.fusion = ly.Mlp([2 * dim, 16, 1], rng, name=f"{name}/fuse", dtype=dtype)
@@ -107,25 +114,30 @@ class FastModel:
         else:
             head_in = 2 * dim
         self.head = ly.MlpHead(head_in, rng, hidden=head_hidden, name=f"{name}/head", dtype=dtype)
+        self._versioned = self.params()  # what ``version`` sums, built once
 
     def params(self):
         out = self.gru_click.params() + self.gru_expose.params() + self.fusion.params()
         if self.interactive:
-            out += [
-                self.prior_gate_w,
-                self.prior_gate_b,
-                self.init_click_w,
-                self.init_click_b,
-                self.init_expose_w,
-                self.init_expose_b,
-            ]
+            out += [self.prior_gate_w, self.prior_gate_b, self.init_click_w, self.init_click_b]
+            out += [self.init_expose_w, self.init_expose_b]
         return out + self.head.params()
+
+    @property
+    def version(self):
+        """Goes up whenever what the encoders read changes: a write to a
+        parameter (an optimizer step, a gate or checkpoint load), a device
+        state load, or a sync that changes a synced row."""
+        return self._mirror_version + sum([p.version for p in self._versioned])
 
     # -- embedding mirror ------------------------------------------------------
 
     def sync_rows(self, ids, rows):
         idx = np.asarray(ids, dtype=np.intp)
-        self._emb[idx, :] = np.asarray(rows, dtype=self._emb.dtype)
+        rows = np.asarray(rows, dtype=self._emb.dtype)
+        if not (self._emb.take(idx, axis=0) == rows).all() and self.changed_rows(idx, rows).size:
+            self._mirror_version += 1
+        self._emb[idx, :] = rows
         self._synced[idx] = True
 
     def changed_rows(self, ids, rows):
@@ -150,6 +162,7 @@ class FastModel:
             )
         self._emb = emb.astype(self._emb.dtype, copy=True)
         self._synced = synced.copy()
+        self._mirror_version += 1
 
     def lookup_np(self, ids):
         idx = ly.checked_ids(ids, self.n_items)
@@ -237,22 +250,7 @@ class FastModel:
 
     def encode_context(self, clicked, exposed, prior=None):
         """Encode one device context: the prior-derived init states, then both GRUs."""
-        if len(clicked) == 0:
-            raise ad.ShapeError("fast click sequences must be non-empty")
-        init_click, init_expose, r_t = self._prior_states(prior)
-        r_click = self.gru_click.encode_np(self.lookup_np(clicked), init_click.data)
-        r_expose = self.gru_expose.encode_np(self.lookup_np(exposed), init_expose.data)
-        return DeviceContext(init_click.data, r_click, r_expose, r_t)
-
-    def extend_clicks(self, context, clicks):
-        """``context`` with its click state advanced by newly consumed ``clicks``, one step each."""
-        return context._replace(r_click=self.gru_click.encode_np(self.lookup_np(clicks), context.r_click))
-
-    def reencode_clicks(self, context, clicked):
-        """``context`` with its click state rebuilt over a new click window from ``init_click``."""
-        if len(clicked) == 0:
-            raise ad.ShapeError("fast click sequences must be non-empty")
-        return context._replace(r_click=self.gru_click.encode_np(self.lookup_np(clicked), context.init_click))
+        return DeviceSession(self).advance(clicked, exposed, prior)
 
     def score_context(self, context, candidate_ids):
         """Click probabilities for many candidates against an encoded context."""
@@ -263,6 +261,44 @@ class FastModel:
     def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
         """Click probabilities for many candidates against one device context."""
         return self.score_context(self.encode_context(clicked, exposed, prior), candidate_ids)
+
+
+class DeviceSession:
+    """One user's device context, carried from event to event.
+
+    ``advance`` moves it to new click and exposure windows.  Where the
+    model's ``version`` moved or the prior is another object, it first
+    rebuilds the prior-derived init states and starts both windows empty;
+    then each GRU steps over only the rows its window gained, or re-encodes
+    from its init state where its window slid.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.context = self.clicked = self.exposed = self.prior = self.version = None
+
+    def advance(self, clicked, exposed, prior=None):
+        """The :class:`DeviceContext` of the ``clicked`` and ``exposed`` windows under ``prior``."""
+        model, clicked, exposed = self.model, list(clicked), list(exposed)
+        if not clicked:
+            raise ad.ShapeError("fast click sequences must be non-empty")
+        ctx, old_clicked, old_exposed, version = self.context, self.clicked, self.exposed, model.version
+        if version != self.version or prior is not self.prior:
+            init_click, init_expose, r_t = model._prior_states(prior)
+            ctx = DeviceContext(init_click.data, init_expose.data, init_click.data, init_expose.data, r_t)
+            old_clicked = old_exposed = []
+        ctx = ctx._replace(
+            r_click=self._carry(model.gru_click, old_clicked, clicked, ctx.r_click, ctx.init_click),
+            r_expose=self._carry(model.gru_expose, old_exposed, exposed, ctx.r_expose, ctx.init_expose),
+        )
+        self.context, self.clicked, self.exposed, self.prior, self.version = ctx, clicked, exposed, prior, version
+        return ctx
+
+    def _carry(self, cell, old, new, state, init):
+        """``state``, the encoding of the window ``old``, moved to the window ``new``."""
+        if new[: len(old)] != old:  # slid: re-encode from the init state
+            state, old = init, []
+        return cell.encode_np(self.model.lookup_np(new[len(old) :]), state) if len(new) > len(old) else state
 
 
 class ExposureMemory:

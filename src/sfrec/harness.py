@@ -16,8 +16,12 @@ The cadence is linearized per seed:
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context; the device context grows with each
-   consumed test item.  It is encoded once per user and its click GRU state
-   carried forward one step per consumed item (see ``_SeedRun.evaluate``).
+   consumed test item.
+
+Serving and evaluation read a user's device context through one
+``DeviceSession`` per user: a full encode only when the device model's
+version or the user's prior changed, else each GRU steps over the rows its
+window gained or, where the window slid, re-encodes (``_SeedRun.evaluate``).
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -51,6 +55,7 @@ import io
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +65,7 @@ from . import exchange as ex
 from .atomic import write_atomic
 from .config import ExperimentConfig
 from .data import NegativeSampler, make_cluster_dataset, parse_ml1m, parse_tsv, phase_split, simulate_exposures
-from .fast import ExposureMemory, FastModel
+from .fast import DeviceSession, ExposureMemory, FastModel
 from .metrics import hr_at_k, mrr, ndcg_at_k, rank_candidates
 from .slow import InterestExport, SlowModel
 
@@ -211,6 +216,7 @@ class _SeedRun:
         self.messages = []
         self.counts = {"uploads": 0, "refreshes": 0, "downloads": 0}
         self.memories = {u: ExposureMemory(config.dim, dtype=self.dtype) for u in users}
+        self.sessions = {u: DeviceSession(self.fast) for u in users}
         self.slow_memory = {}  # user -> decoded negative-memory array
         self.priors = {}  # user -> InterestExport (decoded)
         self.exposure_log = {u: [] for u in users}
@@ -409,17 +415,15 @@ class _SeedRun:
 
     def _serve_event(self, user, j, item):
         """Simulate one impression: exposures, accumulation, maybe an upload."""
-        cfg = self.config
-        clicked = self._window(self.split.users[user].fast[:j])
-        if not clicked:
-            clicked = self.split.users[user].slow[-1:]  # device shows something before any fast click
+        # before any fast click the device shows something for the last slow click
+        clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
         exposed = self._exposed(user)
         pool = self.sampler.complement(user)
-        self._sync_device_rows(np.unique(np.concatenate([pool, np.asarray(clicked + [item], dtype=np.int64)])))
-        prior = self.priors.get(user)
+        self._sync_device_rows(np.concatenate([pool, clicked + [item]]))  # the pool holds no clicked item
+        context = self.sessions[user].advance(clicked, exposed, self.priors.get(user))
         shown = simulate_exposures(
-            lambda ids: self.fast.score_candidates(clicked, exposed, ids, prior=prior),
-            pool, item, self.serving_rng, pool_size=cfg.pool_size, expose_k=cfg.expose_k,
+            lambda ids: self.fast.score_context(context, ids),
+            pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k,
         )
         self.exposure_log[user].append(shown)
         if self.slow.interactive:
@@ -429,13 +433,8 @@ class _SeedRun:
 
     def serve_and_train_fast(self):
         cfg = self.config
-        interactions_needed = set()
-        for user in self.users:
-            us = self.split.users[user]
-            interactions_needed.update(us.slow[-1:])
-            interactions_needed.update(us.fast)
-            interactions_needed.update(us.test)
-        self._sync_device_rows(sorted(interactions_needed))
+        users = [self.split.users[user] for user in self.users]
+        self._sync_device_rows(sorted({i for us in users for i in us.slow[-1:] + us.fast + us.test}))
 
         uploads = self.slow.interactive
         for epoch in range(cfg.fast_epochs):
@@ -464,73 +463,37 @@ class _SeedRun:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _sync_eval_rows(self, ids):
-        """Sync ``ids`` to the device; returns the set of those whose device row changed.
-
-        A variant without downloads (``f2s``) keeps rows that refreshes have
-        since moved in the cloud, so an evaluation sync can change rows an
-        encoded device context was built from.
-        """
-        ids = np.asarray(ids, dtype=np.intp)
-        rows = self.slow.embedding.lookup_np(ids)
-        changed = self.fast.changed_rows(ids, rows)
-        self.fast.sync_rows(ids, rows)
-        return set(changed.tolist())
-
     def evaluate(self):
         """Rank each user's test items with both frozen models.
 
         The cloud context is the slow-phase window for every ranking.  The
-        device context is encoded once per user (prior-derived init states and
-        the exposure state); its click state then advances by one GRU step per
-        consumed test item while the ``max_history_len`` window still holds
-        every click, and is re-encoded from the prior-derived state only where
-        the window slides.  A context whose rows an evaluation sync changed is
-        re-encoded too.  Each GRU step is the one a full re-encode would take,
-        so the scores equal ``score_candidates`` on the ranking's windows.
+        device context comes from the user's session: its click state steps
+        once per consumed test item, or is re-encoded where the
+        ``max_history_len`` window slides, and a sync that changes a device
+        row makes the next context a full encode.  The scores equal
+        ``score_candidates`` on each ranking's windows, bit for bit.
         """
         slow_results, fast_results = [], []
         for user in self.users:
             us = self.split.users[user]
             slow_ctx = self._window(us.slow)
             memory = self._memory(user)
-            prior = self.priors.get(user)
-            exposed_full = self._exposed(user)
-            device = None
+            exposed = self._exposed(user)
             for j, positive in enumerate(us.test):
                 negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
-                changed = self._sync_eval_rows(negs + [positive])
-
-                def slow_score(ids):
-                    return self.slow.score_candidates(slow_ctx, ids, neg_memory=memory)
-
+                self._sync_device_rows(negs + [positive])
+                slow_score = partial(self.slow.score_candidates, slow_ctx, neg_memory=memory)
                 slow_results.append(rank_candidates(slow_score, user, positive, negs))
-
-                clicked = self._window(us.fast + us.test[:j])
-                if device is None or changed.intersection(exposed_full):
-                    device = self.fast.encode_context(clicked, exposed_full, prior)
-                elif len(us.fast) + j > self.config.max_history_len or changed.intersection(clicked[:-1]):
-                    device = self.fast.reencode_clicks(device, clicked)
-                else:
-                    device = self.fast.extend_clicks(device, clicked[-1:])
-
-                def fast_score(ids):
-                    return self.fast.score_context(device, ids)
-
-                fast_results.append(rank_candidates(fast_score, user, positive, negs))
+                device = self.sessions[user].advance(self._window(us.fast + us.test[:j]), exposed, self.priors.get(user))
+                fast_results.append(rank_candidates(partial(self.fast.score_context, device), user, positive, negs))
         return slow_results, fast_results
 
     def aggregate(self, results, component, dataset_tag, wall):
-        records = []
-        for k in self.config.eval_ks:
-            records.append(
-                RunRecord(dataset_tag, self.config.variant, component, "hr", k, hr_at_k(results, k), self.seed, wall)
-            )
-            records.append(
-                RunRecord(dataset_tag, self.config.variant, component, "ndcg", k, ndcg_at_k(results, k), self.seed, wall)
-            )
-        records.append(RunRecord(dataset_tag, self.config.variant, component, "mrr", 0, mrr(results), self.seed, wall))
-        return records
+        """HR@k and NDCG@k for each evaluation k, then MRR, as records."""
+        metrics = (("hr", hr_at_k), ("ndcg", ndcg_at_k))
+        values = [(name, k, f(results, k)) for k in self.config.eval_ks for name, f in metrics]
+        values.append(("mrr", 0, mrr(results)))
+        return [RunRecord(dataset_tag, self.config.variant, component, *v, self.seed, wall) for v in values]
 
 
 def _dataset_tag(config):

@@ -125,6 +125,7 @@ class GruCell:
             if src.shape != p.data.shape:
                 raise ad.ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
             p.data[...] = src
+            p.version += 1
 
     def _fold(self, xs, h):
         """Fold the cell over ``xs``, T ``(n, in)`` input blocks, from the ``(n, hidden)`` array ``h``.

@@ -273,9 +273,10 @@ def test_a_draw_cannot_be_written():
 def test_draws_do_not_depend_on_the_order_of_requests():
     split = cluster_split(seed=7)
     users = sorted(split.users)[:3]
-    # index 7 lies past the 5-item test phase, so the memo grows its table
+    # index 7 lies past the 5-item fast and test phases: the memo grows its fast table
     keys = [(u, phase, j, n) for u in users for phase, j, n in
-            [("slow", 1, 1), ("slow", 3, 1), ("fast", 2, 4), ("test", 0, 10), ("test", 7, 10), ("test", 0, 2)]]
+            [("slow", 1, 1), ("slow", 3, 1), ("fast", 2, 4), ("fast", 7, 4), ("test", 0, 10), ("test", 7, 10),
+             ("test", 0, 2)]]
     forward = dt.NegativeSampler(split, 100, seed=15)
     backward = dt.NegativeSampler(split, 100, seed=15)
     drawn = {key: forward.draw(*key) for key in keys}

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
-from sfrec.fast import ExposureMemory, FastModel, UnsyncedRowError
+from sfrec.fast import DeviceSession, ExposureMemory, FastModel, UnsyncedRowError
 from sfrec.slow import InterestExport, SlowModel
 
 
@@ -312,23 +314,117 @@ def test_carried_click_state_equals_full_reencode_bit_exactly(interactive, dtype
     m.sync_rows(np.arange(12), rng(31).uniform(-0.05, 0.05, size=(12, 4)))
     prior = prior_of(m, 32) if interactive else None
     clicks, exposed, cands = [3, 0, 7, 7, 11, 2], [8, 9, 1], [1, 4, 5, 10]
-    context = m.encode_context(clicks[:1], exposed, prior)
+    session = DeviceSession(m)
     for n in range(1, len(clicks) + 1):
-        if n > 1:
-            context = m.extend_clicks(context, clicks[n - 1 : n])
+        context = session.advance(clicks[:n], exposed, prior)
         full = m.encode_context(clicks[:n], exposed, prior)
         np.testing.assert_array_equal(context.r_click, full.r_click)
         assert np.array_equal(m.score_context(context, cands), m.score_candidates(clicks[:n], exposed, cands, prior))
-    slid = m.reencode_clicks(context, clicks[2:])
+    slid = session.advance(clicks[2:], exposed, prior)
     np.testing.assert_array_equal(slid.r_click, m.encode_context(clicks[2:], exposed, prior).r_click)
     np.testing.assert_array_equal(slid.r_expose, context.r_expose)
 
 
 def test_reencode_rejects_an_empty_click_window():
     m = make_model(33)
-    context = m.encode_context([1, 2], [3])
+    session = DeviceSession(m)
+    session.advance([1, 2], [3])
     with pytest.raises(ad.ShapeError):
-        m.reencode_clicks(context, [])
+        session.advance([], [3])
+
+
+# ---------------------------------------------------------------------------
+# what a carried device session keeps, and what makes it encode again
+
+CLICKS, EXPOSED, CANDS = [3, 0, 7], [8, 9, 1], [1, 4, 5, 10]
+
+
+def counted_session(seed=40):
+    """An interactive model, a prior, and a session advanced once over
+    CLICKS and EXPOSED; the Counter records each GRU's encoded rows and
+    each rebuild of the prior-derived init states from here on."""
+    m = make_model(seed, interactive=True)
+    prior = prior_of(m, seed + 1)
+    session = DeviceSession(m)
+    session.advance(CLICKS, EXPOSED, prior)
+    counts = Counter()
+    for name, cell in (("click", m.gru_click), ("expose", m.gru_expose)):
+
+        def counted(seq, init, encode=cell.encode_np, name=name):
+            counts[name] += seq.shape[0]
+            return encode(seq, init)
+
+        cell.encode_np = counted
+
+    def prior_states(prior, build=m._prior_states):
+        counts["init"] += 1
+        return build(prior)
+
+    m._prior_states = prior_states
+    return m, prior, session, counts
+
+
+def advance_checked(session, counts, clicked, exposed, prior):
+    """Advance ``session``; check its scores against ``score_candidates`` bit
+    for bit and return what the advance encoded."""
+    counts.clear()
+    context = session.advance(clicked, exposed, prior)
+    encoded = dict(counts)
+    want = session.model.score_candidates(clicked, exposed, CANDS, prior)
+    assert np.array_equal(session.model.score_context(context, CANDS), want)
+    return encoded
+
+
+FULL = {"init": 1, "click": len(CLICKS), "expose": len(EXPOSED)}
+
+
+def test_session_extends_both_grus_by_the_new_rows_only():
+    m, prior, session, counts = counted_session()
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {}
+    assert advance_checked(session, counts, CLICKS + [11], EXPOSED + [2, 6], prior) == {"click": 1, "expose": 2}
+
+
+def test_session_encodes_in_full_after_an_optimizer_step():
+    m, prior, session, counts = counted_session()
+    before = m.score_candidates(CLICKS, EXPOSED, CANDS, prior)
+    opt = ad.Adam(m.params(), lr=1e-2)
+    with ad.tape() as t:
+        t.backward(m.loss(CLICKS, EXPOSED, CANDS, [1, 0, 0, 0], prior))
+    opt.step()
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
+    assert not np.array_equal(m.score_candidates(CLICKS, EXPOSED, CANDS, prior), before)
+
+
+@pytest.mark.parametrize("cell", ["gru_click", "gru_expose"])
+def test_session_encodes_in_full_after_a_gate_load(cell):
+    m, prior, session, counts = counted_session()
+    getattr(m, cell).load_gates(ly.GruCell(4, 4, rng(42)).export_gates())
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
+
+
+def test_session_encodes_in_full_after_a_sync_changes_a_row_it_read():
+    m, prior, session, counts = counted_session()
+    m.sync_rows([EXPOSED[0]], m.lookup_np([EXPOSED[0]]) + 0.01)
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
+
+
+def test_a_sync_that_changes_nothing_keeps_the_session():
+    m, prior, session, counts = counted_session()
+    emb, _ = m.export_device_state()
+    m.sync_rows(np.arange(12), emb)
+    assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}
+
+
+def test_session_encodes_in_full_for_a_new_prior():
+    m, prior, session, counts = counted_session()
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior_of(m, 43)) == FULL
+
+
+def test_session_reencodes_only_the_gru_whose_window_slid():
+    m, prior, session, counts = counted_session()
+    slid = CLICKS[1:] + [11]
+    assert advance_checked(session, counts, slid, EXPOSED + [2], prior) == {"click": len(slid), "expose": 1}
+    assert advance_checked(session, counts, slid, EXPOSED[1:], prior) == {"expose": len(EXPOSED) - 1}
 
 
 @pytest.mark.parametrize("bad", [-1, 12])

@@ -445,6 +445,74 @@ def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, vari
     assert sum(steps.values()) < per_ranking
 
 
+def test_evaluation_keeps_no_test_negatives(cluster_prepared):
+    run = trained_run(cluster_prepared, variant="independent")
+    run.evaluate()
+    assert not [key for key in run.sampler._draws if key[1] == "test"]
+    for user in run.users:
+        pool = run.sampler.complement(user)
+        for j in range(len(run.split.users[user].test)):
+            key = np.random.SeedSequence(entropy=run.sampler.seed, spawn_key=(2, user, j))
+            want = np.random.default_rng(key).choice(pool, size=run.config.n_eval_neg, replace=False)
+            np.testing.assert_array_equal(run.sampler.draw(user, "test", j, run.config.n_eval_neg), want)
+
+
+# ---------------------------------------------------------------------------
+# serving scores through each user's carried device session
+
+
+@pytest.mark.parametrize("max_history_len", [3, 30])
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_every_serving_event_scores_as_a_per_event_reencode(cluster_prepared, variant, max_history_len):
+    split, users = cluster_prepared
+    cfg = tiny_config(variant=variant, max_history_len=max_history_len)
+    run = _SeedRun(cfg, 0, split, users)
+    run.train_slow()
+    if variant == "s2f_full":
+        for user in users:
+            run._download(user, round_no=0)
+    pending, reencode_rows, rows, in_session = [], [], Counter(), [False]
+    serve_event, score_context = run._serve_event, run.fast.score_context
+
+    def spied_event(user, j, item):
+        pending.append((user, j))
+        serve_event(user, j, item)
+        assert not pending, "a serving event scored nothing"
+
+    def spied_score(context, ids):
+        got = score_context(context, ids)
+        if pending:  # the serving event's own scoring, not the reference's below
+            user, j = pending.pop()
+            us = run.split.users[user]
+            clicked, exposed = run._window(us.fast[:j]) or us.slow[-1:], run._exposed(user)
+            reencode_rows.append(len(clicked) + len(exposed))
+            assert np.array_equal(got, run.fast.score_candidates(clicked, exposed, ids, prior=run.priors.get(user)))
+        return got
+
+    for session in run.sessions.values():
+
+        def advance(*args, advance=session.advance):
+            in_session[0] = True
+            try:
+                return advance(*args)
+            finally:
+                in_session[0] = False
+
+        session.advance = advance
+    for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
+
+        def counted(seq, init, encode=cell.encode_np, name=name):
+            if in_session[0]:
+                rows[name] += seq.shape[0]
+            return encode(seq, init)
+
+        cell.encode_np = counted
+    run._serve_event, run.fast.score_context = spied_event, spied_score
+    run.serve_and_train_fast()
+    assert len(reencode_rows) == sum(len(split.users[u].fast) for u in users)
+    assert 0 < sum(rows.values()) < sum(reencode_rows)
+
+
 @pytest.fixture(scope="module")
 def s2f_state(cluster_prepared):
     cfg = tiny_config(variant="s2f_full")
