@@ -43,7 +43,7 @@ features = ad.constant(rng.normal(size=(1, 4)))
 
 
 def loss_fn():
-    return ad.sum_all(ad.tanh(ad.matmul(features, w)))
+    return ad.sum_all(ad.sigmoid(ad.matmul(features, w)))
 
 
 report = ad.grad_check(loss_fn, [w], tolerance=1e-6)

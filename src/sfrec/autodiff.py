@@ -45,10 +45,8 @@ __all__ = [
     "concat",
     "gather_rows",
     "sigmoid",
-    "tanh",
     "relu",
     "sum_all",
-    "mean_all",
     "binary_cross_entropy",
     "Adam",
     "grad_check",
@@ -345,16 +343,6 @@ def sigmoid(a):
     return node(out_data, (a,), backward)
 
 
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.track:
-            a.accumulate(g * (1.0 - out_data * out_data))
-
-    return node(out_data, (a,), backward)
-
-
 def relu(a):
     """``max(a, 0)``; a NaN input stays NaN, so the loss check downstream sees it."""
     out_data = np.maximum(a.data, 0.0)
@@ -372,16 +360,6 @@ def sum_all(a):
             a.accumulate(np.full_like(a.data, g[0, 0]))
 
     return node(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,), backward)
-
-
-def mean_all(a):
-    n = a.data.size
-
-    def backward(g):
-        if a.track:
-            a.accumulate(np.full_like(a.data, g[0, 0] / n))
-
-    return node(np.array([[a.data.mean()]], dtype=a.data.dtype), (a,), backward)
 
 
 _BCE_EPS = 1e-7

@@ -18,10 +18,10 @@ The cadence is linearized per seed:
    items from the slow-phase context; the device context grows with each
    consumed test item.
 
-Serving and evaluation read a user's device context through one
-``DeviceSession`` per user: a full encode only when the device model's
-version or the user's prior changed, else each GRU steps over the rows its
-window gained or, where the window slid, re-encodes (``_SeedRun.evaluate``).
+Serving and evaluation each make one ``DeviceSession`` per user for that
+user's events: a full encode only when the device model's version or the
+user's prior changed, else each GRU steps over the rows its window gained
+or, where the window slid, re-encodes (``_SeedRun.evaluate``).
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -40,8 +40,10 @@ the order of float summation, not the steps, the negatives or any rng draw.
 The step schedule and the close-at-the-step rule live in ``_Segments``, which
 slow epochs, refreshes (one step per refresh) and fast epochs all train
 through; the device-side closing checks stay in ``serve_and_train_fast``.
-A received message takes effect in one place, ``_SeedRun._receive``, both
-live and when ``evaluate_from_state`` replays the message log.
+Every exchange message, live or replayed by ``evaluate_from_state``, is
+checked and applied in one place, ``_SeedRun._receive``: its payload widths,
+the upload round, and what it carries (a prior, a negative memory, or the
+exposure GRU's gates).
 
 Everything is deterministic given (config, seed): rngs hang off one seed
 sequence per purpose, users iterate in sorted or seeded-permutation order,
@@ -216,7 +218,6 @@ class _SeedRun:
         self.messages = []
         self.counts = {"uploads": 0, "refreshes": 0, "downloads": 0}
         self.memories = {u: ExposureMemory(config.dim, dtype=self.dtype) for u in users}
-        self.sessions = {u: DeviceSession(self.fast) for u in users}
         self.slow_memory = {}  # user -> decoded negative-memory array
         self.priors = {}  # user -> InterestExport (decoded)
         self.exposure_log = {u: [] for u in users}
@@ -333,40 +334,47 @@ class _SeedRun:
     # -- exchange ------------------------------------------------------------
 
     def _send(self, kind, user, round_no, payload):
-        msg = ex.ExchangeMessage(
-            kind=kind,
-            user=user,
-            round=round_no,
-            payload={k: np.asarray(v, dtype=np.float32) for k, v in payload.items()},
-        )
-        decoded = ex.decode_message(ex.encode_message(msg))
-        self.messages.append(decoded)
-        return decoded
+        """Encode a message, decode it as the receiver would, log it and deliver it."""
+        payload = {k: np.asarray(v, dtype=np.float32) for k, v in payload.items()}
+        msg = ex.decode_message(ex.encode_message(ex.ExchangeMessage(kind, user, round_no, payload)))
+        self.messages.append(msg)
+        self._receive(msg)
 
     def _receive(self, msg):
-        """Store what a decoded message carries, cast to the run's dtype: the
-        prior of an ``INTEREST_DOWN``, the memory of a ``NEGATIVE_MEMORY_UP``."""
-        if msg.kind == ex.MessageKind.INTEREST_DOWN:
+        """Check a decoded message and apply it, cast to the run's dtype: the
+        prior of an ``INTEREST_DOWN``, the memory of a ``NEGATIVE_MEMORY_UP``,
+        the exposure GRU's gates of a ``GRU_N_SYNC``.  A tensor other than a
+        (1, dim) row or a (dim, dim) ``w_*``/``u_*`` gate is a LifecycleError,
+        an upload round not newer than the user's last a StaleRoundError."""
+        dim, kind = self.config.dim, ex.MessageKind(msg.kind)
+        for name, value in sorted(msg.payload.items()):
+            want = (dim, dim) if name.startswith(("w_", "u_")) else (1, dim)
+            if np.shape(value) != want:
+                raise LifecycleError(
+                    f"({kind.name}) for user {msg.user}: payload {name!r} has shape {np.shape(value)}, expected {want}"
+                )
+        if kind == ex.MessageKind.INTEREST_DOWN:
             r_n, r_t = (msg.payload[k].astype(self.dtype) for k in ("r_n", "r_t"))
             self.priors[msg.user] = InterestExport(msg.user, msg.round, r_n, r_t)
-        elif msg.kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
+        elif kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
+            self.tracker.accept(msg.user, msg.round)
             self.slow_memory[msg.user] = msg.payload["r2_hat"].astype(self.dtype)
+        else:  # GRU_N_SYNC
+            self.fast.gru_expose.load_gates(msg.payload)
 
     def _download(self, user, round_no):
         """Interest snapshot plus GRU sync, cloud to device, via the wire."""
         seq = self._window(self.split.users[user].slow)
         export = self.slow.export_interest(user, seq, round_no, neg_memory=self.slow_memory.get(user))
-        self._receive(self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t}))
-        sync = self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
-        self.fast.gru_expose.load_gates(sync.payload)
+        self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t})
+        self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
         self._resync_device()
         self.counts["downloads"] += 1
 
     def _upload(self, user):
         export = self.memories[user].export(self.fast, user)
         round_no = self.scheduler.next_round(user)
-        self._receive(self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat}))
-        self.tracker.accept(user, round_no)
+        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat})
         self.counts["uploads"] += 1
         self._refresh_slow(user)
         if self.fast.interactive:
@@ -413,14 +421,15 @@ class _SeedRun:
         ids = np.unique(np.asarray(last.clicked + last.exposed + [i for c in segment for i in c.candidates]))
         return self.fast.changed_rows(ids, self.slow.embedding.lookup_np(ids)).size > 0
 
-    def _serve_event(self, user, j, item):
-        """Simulate one impression: exposures, accumulation, maybe an upload."""
+    def _serve_event(self, user, j, item, session):
+        """Simulate one impression, scored through the user's serving
+        ``session``: exposures, accumulation, maybe an upload."""
         # before any fast click the device shows something for the last slow click
         clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
         exposed = self._exposed(user)
         pool = self.sampler.complement(user)
         self._sync_device_rows(np.concatenate([pool, clicked + [item]]))  # the pool holds no clicked item
-        context = self.sessions[user].advance(clicked, exposed, self.priors.get(user))
+        context = session.advance(clicked, exposed, self.priors.get(user))
         shown = simulate_exposures(
             lambda ids: self.fast.score_context(context, ids),
             pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k,
@@ -442,13 +451,14 @@ class _SeedRun:
             segments = _Segments(self.opt_fast, self._fast_segment_loss, "fast-train", cfg.batch_size)
             for user in order:
                 user = int(user)
+                session = DeviceSession(self.fast) if epoch == 0 else None
                 for j, item in enumerate(self.split.users[user].fast):
                     # the serving event and the negatives' sync below may change
                     # what pending contexts read: close the segment first
                     if (epoch == 0 and uploads and self.scheduler.due(user)) or self._reads_stale_rows(segments.pending):
                         segments.close()
                     if epoch == 0:
-                        self._serve_event(user, j, item)
+                        self._serve_event(user, j, item, session)
                     if j == 0:
                         continue  # no on-device click context yet
                     clicked, exposed = self._fast_contexts(user, j)
@@ -467,8 +477,8 @@ class _SeedRun:
         """Rank each user's test items with both frozen models.
 
         The cloud context is the slow-phase window for every ranking.  The
-        device context comes from the user's session: its click state steps
-        once per consumed test item, or is re-encoded where the
+        device context comes from a session made for the user: its click
+        state steps once per consumed test item, or is re-encoded where the
         ``max_history_len`` window slides, and a sync that changes a device
         row makes the next context a full encode.  The scores equal
         ``score_candidates`` on each ranking's windows, bit for bit.
@@ -479,12 +489,13 @@ class _SeedRun:
             slow_ctx = self._window(us.slow)
             memory = self._memory(user)
             exposed = self._exposed(user)
+            session = DeviceSession(self.fast)
             for j, positive in enumerate(us.test):
                 negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
                 self._sync_device_rows(negs + [positive])
                 slow_score = partial(self.slow.score_candidates, slow_ctx, neg_memory=memory)
                 slow_results.append(rank_candidates(slow_score, user, positive, negs))
-                device = self.sessions[user].advance(self._window(us.fast + us.test[:j]), exposed, self.priors.get(user))
+                device = session.advance(self._window(us.fast + us.test[:j]), exposed, self.priors.get(user))
                 fast_results.append(rank_candidates(partial(self.fast.score_context, device), user, positive, negs))
         return slow_results, fast_results
 
@@ -531,14 +542,14 @@ def run_lifecycle(config, prepared=None, collect_state=False):
             for user in users:
                 run._download(user, round_no=0)
         run.serve_and_train_fast()
+        if collect_state:  # before evaluation, whose syncs refresh the stale device rows it reads
+            outcome.states[seed] = _collect_state(run)
         slow_results, fast_results = run.evaluate()
         wall = round(time.perf_counter() - started, 4) if config.record_timing else 0.0
         outcome.records += run.aggregate(slow_results, "slow", tag, wall)
         outcome.records += run.aggregate(fast_results, "fast", tag, wall)
         outcome.messages[seed] = run.messages
         outcome.diagnostics[seed] = dict(run.counts)
-        if collect_state:
-            outcome.states[seed] = _collect_state(run)
     return outcome
 
 
@@ -552,43 +563,31 @@ def _collect_state(run):
     return arrays, exposures
 
 
-_CONSUMED_KINDS = (ex.MessageKind.INTEREST_DOWN, ex.MessageKind.NEGATIVE_MEMORY_UP)
-
-
-def _check_payload_shapes(index, msg, dim):
-    """Every tensor a replay consumes is one (1, dim) row; anything else is a LifecycleError."""
-    for name, value in sorted(msg.payload.items()):
-        shape = np.shape(value)
-        if shape != (1, dim):
-            raise LifecycleError(
-                f"message {index} ({ex.MessageKind(msg.kind).name}) for user {msg.user}: "
-                f"payload {name!r} has shape {shape}, expected {(1, dim)}"
-            )
-
-
 def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     """Rebuild evaluation-time state from saved artifacts and re-rank.
 
     ``arrays`` is a checkpoint produced from :func:`_collect_state`, ``messages``
     the decoded exchange log, ``exposures`` the per-user shown-item streams.
-    For float32 runs the records match the training-time evaluation exactly.
-    An interest or negative-memory payload that is not a (1, dim) row raises
-    :class:`LifecycleError` naming the message, and so does an interactive
+    The log goes through ``_SeedRun._receive`` as it did live (its errors
+    prefixed with the message's index), then the checkpoint loads, so the
+    trained weights replace the gates the syncs loaded.  For float32 runs
+    every ranking scores as at training time, bit for bit.  An interactive
     device model with a user no interest download reached, a user of the
     run that ``exposures`` lacks, or one with fewer unseen items than
-    ``n_eval_neg`` or ``n_train_neg``.  A tensor that ``arrays`` lacks raises
-    :class:`~sfrec.autodiff.CheckpointError` naming it.
+    ``n_eval_neg`` or ``n_train_neg`` raises :class:`LifecycleError`; a
+    tensor that ``arrays`` lacks a :class:`~sfrec.autodiff.CheckpointError`.
     """
     split, users = prepared
     _check_negative_counts(config, split, users)
     run = _SeedRun(config, seed, split, users)
+    for index, m in enumerate(messages):
+        try:
+            run._receive(m)
+        except LifecycleError as err:
+            raise LifecycleError(f"message {index} {err}") from err
     ad.load_params(run.slow.params() + run.fast.params(), arrays)
     synced = np.asarray(ad.checkpoint_array(arrays, "device/synced")) > 0.5
     run.fast.load_device_state(ad.checkpoint_array(arrays, "device/emb"), synced)
-    for index, m in enumerate(messages):
-        if m.kind in _CONSUMED_KINDS:
-            _check_payload_shapes(index, m, config.dim)
-        run._receive(m)
     if run.fast.interactive:
         unprimed = [u for u in users if u not in run.priors]
         if unprimed:

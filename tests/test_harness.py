@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from sfrec import autodiff as ad
+from sfrec import harness
 from sfrec.config import ExperimentConfig
-from sfrec.exchange import MessageKind
+from sfrec.exchange import MessageKind, StaleRoundError, decode_message, encode_message
+from sfrec.fast import DeviceSession
 from sfrec.harness import (
     LifecycleError,
     RunRecord,
@@ -26,6 +28,7 @@ from sfrec.harness import (
     run_lifecycle,
     write_results,
 )
+from sfrec.layers import GruCell
 from sfrec.metrics import rank_candidates
 
 
@@ -463,7 +466,7 @@ def test_evaluation_keeps_no_test_negatives(cluster_prepared):
 
 @pytest.mark.parametrize("max_history_len", [3, 30])
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
-def test_every_serving_event_scores_as_a_per_event_reencode(cluster_prepared, variant, max_history_len):
+def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster_prepared, variant, max_history_len):
     split, users = cluster_prepared
     cfg = tiny_config(variant=variant, max_history_len=max_history_len)
     run = _SeedRun(cfg, 0, split, users)
@@ -474,9 +477,9 @@ def test_every_serving_event_scores_as_a_per_event_reencode(cluster_prepared, va
     pending, reencode_rows, rows, in_session = [], [], Counter(), [False]
     serve_event, score_context = run._serve_event, run.fast.score_context
 
-    def spied_event(user, j, item):
+    def spied_event(user, j, item, session):
         pending.append((user, j))
-        serve_event(user, j, item)
+        serve_event(user, j, item, session)
         assert not pending, "a serving event scored nothing"
 
     def spied_score(context, ids):
@@ -489,16 +492,17 @@ def test_every_serving_event_scores_as_a_per_event_reencode(cluster_prepared, va
             assert np.array_equal(got, run.fast.score_candidates(clicked, exposed, ids, prior=run.priors.get(user)))
         return got
 
-    for session in run.sessions.values():
+    class CountedSession(DeviceSession):
+        """Serving's sessions; the reference's ``score_candidates`` makes sessions of its own."""
 
-        def advance(*args, advance=session.advance):
+        def advance(self, *args):
             in_session[0] = True
             try:
-                return advance(*args)
+                return super().advance(*args)
             finally:
                 in_session[0] = False
 
-        session.advance = advance
+    monkeypatch.setattr(harness, "DeviceSession", CountedSession)
     for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
 
         def counted(seq, init, encode=cell.encode_np, name=name):
@@ -540,6 +544,52 @@ def test_replay_rejects_a_wrong_shaped_payload_by_message(cluster_prepared, s2f_
     want = f"message {index} ({kind.name}) for user {bad.user}: payload '{name}' has shape ({rows}, {cols})"
     with pytest.raises(LifecycleError, match=re.escape(want)):
         evaluate_from_state(cfg, 0, cluster_prepared, arrays, altered, exposures)
+
+
+@pytest.mark.parametrize("n_in, hidden, name, shape", [(4, 4, "b_h", (1, 4)), (4, 8, "w_h", (4, 8))])
+def test_replay_rejects_a_sync_whose_gates_are_not_dim_wide(cluster_prepared, s2f_state, n_in, hidden, name, shape):
+    cfg, arrays, messages, exposures = s2f_state
+    index = min(i for i, m in enumerate(messages) if m.kind == MessageKind.GRU_N_SYNC)
+    gates = GruCell(n_in, hidden, np.random.default_rng(0), dtype=np.float32).export_gates()
+    bad = decode_message(encode_message(dataclasses.replace(messages[index], payload=gates)))  # a valid cell on the wire
+    altered = list(messages)
+    altered[index] = bad
+    want = f"message {index} (GRU_N_SYNC) for user {bad.user}: payload '{name}' has shape {shape}"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, altered, exposures)
+
+
+def test_replay_rejects_a_repeated_upload_round(cluster_prepared, s2f_state):
+    cfg, arrays, messages, exposures = s2f_state
+    index = min(i for i, m in enumerate(messages) if m.kind == MessageKind.NEGATIVE_MEMORY_UP)
+    upload = messages[index]
+    repeated = messages[: index + 1] + [upload] + messages[index + 1 :]
+    want = f"user {upload.user}: round {upload.round} <= last seen {upload.round}"
+    with pytest.raises(StaleRoundError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, repeated, exposures)
+
+
+def test_f2s_replay_scores_every_ranking_as_live(monkeypatch, cluster_prepared):
+    # no downloads refresh f2s device rows, so evaluation's syncs change rows
+    # that its rankings read: replay must start from the mirror evaluation did
+    cfg = tiny_config(variant="f2s", threshold=1)
+    scores = []
+
+    def recording(score_fn, *args):
+        def scored(ids):
+            scores.append(np.array(score_fn(ids)))
+            return scores[-1]
+
+        return rank_candidates(scored, *args)
+
+    monkeypatch.setattr(harness, "rank_candidates", recording)
+    out = run_lifecycle(cfg, cluster_prepared, collect_state=True)
+    live, scores[:] = list(scores), []
+    arrays, exposures = out.states[0]
+    evaluate_from_state(cfg, 0, cluster_prepared, arrays, out.messages[0], exposures)
+    assert len(scores) == len(live) == 2 * sum(len(cluster_prepared[0].users[u].test) for u in cluster_prepared[1])
+    for i, (got, want) in enumerate(zip(scores, live)):
+        assert np.array_equal(got, want), f"ranking {i}"
 
 
 @pytest.mark.parametrize("name", ["slow/emb", "fast/all/head/b2", "device/emb", "device/synced"])

@@ -8,7 +8,7 @@ import pytest
 from sfrec import autodiff as ad
 from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
-from sfrec.fast import FastModel
+from sfrec.fast import DeviceSession, FastModel
 from sfrec.harness import _SeedRun, prepare_data
 from sfrec.slow import InterestExport, SlowModel
 
@@ -234,9 +234,10 @@ def reference_serve_and_train_fast(run):
         pending = 0
         for user in order:
             user = int(user)
+            session = DeviceSession(run.fast)
             for j, item in enumerate(run.split.users[user].fast):
                 if epoch == 0:
-                    run._serve_event(user, j, item)
+                    run._serve_event(user, j, item, session)
                 if j == 0:
                     continue
                 clicked, exposed = run._fast_contexts(user, j)
