@@ -5,10 +5,11 @@ stream; a target-aware blend of the two feeds the prediction head.  The
 interactive wiring additionally receives the cloud's interest snapshot and
 turns it into initial states for both GRUs.
 
-The device never trains embeddings: it holds a frozen mirror of the cloud
-table rows it has been sent (``sync_rows``).  Looking up a row that was never
-synced is a hard error, which keeps the simulation honest about what is
-actually on the device.
+The device never trains embeddings: it holds copies of the cloud table rows
+it has been sent (``sync_rows``), and the harness resyncs every held row
+after each cloud refresh, so a held row always equals the cloud's.  Looking
+up a row that was never synced is a hard error, which keeps the simulation
+honest about what is actually on the device.
 
 Both wirings run through one graph ``forward``, which takes the prior and
 which the plain wiring ignores.  It takes a candidate list and, optionally,
@@ -16,21 +17,20 @@ a ``(clicks, exposures)`` prefix length per candidate: training runs a
 segment (one user's consecutive contexts, whose windows only grow) through
 one graph, each GRU running once over the longest windows as one tape node
 and every candidate reading the states at its own context's prefixes.
+``score_candidates`` is ``forward`` with no tape open.
 
-Scoring runs the two parts of ``forward`` with no tape open:
-``encode_context`` (the prior-derived init states, then both GRUs, running
-the training node's kernel on plain arrays) turns a click window, an
-exposure window and (interactive) the downloaded prior into a
-:class:`DeviceContext` once, and ``score_context`` runs the scoring tail
-(fusion, feature concat, head) for any number of candidates against it.
-``score_candidates`` is the two composed.
-
-A :class:`DeviceSession` carries one user's context from event to event,
-as a session-based GRU carries its hidden state: while the model's
-``version`` and the prior hold, it keeps the init states and steps each GRU
-over only the rows its window gained, and re-encodes a GRU from its init
-state only where its window slid.  Each step is the one a full encode takes,
-so a carried context equals ``encode_context`` on the same windows bit for
+Serving and evaluation score through a :class:`DeviceSession`, which runs
+the two parts of ``forward`` apart: ``advance`` (the prior-derived init
+states, then both GRUs, running the training node's kernel on plain arrays)
+turns a click window, an exposure window and (interactive) the downloaded
+prior into a :class:`DeviceContext`, and ``score_context`` runs the scoring
+tail (fusion, feature concat, head) for any number of candidates against it.
+A session carries one user's context from event to event, as a
+session-based GRU carries its hidden state: while the model's ``version``
+and the prior hold, it keeps the init states and steps each GRU over only
+the rows its window gained, and re-encodes a GRU from its init state only
+where its window slid.  Each step is the one a full encode takes, so a
+carried context scores as ``score_candidates`` on the same windows, bit for
 bit.
 """
 
@@ -126,43 +126,29 @@ class FastModel:
     @property
     def version(self):
         """Goes up whenever what the encoders read changes: a write to a
-        parameter (an optimizer step, a gate or checkpoint load), a device
-        state load, or a sync that changes a synced row."""
+        parameter (an optimizer step, a gate or checkpoint load) or a sync
+        that changes a held row."""
         return self._mirror_version + sum([p.version for p in self._versioned])
 
     # -- embedding mirror ------------------------------------------------------
 
     def sync_rows(self, ids, rows):
-        idx = np.asarray(ids, dtype=np.intp)
+        """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device;
+        an id outside the vocabulary is an OutOfVocabularyError, rows of
+        another shape a ShapeError.  Changing a held row bumps ``version``."""
+        idx = ly.checked_ids(ids, self.n_items)
         rows = np.asarray(rows, dtype=self._emb.dtype)
-        if not (self._emb.take(idx, axis=0) == rows).all() and self.changed_rows(idx, rows).size:
-            self._mirror_version += 1
-        self._emb[idx, :] = rows
+        if rows.shape != (idx.size, self.dim):
+            raise ad.ShapeError(f"sync of {idx.size} ids wants ({idx.size}, {self.dim}) rows, got {rows.shape}")
+        differs = self._emb.take(idx, axis=0) != rows
+        if differs.any():
+            if self._synced[idx[differs.any(axis=1)]].any():
+                self._mirror_version += 1
+            self._emb[idx, :] = rows
         self._synced[idx] = True
-
-    def changed_rows(self, ids, rows):
-        """The ids among ``ids`` whose synced mirror row differs from ``rows``: what a sync would change."""
-        idx = np.asarray(ids, dtype=np.intp)
-        differs = np.any(self._emb[idx, :] != np.asarray(rows, dtype=self._emb.dtype), axis=1)
-        return idx[self._synced[idx] & differs]
 
     def synced_ids(self):
         return np.nonzero(self._synced)[0]
-
-    def export_device_state(self):
-        """Copy of the embedding mirror and its synced mask."""
-        return self._emb.copy(), self._synced.copy()
-
-    def load_device_state(self, emb, synced):
-        emb, synced = np.asarray(emb), np.asarray(synced, dtype=bool)
-        if emb.shape != self._emb.shape or synced.shape != self._synced.shape:
-            raise ad.ShapeError(
-                f"device mirror is {self._emb.shape} with a {self._synced.shape} mask, "
-                f"cannot load {emb.shape} with {synced.shape}"
-            )
-        self._emb = emb.astype(self._emb.dtype, copy=True)
-        self._synced = synced.copy()
-        self._mirror_version += 1
 
     def lookup_np(self, ids):
         idx = ly.checked_ids(ids, self.n_items)
@@ -246,21 +232,17 @@ class FastModel:
         """
         return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes).prob, labels)
 
-    # -- scoring: forward's two parts run with no tape open ---------------------
-
-    def encode_context(self, clicked, exposed, prior=None):
-        """Encode one device context: the prior-derived init states, then both GRUs."""
-        return DeviceSession(self).advance(clicked, exposed, prior)
+    # -- scoring, with no tape open --------------------------------------------
 
     def score_context(self, context, candidate_ids):
-        """Click probabilities for many candidates against an encoded context."""
+        """Click probabilities for many candidates against an encoded context: forward's scoring tail."""
         targets = self.lookup(candidate_ids)
         r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (context.r_click, context.r_expose))
         return self._score(r_click, r_expose, targets, context.r_t).data[:, 0]
 
     def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
-        """Click probabilities for many candidates against one device context."""
-        return self.score_context(self.encode_context(clicked, exposed, prior), candidate_ids)
+        """Click probabilities for many candidates against one device context: ``forward`` with no tape open."""
+        return self.forward(clicked, exposed, candidate_ids, prior).prob.data[:, 0]
 
 
 class DeviceSession:

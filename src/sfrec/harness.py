@@ -12,7 +12,8 @@ The cadence is linearized per seed:
    a serving step: exposures are simulated with the current device model and
    the scheduler decides whether to upload.  An upload ships the negative
    memory through the real wire codec, triggers a one-user refresh round on
-   the cloud, and (bidirectional only) a fresh download.
+   the cloud, a resync of every cloud row the device holds, and
+   (bidirectional only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context; the device context grows with each
@@ -30,12 +31,11 @@ their summed loss goes through one batched forward and backward (the models'
 ``loss`` take a segment; a single context is a segment of one).  A segment
 closes at the context that fires an Adam step and at the end of the user's
 contexts; on the device side also where a context's click or exposure window
-is not a prefix-extension of the segment's, before a serving event that will
-upload (its refresh and download change what the next contexts see), and
-before a device-row sync that would change a row the segment reads.  Adam
-steps count examples, so the step schedule is the per-example one whenever
-``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at the
-first context boundary at or past ``batch_size``.  Segmenting changes only
+is not a prefix-extension of the segment's, and before a serving event that
+will upload (its refresh, resync and download change what the next contexts
+see).  Adam steps count examples, so the step schedule is the per-example one
+whenever ``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at
+the first context boundary at or past ``batch_size``.  Segmenting changes only
 the order of float summation, not the steps, the negatives or any rng draw.
 The step schedule and the close-at-the-step rule live in ``_Segments``, which
 slow epochs, refreshes (one step per refresh) and fast epochs all train
@@ -235,11 +235,6 @@ class _SeedRun:
         ids = np.asarray(ids, dtype=np.intp)
         self.fast.sync_rows(ids, self.slow.embedding.lookup_np(ids))
 
-    def _resync_device(self):
-        ids = self.fast.synced_ids()
-        if ids.size:
-            self._sync_device_rows(ids)
-
     def _exposed(self, user, steps=None):
         """The exposure window over ``user``'s first ``steps`` serving steps (None: all of them)."""
         return self._window([i for step in self.exposure_log[user][:steps] for i in step])
@@ -368,7 +363,6 @@ class _SeedRun:
         export = self.slow.export_interest(user, seq, round_no, neg_memory=self.slow_memory.get(user))
         self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t})
         self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
-        self._resync_device()
         self.counts["downloads"] += 1
 
     def _upload(self, user):
@@ -377,6 +371,7 @@ class _SeedRun:
         self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat})
         self.counts["uploads"] += 1
         self._refresh_slow(user)
+        self._sync_device_rows(self.fast.synced_ids())  # the refresh moved cloud rows the device holds
         if self.fast.interactive:
             self._download(user, round_no)
 
@@ -412,15 +407,6 @@ class _SeedRun:
         last = segment[-1]
         return ctx.clicked[: len(last.clicked)] == last.clicked and ctx.exposed[: len(last.exposed)] == last.exposed
 
-    def _reads_stale_rows(self, segment):
-        """Whether a device row the pending segment reads differs from its
-        cloud row, so that the next sync would change it under the segment."""
-        if not segment:
-            return False
-        last = segment[-1]
-        ids = np.unique(np.asarray(last.clicked + last.exposed + [i for c in segment for i in c.candidates]))
-        return self.fast.changed_rows(ids, self.slow.embedding.lookup_np(ids)).size > 0
-
     def _serve_event(self, user, j, item, session):
         """Simulate one impression, scored through the user's serving
         ``session``: exposures, accumulation, maybe an upload."""
@@ -442,9 +428,6 @@ class _SeedRun:
 
     def serve_and_train_fast(self):
         cfg = self.config
-        users = [self.split.users[user] for user in self.users]
-        self._sync_device_rows(sorted({i for us in users for i in us.slow[-1:] + us.fast + us.test}))
-
         uploads = self.slow.interactive
         for epoch in range(cfg.fast_epochs):
             order = self.epoch_rng.permutation(self.users) if epoch else list(self.users)
@@ -453,9 +436,8 @@ class _SeedRun:
                 user = int(user)
                 session = DeviceSession(self.fast) if epoch == 0 else None
                 for j, item in enumerate(self.split.users[user].fast):
-                    # the serving event and the negatives' sync below may change
-                    # what pending contexts read: close the segment first
-                    if (epoch == 0 and uploads and self.scheduler.due(user)) or self._reads_stale_rows(segments.pending):
+                    # an upload changes what pending contexts read: close the segment first
+                    if epoch == 0 and uploads and self.scheduler.due(user):
                         segments.close()
                     if epoch == 0:
                         self._serve_event(user, j, item, session)
@@ -463,7 +445,6 @@ class _SeedRun:
                         continue  # no on-device click context yet
                     clicked, exposed = self._fast_contexts(user, j)
                     negs = self.sampler.draw(user, "fast", j, cfg.n_train_neg)
-                    self._sync_device_rows(negs)
                     ctx = _Context(j, [item] + [int(n) for n in negs], [1] + [0] * len(negs), clicked, exposed)
                     if not self._extends(segments.pending, ctx):
                         segments.close()
@@ -479,9 +460,11 @@ class _SeedRun:
         The cloud context is the slow-phase window for every ranking.  The
         device context comes from a session made for the user: its click
         state steps once per consumed test item, or is re-encoded where the
-        ``max_history_len`` window slides, and a sync that changes a device
-        row makes the next context a full encode.  The scores equal
-        ``score_candidates`` on each ranking's windows, bit for bit.
+        ``max_history_len`` window slides.  Each ranking first syncs every
+        row it reads (candidates, click and exposure windows) from the cloud
+        table, so a replay rebuilds the device rows from the checkpoint's
+        ``slow/emb``.  The scores equal ``score_candidates`` on each
+        ranking's windows, bit for bit.
         """
         slow_results, fast_results = [], []
         for user in self.users:
@@ -492,10 +475,11 @@ class _SeedRun:
             session = DeviceSession(self.fast)
             for j, positive in enumerate(us.test):
                 negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
-                self._sync_device_rows(negs + [positive])
+                clicked = self._window(us.fast + us.test[:j])
+                self._sync_device_rows(negs + [positive] + clicked + exposed)
                 slow_score = partial(self.slow.score_candidates, slow_ctx, neg_memory=memory)
                 slow_results.append(rank_candidates(slow_score, user, positive, negs))
-                device = session.advance(self._window(us.fast + us.test[:j]), exposed, self.priors.get(user))
+                device = session.advance(clicked, exposed, self.priors.get(user))
                 fast_results.append(rank_candidates(partial(self.fast.score_context, device), user, positive, negs))
         return slow_results, fast_results
 
@@ -542,7 +526,7 @@ def run_lifecycle(config, prepared=None, collect_state=False):
             for user in users:
                 run._download(user, round_no=0)
         run.serve_and_train_fast()
-        if collect_state:  # before evaluation, whose syncs refresh the stale device rows it reads
+        if collect_state:  # the trained weights: evaluation changes no parameter
             outcome.states[seed] = _collect_state(run)
         slow_results, fast_results = run.evaluate()
         wall = round(time.perf_counter() - started, 4) if config.record_timing else 0.0
@@ -554,11 +538,9 @@ def run_lifecycle(config, prepared=None, collect_state=False):
 
 
 def _collect_state(run):
-    """Weights plus device mirror plus exposure streams, enough to re-evaluate."""
+    """Weights plus exposure streams, enough to re-evaluate: the device rows
+    evaluation reads are the cloud's, from ``slow/emb``."""
     arrays = {p.name: p.data.copy() for p in run.slow.params() + run.fast.params()}
-    emb, synced = run.fast.export_device_state()
-    arrays["device/emb"] = emb
-    arrays["device/synced"] = synced.astype(np.float32)
     exposures = {user: [list(step) for step in log] for user, log in run.exposure_log.items()}
     return arrays, exposures
 
@@ -586,8 +568,6 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
         except LifecycleError as err:
             raise LifecycleError(f"message {index} {err}") from err
     ad.load_params(run.slow.params() + run.fast.params(), arrays)
-    synced = np.asarray(ad.checkpoint_array(arrays, "device/synced")) > 0.5
-    run.fast.load_device_state(ad.checkpoint_array(arrays, "device/emb"), synced)
     if run.fast.interactive:
         unprimed = [u for u in users if u not in run.priors]
         if unprimed:

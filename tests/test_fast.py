@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -73,6 +74,24 @@ def test_synced_rows_mirror_cloud_table_bit_exactly():
     ids = [0, 3, 7]
     device.sync_rows(ids, cloud.embedding.lookup_np(ids))
     np.testing.assert_array_equal(device.lookup_np(ids), cloud.embedding.lookup_np(ids))
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_sync_rejects_an_id_outside_the_vocabulary(bad):
+    m = make_model(3)  # vocabulary of 12, every row synced
+    before = m.lookup_np(np.arange(12))
+    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
+        m.sync_rows([bad], np.ones((1, 4)))
+    np.testing.assert_array_equal(m.lookup_np(np.arange(12)), before)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), (2, 4, 1), (8,)])
+def test_sync_rejects_rows_not_shaped_one_per_id(shape):
+    m = make_model(4)
+    before = m.lookup_np(np.arange(12))
+    with pytest.raises(ad.ShapeError, match=re.escape(f"wants (2, 4) rows, got {shape}")):
+        m.sync_rows([1, 2], np.ones(shape))
+    np.testing.assert_array_equal(m.lookup_np(np.arange(12)), before)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +208,7 @@ def test_interactive_rejects_bad_prior_shape():
 
 MISSING_EXCHANGE_INPUT = {
     "fast-forward": (lambda m, s: m.forward([1, 2], [3], [4]), "prior"),
-    "fast-encode_context": (lambda m, s: m.encode_context([1, 2], [3]), "prior"),
+    "fast-encode_context": (lambda m, s: DeviceSession(m).advance([1, 2], [3]), "prior"),
     "fast-score_candidates": (lambda m, s: m.score_candidates([1, 2], [3], [4, 5]), "prior"),
     "slow-no-memory": (lambda m, s: s.score_candidates([1], [2, 3]), "memory"),
     "slow-short-memory": (lambda m, s: s.score_candidates([1], [2, 3], np.zeros((1, 3))), "memory"),
@@ -317,11 +336,11 @@ def test_carried_click_state_equals_full_reencode_bit_exactly(interactive, dtype
     session = DeviceSession(m)
     for n in range(1, len(clicks) + 1):
         context = session.advance(clicks[:n], exposed, prior)
-        full = m.encode_context(clicks[:n], exposed, prior)
+        full = DeviceSession(m).advance(clicks[:n], exposed, prior)
         np.testing.assert_array_equal(context.r_click, full.r_click)
         assert np.array_equal(m.score_context(context, cands), m.score_candidates(clicks[:n], exposed, cands, prior))
     slid = session.advance(clicks[2:], exposed, prior)
-    np.testing.assert_array_equal(slid.r_click, m.encode_context(clicks[2:], exposed, prior).r_click)
+    np.testing.assert_array_equal(slid.r_click, DeviceSession(m).advance(clicks[2:], exposed, prior).r_click)
     np.testing.assert_array_equal(slid.r_expose, context.r_expose)
 
 
@@ -410,8 +429,7 @@ def test_session_encodes_in_full_after_a_sync_changes_a_row_it_read():
 
 def test_a_sync_that_changes_nothing_keeps_the_session():
     m, prior, session, counts = counted_session()
-    emb, _ = m.export_device_state()
-    m.sync_rows(np.arange(12), emb)
+    m.sync_rows(np.arange(12), m.lookup_np(np.arange(12)))
     assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}
 
 

@@ -362,10 +362,10 @@ def trained_run(cluster_prepared, **overrides):
 
 
 def per_ranking_reference(run):
-    """(result, scores) per fast ranking, each re-encoding both GRUs through score_candidates.
+    """(result, scores) per fast ranking, each running ``forward`` through score_candidates.
 
-    Rows sync before each ranking as in evaluation: without downloads (f2s) a
-    sync can change device rows that earlier rankings' contexts were built from.
+    Rows sync before each ranking as in evaluation, so a device row made to
+    differ from the cloud's is mended where evaluation mends it.
     """
     out = []
     for user in run.users:
@@ -373,15 +373,17 @@ def per_ranking_reference(run):
         exposed = run._window([i for step in run.exposure_log[user] for i in step])
         for j, positive in enumerate(us.test):
             negs = [int(n) for n in run.sampler.draw(user, "test", j, run.config.n_eval_neg)]
-            run._sync_device_rows(negs + [positive])
             clicked = run._window(us.fast + us.test[:j])
+            run._sync_device_rows(negs + [positive] + clicked + exposed)
             scores = run.fast.score_candidates(clicked, exposed, [positive, *negs], prior=run.priors.get(user))
             out.append((rank_candidates(lambda ids: scores, user, positive, negs), scores))
     return out
 
 
 def assert_evaluation_matches_reference(run):
-    """Fast rankings and every score array of ``run.evaluate()`` equal the per-ranking reference."""
+    """Fast rankings and every score array of ``run.evaluate()`` equal the
+    per-ranking reference, run on a copy of ``run`` as it stood before."""
+    reference = per_ranking_reference(copy.deepcopy(run))
     scored = []
     score_context = run.fast.score_context
 
@@ -390,11 +392,7 @@ def assert_evaluation_matches_reference(run):
         return scored[-1]
 
     run.fast.score_context = spy
-    device_state = run.fast.export_device_state()
     _, fast_results = run.evaluate()
-    del run.fast.score_context  # score_candidates scores through it too
-    run.fast.load_device_state(*device_state)
-    reference = per_ranking_reference(run)
     assert fast_results == [result for result, _ in reference]
     assert len(scored) == len(reference)
     for got, (_, want) in zip(scored, reference):
@@ -409,19 +407,22 @@ def test_per_user_evaluation_equals_per_ranking_reencode(cluster_prepared, varia
 
 
 def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_prepared):
-    # a repeated click: each user's third test item is their first fast click,
-    # whose device row is stale, so ranking 2's sync changes a row of its window
+    # device rows made to differ from the cloud's: each user's first fast click,
+    # which is also their third test item, so the sync before a ranking that
+    # reads it changes a row of its window
     split, users = copy.deepcopy(cluster_prepared)
     run = trained_run((split, users), variant="independent")
     firsts = sorted({split.users[u].fast[0] for u in users})
     for user in users:
         split.users[user].test[2] = split.users[user].fast[0]
     run.fast.sync_rows(firsts, run.slow.embedding.lookup_np(firsts) + 0.01)
+    version = run.fast.version
     assert_evaluation_matches_reference(run)
+    assert run.fast.version > version
 
 
 @pytest.mark.parametrize("max_history_len", [3, 7, 30])
-@pytest.mark.parametrize("variant", ["independent", "s2f_full"])  # no stale device rows to re-sync
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
 def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, variant, max_history_len):
     run = trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len)
     steps = Counter()
@@ -448,6 +449,23 @@ def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, vari
     assert sum(steps.values()) < per_ranking
 
 
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_every_row_the_device_holds_equals_the_clouds_after_each_sync(monkeypatch, cluster_prepared, variant):
+    # threshold 2: f2s and s2f_full refresh the cloud table twice per user
+    sync, held = _SeedRun._sync_device_rows, []
+
+    def checked(self, ids):
+        sync(self, ids)
+        ids = self.fast.synced_ids()
+        np.testing.assert_array_equal(self.fast.lookup_np(ids), self.slow.embedding.lookup_np(ids))
+        held.append(ids.size)
+
+    monkeypatch.setattr(_SeedRun, "_sync_device_rows", checked)
+    out = run_lifecycle(tiny_config(variant=variant, threshold=2), cluster_prepared)
+    assert out.diagnostics[0]["refreshes"] == (0 if variant == "independent" else 2 * len(cluster_prepared[1]))
+    assert held and held[-1] > 0
+
+
 def test_evaluation_keeps_no_test_negatives(cluster_prepared):
     run = trained_run(cluster_prepared, variant="independent")
     run.evaluate()
@@ -468,7 +486,8 @@ def test_evaluation_keeps_no_test_negatives(cluster_prepared):
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
 def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster_prepared, variant, max_history_len):
     split, users = cluster_prepared
-    cfg = tiny_config(variant=variant, max_history_len=max_history_len)
+    # threshold 2: uploads, and so refreshes and resyncs, fall between one user's events
+    cfg = tiny_config(variant=variant, max_history_len=max_history_len, threshold=2)
     run = _SeedRun(cfg, 0, split, users)
     run.train_slow()
     if variant == "s2f_full":
@@ -570,8 +589,8 @@ def test_replay_rejects_a_repeated_upload_round(cluster_prepared, s2f_state):
 
 
 def test_f2s_replay_scores_every_ranking_as_live(monkeypatch, cluster_prepared):
-    # no downloads refresh f2s device rows, so evaluation's syncs change rows
-    # that its rankings read: replay must start from the mirror evaluation did
+    # f2s uploads at every event but never downloads: replay rebuilds the
+    # device rows evaluation reads from the checkpoint's cloud table
     cfg = tiny_config(variant="f2s", threshold=1)
     scores = []
 
@@ -592,7 +611,7 @@ def test_f2s_replay_scores_every_ranking_as_live(monkeypatch, cluster_prepared):
         assert np.array_equal(got, want), f"ranking {i}"
 
 
-@pytest.mark.parametrize("name", ["slow/emb", "fast/all/head/b2", "device/emb", "device/synced"])
+@pytest.mark.parametrize("name", ["slow/emb", "fast/all/head/b2"])
 def test_replay_names_a_tensor_the_checkpoint_lacks(tmp_path, cluster_prepared, s2f_state, name):
     cfg, arrays, messages, exposures = s2f_state
     path = tmp_path / "seed0.ckpt"
@@ -601,14 +620,6 @@ def test_replay_names_a_tensor_the_checkpoint_lacks(tmp_path, cluster_prepared, 
     assert set(arrays) - set(loaded) == {name}
     with pytest.raises(ad.CheckpointError, match=f"no tensor {name!r}"):
         evaluate_from_state(cfg, 0, cluster_prepared, loaded, messages, exposures)
-
-
-@pytest.mark.parametrize("name", ["device/emb", "device/synced"])
-def test_replay_rejects_a_device_mirror_of_the_wrong_size(cluster_prepared, s2f_state, name):
-    cfg, arrays, messages, exposures = s2f_state
-    cut = {**arrays, name: arrays[name][:-1]}
-    with pytest.raises(ad.ShapeError, match="device mirror"):
-        evaluate_from_state(cfg, 0, cluster_prepared, cut, messages, exposures)
 
 
 def test_replay_rejects_an_interactive_user_without_a_prior(cluster_prepared, s2f_state):

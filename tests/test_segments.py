@@ -224,11 +224,6 @@ def reference_refresh(run, user):
 def reference_serve_and_train_fast(run):
     """Serving on the first epoch, one tape per device context, and per-context refreshes."""
     run._refresh_slow = lambda user: reference_refresh(run, user)
-    needed = set()
-    for user in run.users:
-        us = run.split.users[user]
-        needed.update(us.slow[-1:] + us.fast + us.test)
-    run._sync_device_rows(sorted(needed))
     for epoch in range(run.config.fast_epochs):
         order = run.epoch_rng.permutation(run.users) if epoch else list(run.users)
         pending = 0
@@ -242,7 +237,6 @@ def reference_serve_and_train_fast(run):
                     continue
                 clicked, exposed = run._fast_contexts(user, j)
                 negs = [int(n) for n in run.sampler.draw(user, "fast", j, run.config.n_train_neg)]
-                run._sync_device_rows(negs)
                 candidates, labels = [item] + negs, [1] + [0] * len(negs)
                 with ad.tape() as t:
                     t.backward(run.fast.loss(clicked, exposed, candidates, labels, prior=run.priors.get(user)))
