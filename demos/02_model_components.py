@@ -17,7 +17,7 @@ import numpy as np
 import sfrec.autodiff as ad
 import sfrec.layers as ly
 from sfrec.fast import FastModel
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 
 def section(title):
@@ -72,7 +72,7 @@ section("device model forward (needs synced embedding rows)")
 fast = FastModel(50, dim, np.random.default_rng(2), interactive=True, head_hidden=(16, 8))
 ids = np.arange(50)
 fast.sync_rows(ids, slow.embedding.lookup_np(ids))  # device rows come from the cloud table
-prior = InterestExport(user=0, round=0, r_n=np.zeros((1, dim)), r_t=r_t.data[:1])
+prior = {"r_n": np.zeros((1, dim)), "r_t": r_t.data[:1]}  # an INTEREST_DOWN payload
 out = fast.forward(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
 print(f"p(click)={out.prob.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
       " both GRUs ran once for the two candidates")

@@ -10,7 +10,7 @@ The three variants differ only in which exchange directions are enabled:
   f2s          device uploads negative memories; cloud refreshes
   s2f_full     uploads plus interest/GRU downloads priming the device
 
-Run:  python3 demos/04_synthetic_lifecycle.py   (about two minutes)
+Run:  python3 demos/04_synthetic_lifecycle.py   (under a minute)
 """
 
 import os

@@ -28,7 +28,7 @@ from .atomic import write_atomic
 from .config import ExperimentConfig, load_config
 from .fast import FastModel
 from .harness import LifecycleError, evaluate_from_state, prepare_data, run_lifecycle, write_results
-from .slow import InterestExport, SlowModel
+from .slow import SlowModel
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 
@@ -131,7 +131,7 @@ def _gradcheck_graphs(dim, seed):
     clicked, exposed = [1, 5, 3], [2, 7]
     segment = [(1, 0), (1, 0), (2, 1), (2, 1), (3, 2), (3, 2)]
     memory = rng.normal(scale=0.1, size=(1, dim))
-    prior = InterestExport(0, 0, rng.normal(scale=0.1, size=(1, dim)), rng.normal(scale=0.1, size=(1, dim)))
+    prior = {"r_n": rng.normal(scale=0.1, size=(1, dim)), "r_t": rng.normal(scale=0.1, size=(1, dim))}
 
     graphs = []
     for interactive in (False, True):

@@ -128,8 +128,9 @@ def load_config(path=None, overrides=None):
     """Build a validated config from an optional file plus override pairs.
 
     File syntax: one ``key = value`` per line, ``#`` comments, blank lines
-    ignored.  ``overrides`` (a key -> raw-string dict, e.g. from CLI flags)
-    wins over file values.
+    ignored.  ``overrides`` (a key -> value dict, e.g. from CLI flags) wins
+    over file values.  Each value parses from its text (a list joined
+    with commas), so a value of the wrong type is a ConfigError.
     """
     values = {}
     if path is not None:
@@ -143,7 +144,5 @@ def load_config(path=None, overrides=None):
                 key, raw = (part.strip() for part in line.split("=", 1))
                 values[key] = parse_value(key, raw)
     for key, raw in (overrides or {}).items():
-        values[key] = parse_value(key, raw) if isinstance(raw, str) else raw
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = parse_value(key, ",".join(map(str, raw)) if isinstance(raw, list) else str(raw))
     return ExperimentConfig(**values).validate()

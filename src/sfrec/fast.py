@@ -3,7 +3,8 @@
 One GRU encodes the short click sequence, the other the exposed-but-unclicked
 stream; a target-aware blend of the two feeds the prediction head.  The
 interactive wiring additionally receives the cloud's interest snapshot and
-turns it into initial states for both GRUs.
+turns it into initial states for both GRUs.  Exchange values are their
+``exchange.SCHEMAS`` payload dicts: the prior ``{"r_n", "r_t"}``, the memory ``{"r2_hat"}``.
 
 The device never trains embeddings: it holds copies of the cloud table rows
 it has been sent (``sync_rows``), and the harness resyncs every held row
@@ -36,7 +37,6 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "DeviceContext",
     "DeviceSession",
     "ExposureMemory",
-    "NegativeMemoryExport",
     "UnsyncedRowError",
 ]
 
@@ -83,17 +82,9 @@ class DeviceContext(NamedTuple):
     r_t: "np.ndarray | None"
 
 
-@dataclass
-class NegativeMemoryExport:
-    """Upload value: GRU summary of exposures accumulated since last upload."""
-
-    user: int
-    r2_hat: np.ndarray
-    count: int
-
-
 class FastModel:
-    def __init__(self, n_items, dim, rng, interactive, dtype=np.float64, name="fast/all", head_hidden=(64, 32)):
+    def __init__(self, n_items, dim, rng, interactive, dtype=np.float64, head_hidden=(64, 32)):
+        name = "fast/all"  # every parameter name's prefix
         self.dim = dim
         self.interactive = interactive
         self.n_items = n_items
@@ -181,16 +172,16 @@ class FastModel:
         return r_click, r_expose
 
     def _prior_states(self, prior):
-        """Both GRUs' (1, d) init states, projected from the blended interest
-        pair of ``prior``, and the (1, d) ``r_t`` the head reads; a missing or
-        misshapen prior is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
+        """Both GRUs' (1, d) init states, projected from the blended pair of the
+        ``INTEREST_DOWN`` payload ``prior``, and the (1, d) ``r_t`` the head reads; a missing
+        prior or a missing or misshapen row is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
         dtype = self._emb.dtype
         if not self.interactive:
             zero = ad.constant(np.zeros((1, self.dim), dtype=dtype))
             return zero, zero, None
         if prior is None:
             raise ad.ShapeError("the interactive device model needs a prior (r_n, r_t), got None")
-        r_n, r_t = np.asarray(prior.r_n, dtype=dtype), np.asarray(prior.r_t, dtype=dtype)
+        r_n, r_t = np.asarray(prior.get("r_n"), dtype=dtype), np.asarray(prior.get("r_t"), dtype=dtype)
         if r_n.shape != (1, self.dim) or r_t.shape != (1, self.dim):
             raise ad.ShapeError(f"prior vectors must be (1,{self.dim}), got {r_n.shape} and {r_t.shape}")
         rn_c, rt_c = ad.constant(r_n), ad.constant(r_t)
@@ -298,10 +289,9 @@ class ExposureMemory:
     def record(self, item_ids):
         self.pending.extend(int(i) for i in item_ids)
 
-    def export(self, model, user):
-        count = len(self.pending)
-        if count:
-            rows = model.lookup_np(self.pending)
-            self.hidden = model.gru_expose.encode_np(rows, self.hidden)
+    def export(self, model):
+        """The ``NEGATIVE_MEMORY_UP`` payload ``{"r2_hat"}``, after encoding what was shown since the last export."""
+        if self.pending:
+            self.hidden = model.gru_expose.encode_np(model.lookup_np(self.pending), self.hidden)
             self.pending = []
-        return NegativeMemoryExport(user=user, r2_hat=self.hidden.copy(), count=count)
+        return {"r2_hat": self.hidden.copy()}

@@ -69,7 +69,7 @@ from .config import ExperimentConfig
 from .data import NegativeSampler, make_cluster_dataset, parse_ml1m, parse_tsv, phase_split, simulate_exposures
 from .fast import DeviceSession, ExposureMemory, FastModel
 from .metrics import hr_at_k, mrr, ndcg_at_k, rank_candidates
-from .slow import InterestExport, SlowModel
+from .slow import SlowModel
 
 __all__ = [
     "RunRecord",
@@ -219,7 +219,7 @@ class _SeedRun:
         self.counts = {"uploads": 0, "refreshes": 0, "downloads": 0}
         self.memories = {u: ExposureMemory(config.dim, dtype=self.dtype) for u in users}
         self.slow_memory = {}  # user -> decoded negative-memory array
-        self.priors = {}  # user -> InterestExport (decoded)
+        self.priors = {}  # user -> decoded INTEREST_DOWN payload {"r_n", "r_t"}
         self.exposure_log = {u: [] for u in users}
 
     # -- shared helpers -----------------------------------------------------
@@ -349,8 +349,7 @@ class _SeedRun:
                     f"({kind.name}) for user {msg.user}: payload {name!r} has shape {np.shape(value)}, expected {want}"
                 )
         if kind == ex.MessageKind.INTEREST_DOWN:
-            r_n, r_t = (msg.payload[k].astype(self.dtype) for k in ("r_n", "r_t"))
-            self.priors[msg.user] = InterestExport(msg.user, msg.round, r_n, r_t)
+            self.priors[msg.user] = {k: v.astype(self.dtype) for k, v in msg.payload.items()}
         elif kind == ex.MessageKind.NEGATIVE_MEMORY_UP:
             self.tracker.accept(msg.user, msg.round)
             self.slow_memory[msg.user] = msg.payload["r2_hat"].astype(self.dtype)
@@ -360,15 +359,15 @@ class _SeedRun:
     def _download(self, user, round_no):
         """Interest snapshot plus GRU sync, cloud to device, via the wire."""
         seq = self._window(self.split.users[user].slow)
-        export = self.slow.export_interest(user, seq, round_no, neg_memory=self.slow_memory.get(user))
-        self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, {"r_n": export.r_n, "r_t": export.r_t})
+        interest = self.slow.export_interest(seq, neg_memory=self.slow_memory.get(user))
+        self._send(ex.MessageKind.INTEREST_DOWN, user, round_no, interest)
         self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
         self.counts["downloads"] += 1
 
     def _upload(self, user):
-        export = self.memories[user].export(self.fast, user)
+        memory = self.memories[user].export(self.fast)
         round_no = self.scheduler.next_round(user)
-        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, {"r2_hat": export.r2_hat})
+        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, memory)
         self.counts["uploads"] += 1
         self._refresh_slow(user)
         self._sync_device_rows(self.fast.synced_ids())  # the refresh moved cloud rows the device holds

@@ -6,7 +6,8 @@ consumes the device's negative-memory vector through a gated GRU step.  The
 prediction head width differs between them (2d vs 3d input), so a model is
 constructed for one wiring and stays there.  Both run through one
 ``forward``, which takes the exchange input and which the plain wiring
-ignores.
+ignores.  What the cloud sends the device, ``export_interest``, is the
+``INTEREST_DOWN`` payload dict of :data:`sfrec.exchange.SCHEMAS` itself.
 
 ``forward`` takes a candidate list and gives one row per candidate, with an
 optional ``[start, end)`` history window per candidate.  Training builds one
@@ -21,7 +22,6 @@ nothing, and the attention pool and the head's MLP are one fused node each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as ly
 
-__all__ = ["SlowModel", "SlowForward", "InterestExport"]
+__all__ = ["SlowModel", "SlowForward"]
 
 
 class SlowForward(NamedTuple):
@@ -38,16 +38,6 @@ class SlowForward(NamedTuple):
     prob: "ad.Tensor"
     r_n: "ad.Tensor | None"
     r_t: "ad.Tensor"
-
-
-@dataclass
-class InterestExport:
-    """Per-user interest snapshot shipped to the device side."""
-
-    user: int
-    round: int
-    r_n: np.ndarray
-    r_t: np.ndarray
 
 
 class SlowModel:
@@ -112,8 +102,8 @@ class SlowModel:
 
     # -- exchange ------------------------------------------------------------
 
-    def export_interest(self, user, seq_ids, round_no, neg_memory=None):
-        """Interest snapshot for one user, conditioned on their latest click.
+    def export_interest(self, seq_ids, neg_memory=None):
+        """A user's ``INTEREST_DOWN`` payload ``{"r_n", "r_t"}``, conditioned on their latest click.
 
         Before any upload has arrived (``neg_memory`` None) the r_n slot is
         all zeros, as there is no exposure signal to refresh; afterwards it is
@@ -124,7 +114,7 @@ class SlowModel:
         out = self.forward(seq_ids, [seq_ids[-1]], memory)
         r_t = out.r_t.data.copy()
         r_n = np.zeros_like(r_t) if neg_memory is None or out.r_n is None else out.r_n.data.copy()
-        return InterestExport(user=user, round=round_no, r_n=r_n, r_t=r_t)
+        return {"r_n": r_n, "r_t": r_t}
 
     # -- scoring ----------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from sfrec.exchange import (
 from sfrec.fast import FastModel
 from sfrec.harness import prepare_data, run_lifecycle, write_results
 from sfrec.metrics import RankingResult, hr_at_k, mrr, ndcg_at_k, rank_candidates
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 
 def _ml1m_ratings():
@@ -101,7 +101,7 @@ def test_acceptance_gradient_suite():
 
     fast = FastModel(n_items, dim, np.random.default_rng(2), interactive=True, head_hidden=(6, 4))
     fast.sync_rows(np.arange(n_items), np.random.default_rng(3).normal(scale=0.1, size=(n_items, dim)))
-    prior = InterestExport(0, 0, np.full((1, dim), 0.2), np.full((1, dim), -0.1))
+    prior = {"r_n": np.full((1, dim), 0.2), "r_t": np.full((1, dim), -0.1)}
     report = ad.grad_check(
         lambda: fast.loss([1, 5, 3], [2, 7], [4], [1], prior=prior), fast.params(), tolerance=1e-3
     )
@@ -165,7 +165,7 @@ def test_acceptance_reduction_to_independent_fast():
     for p in (interactive.init_click_w, interactive.init_click_b,
               interactive.init_expose_w, interactive.init_expose_b):
         p.data = np.zeros_like(p.data)
-    zero_prior = InterestExport(0, 0, np.zeros((1, dim)), np.zeros((1, dim)))
+    zero_prior = {"r_n": np.zeros((1, dim)), "r_t": np.zeros((1, dim))}
 
     clicked, exposed, cand = [3, 17, 8, 25], [5, 30, 2], 21
     got = interactive.forward(clicked, exposed, [cand], zero_prior)

@@ -7,7 +7,7 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec.fast import FastModel
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 N_ITEMS, DIM = 10, 3
 CANDIDATES = [4, 7, 9, 2]
@@ -25,7 +25,7 @@ def fast_wiring(interactive):
     m = FastModel(N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, head_hidden=(6, 4))
     m.sync_rows(np.arange(N_ITEMS), np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM)))
     r = np.random.default_rng(5)
-    kwargs = {"prior": InterestExport(0, 0, r.normal(size=(1, DIM)), r.normal(size=(1, DIM)))} if interactive else {}
+    kwargs = {"prior": {"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))}} if interactive else {}
     return m, lambda cands, labels: m.loss([1, 5, 3], [8, 6], cands, labels, **kwargs)
 
 

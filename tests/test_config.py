@@ -47,6 +47,23 @@ def test_cli_override_beats_file_value(tmp_path):
     assert load_config(path, {"threshold": 7}).threshold == 7
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [({"dim": 3.5}, "dim"), ({"threshold": True}, "threshold"), ({"eval_ks": [5, "ten"]}, "eval_ks"),
+     ({"record_timing": 2}, "record_timing")],
+)
+def test_override_of_the_wrong_type_is_named(overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        load_config(None, overrides)
+
+
+def test_overrides_parse_from_their_text():
+    cfg = load_config(None, {"lr": 5e-3, "l2": 1e-4, "dim": 16, "record_timing": False, "variant": "f2s"})
+    assert (cfg.lr, cfg.l2, cfg.dim, cfg.record_timing, cfg.variant) == (5e-3, 1e-4, 16, False, "f2s")
+    assert load_config(None, {"eval_ks": [5, "10"]}).eval_ks == [5, 10]
+    assert load_config(None, {"eval_ks": 5}).eval_ks == [5]
+
+
 def test_negative_lr_rejected(tmp_path):
     with pytest.raises(ConfigError, match="lr"):
         load_config(write(tmp_path, "lr = -1\n"))

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from sfrec import autodiff as ad
 from sfrec import exchange as ex
+from sfrec.fast import ExposureMemory, FastModel
+from sfrec.layers import GruCell
+from sfrec.slow import SlowModel
 
 
 def rng(seed=0):
@@ -301,6 +304,32 @@ def test_arbitrary_bytes_never_crash_outside_wire_errors(data):
         ex.decode_message(data)
     except ex.WireError:
         pass
+
+
+def _memory_export():
+    device = FastModel(12, 4, rng(63), interactive=False)
+    device.sync_rows(np.arange(12), rng(64).normal(size=(12, 4)))
+    memory = ExposureMemory(4)
+    memory.record([1, 5, 9])
+    return memory.export(device)
+
+
+PRODUCERS = {
+    "export_interest": (
+        ex.MessageKind.INTEREST_DOWN,
+        lambda: SlowModel(12, 4, rng(60), interactive=True).export_interest([1, 2, 3], rng(61).normal(size=(1, 4))),
+    ),
+    "memory_export": (ex.MessageKind.NEGATIVE_MEMORY_UP, _memory_export),
+    "export_gates": (ex.MessageKind.GRU_N_SYNC, lambda: GruCell(4, 4, rng(62)).export_gates()),
+}
+
+
+@pytest.mark.parametrize("kind, produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_each_exchange_producer_returns_its_kinds_wire_payload(kind, produce):
+    payload = produce()
+    assert set(payload) == ex.SCHEMAS[kind]
+    decoded = ex.decode_message(ex.encode_message(ex.ExchangeMessage(kind, 3, 1, payload)))
+    assert decoded == ex.ExchangeMessage(kind, 3, 1, {k: np.asarray(v, np.float32) for k, v in payload.items()})
 
 
 # ---------------------------------------------------------------------------

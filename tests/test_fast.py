@@ -7,7 +7,7 @@ import pytest
 from sfrec import autodiff as ad
 from sfrec import layers as ly
 from sfrec.fast import DeviceSession, ExposureMemory, FastModel, UnsyncedRowError
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 
 def rng(seed=0):
@@ -45,15 +45,15 @@ def reference_score(m, r1, r2, tgt, r_t=None):
 
 def reference_prior_states(m, prior):
     """The interactive GRU init states, in numpy."""
-    alpha = sig(np.hstack([prior.r_n, prior.r_t]) @ m.prior_gate_w.data + m.prior_gate_b.data)
-    blended = alpha * prior.r_n + (1.0 - alpha) * prior.r_t
+    alpha = sig(np.hstack([prior["r_n"], prior["r_t"]]) @ m.prior_gate_w.data + m.prior_gate_b.data)
+    blended = alpha * prior["r_n"] + (1.0 - alpha) * prior["r_t"]
     init_click = np.maximum(blended @ m.init_click_w.data + m.init_click_b.data, 0.0)
     return init_click, np.maximum(blended @ m.init_expose_w.data + m.init_expose_b.data, 0.0)
 
 
 def prior_of(m, seed):
     r = rng(seed)
-    return InterestExport(user=0, round=0, r_n=r.normal(size=(1, m.dim)), r_t=r.normal(size=(1, m.dim)))
+    return {"r_n": r.normal(size=(1, m.dim)), "r_t": r.normal(size=(1, m.dim))}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_zeroed_prior_gate_averages_the_two_prior_vectors():
     m.prior_gate_b.data[:] = 0.0
     prior = prior_of(m, 8)
     init_click, init_expose, _ = m._prior_states(prior)
-    blend = (prior.r_n + prior.r_t) / 2.0
+    blend = (prior["r_n"] + prior["r_t"]) / 2.0
     np.testing.assert_allclose(
         init_click.data, np.maximum(blend @ m.init_click_w.data + m.init_click_b.data, 0.0), rtol=1e-12
     )
@@ -179,7 +179,7 @@ def test_reduction_zero_prior_and_projections_reproduce_plain_encodings():
     for p in (mi.init_click_w, mi.init_click_b, mi.init_expose_w, mi.init_expose_b):
         p.data[:] = 0.0
     zero = np.zeros((1, 4))
-    prior = InterestExport(user=0, round=0, r_n=zero, r_t=zero)
+    prior = {"r_n": zero, "r_t": zero}
     clicked, exposed, cand = [1, 5, 8], [0, 2], 3
     out_i = mi.forward(clicked, exposed, [cand], prior)
     out_p = mp.forward(clicked, exposed, [cand])
@@ -194,16 +194,18 @@ def test_interactive_matches_step_by_step_oracle():
     init_click, init_expose = reference_prior_states(m, prior)
     r1 = m.gru_click.encode_np(m.lookup_np(clicked), init_click)
     r2 = m.gru_expose.encode_np(m.lookup_np(exposed), init_expose)
-    expected = reference_score(m, r1, r2, m.lookup_np([cand]), prior.r_t)
+    expected = reference_score(m, r1, r2, m.lookup_np([cand]), prior["r_t"])
     out = m.forward(clicked, exposed, [cand], prior)
     assert out.prob.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_interactive_rejects_bad_prior_shape():
     m = make_model(12, interactive=True)
-    bad = InterestExport(user=0, round=0, r_n=np.zeros((1, 3)), r_t=np.zeros((1, 4)))
+    bad = {"r_n": np.zeros((1, 3)), "r_t": np.zeros((1, 4))}
     with pytest.raises(ad.ShapeError):
         m.forward([1], [], [2], bad)
+    with pytest.raises(ad.ShapeError):  # a missing row, not a KeyError
+        m.forward([1], [], [2], {"r_t": np.zeros((1, 4))})
 
 
 MISSING_EXCHANGE_INPUT = {
@@ -260,11 +262,10 @@ def test_export_with_no_exposures_keeps_state_and_reports_zero():
     m = make_model(16)
     mem = ExposureMemory(4)
     mem.record([1, 2])
-    first = mem.export(m, user=3)
-    second = mem.export(m, user=3)
-    assert first.count == 2 and second.count == 0
-    np.testing.assert_array_equal(first.r2_hat, second.r2_hat)
-    assert second.user == 3
+    first = mem.export(m)
+    second = mem.export(m)
+    np.testing.assert_array_equal(first["r2_hat"], second["r2_hat"])
+    assert set(second) == {"r2_hat"}  # the NEGATIVE_MEMORY_UP payload, nothing the header carries
 
 
 def test_first_export_encodes_from_zero_state():
@@ -272,9 +273,9 @@ def test_first_export_encodes_from_zero_state():
     mem = ExposureMemory(4)
     items = [2, 5, 9]
     mem.record(items)
-    export = mem.export(m, user=0)
+    export = mem.export(m)
     expected = m.gru_expose.encode_np(m.lookup_np(items), np.zeros((1, 4)))
-    np.testing.assert_array_equal(export.r2_hat, expected)
+    np.testing.assert_array_equal(export["r2_hat"], expected)
 
 
 def test_exposure_accumulation_is_associative_across_200_random_splits():
@@ -286,12 +287,12 @@ def test_exposure_accumulation_is_associative_across_200_random_splits():
         cut = int(r.integers(1, n))
         whole = ExposureMemory(4)
         whole.record(stream)
-        one_pass = whole.export(m, user=0).r2_hat
+        one_pass = whole.export(m)["r2_hat"]
         split = ExposureMemory(4)
         split.record(stream[:cut])
-        split.export(m, user=0)
+        split.export(m)
         split.record(stream[cut:])
-        two_pass = split.export(m, user=0).r2_hat
+        two_pass = split.export(m)["r2_hat"]
         np.testing.assert_array_equal(one_pass, two_pass)
 
 

@@ -10,7 +10,7 @@ from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.fast import DeviceSession, FastModel
 from sfrec.harness import _SeedRun, prepare_data
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 N_ITEMS, DIM = 16, 3
 HISTORY = [1, 5, 3, 2, 9, 11, 4, 12]
@@ -48,7 +48,7 @@ def fast_wiring(interactive):
     m = FastModel(N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, head_hidden=(6, 4))
     m.sync_rows(np.arange(N_ITEMS), np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM)))
     r = np.random.default_rng(5)
-    kwargs = {"prior": InterestExport(0, 0, r.normal(size=(1, DIM)), r.normal(size=(1, DIM)))} if interactive else {}
+    kwargs = {"prior": {"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))}} if interactive else {}
     candidates, labels, prefixes = [], [], []
     for nc, ne, cands, labs in FAST_CONTEXTS:
         candidates += cands

@@ -3,7 +3,7 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
-from sfrec.slow import InterestExport, SlowModel
+from sfrec.slow import SlowModel
 
 
 def rng(seed=0):
@@ -193,30 +193,30 @@ def test_one_adam_step_decreases_single_example_loss():
 
 def test_export_cold_start_zero_memory_slot():
     m = make_model(15, interactive=True)
-    export = m.export_interest(user=7, seq_ids=[1, 2, 3], round_no=0)
-    np.testing.assert_array_equal(export.r_n, np.zeros((1, 4)))
+    export = m.export_interest(seq_ids=[1, 2, 3])
+    np.testing.assert_array_equal(export["r_n"], np.zeros((1, 4)))
     # r_t does not read the memory: any memory gives the same pooled interest
-    np.testing.assert_array_equal(export.r_t, m.forward([1, 2, 3], [3], rng(26).normal(size=(1, 4))).r_t.data)
-    assert (export.user, export.round) == (7, 0)
+    np.testing.assert_array_equal(export["r_t"], m.forward([1, 2, 3], [3], rng(26).normal(size=(1, 4))).r_t.data)
+    assert set(export) == {"r_n", "r_t"}  # the INTEREST_DOWN payload, nothing the header carries
 
 
 def test_export_after_upload_matches_interactive_forward_bit_exactly():
     m = make_model(16, interactive=True)
     seq = [4, 0, 9]
     mem = rng(17).normal(size=(1, 4))
-    export = m.export_interest(user=1, seq_ids=seq, round_no=3, neg_memory=mem)
+    export = m.export_interest(seq_ids=seq, neg_memory=mem)
     _, r_n, r_t = m.forward(seq, [seq[-1]], mem)
-    np.testing.assert_array_equal(export.r_n, r_n.data)
-    np.testing.assert_array_equal(export.r_t, r_t.data)
+    np.testing.assert_array_equal(export["r_n"], r_n.data)
+    np.testing.assert_array_equal(export["r_t"], r_t.data)
 
 
 def test_export_is_a_value_snapshot():
     m = make_model(18, interactive=True)
-    export = m.export_interest(user=0, seq_ids=[1, 2], round_no=1, neg_memory=np.zeros((1, 4)))
-    saved = export.r_t.copy()
+    export = m.export_interest(seq_ids=[1, 2], neg_memory=np.zeros((1, 4)))
+    saved = export["r_t"].copy()
     for p in m.params():
         p.data[:] = 0.0
-    np.testing.assert_array_equal(export.r_t, saved)
+    np.testing.assert_array_equal(export["r_t"], saved)
 
 
 # ---------------------------------------------------------------------------
