@@ -60,26 +60,27 @@ print(f"blend of two (1,{dim}) vectors -> {blended.shape}")
 section("cloud model forward")
 slow = SlowModel(50, dim, np.random.default_rng(1), interactive=True, head_hidden=(16, 8))
 memory = np.zeros((1, dim))
-prob, r_n, r_t = slow.forward([4, 9, 11, 2], [7, 12], neg_memory=memory)
+prob = slow.forward([4, 9, 11, 2], [7, 12], neg_memory=memory)
 print(f"p(click) for candidates 7, 12: {prob.data.ravel().round(4)} (one graph for both)")
-print(f"with zero memory the gated feature for candidate 7 is r_n={r_n.data[0].round(3)}")
+interest = slow.export_interest([4, 9, 11, 2], neg_memory=memory)  # the encoder alone, no head
+print(f"the INTEREST_DOWN payload for the latest click, item 2, has r_n={interest['r_n'][0].round(3)}")
 plain = SlowModel(50, dim, np.random.default_rng(1), interactive=False, head_hidden=(16, 8))
-ignored = np.array_equal(plain.forward([4, 9, 11, 2], [7, 12], neg_memory=memory).prob.data,
-                         plain.forward([4, 9, 11, 2], [7, 12]).prob.data)
+ignored = np.array_equal(plain.forward([4, 9, 11, 2], [7, 12], neg_memory=memory).data,
+                         plain.forward([4, 9, 11, 2], [7, 12]).data)
 print(f"a plain model takes the same call and ignores the memory: {ignored}")
 
 section("device model forward (needs synced embedding rows)")
 fast = FastModel(50, dim, np.random.default_rng(2), interactive=True, head_hidden=(16, 8))
 ids = np.arange(50)
 fast.sync_rows(ids, slow.embedding.lookup_np(ids))  # device rows come from the cloud table
-prior = {"r_n": np.zeros((1, dim)), "r_t": r_t.data[:1]}  # an INTEREST_DOWN payload
+prior = interest  # the device's prior is the downloaded payload itself
 out = fast.forward(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
-print(f"p(click)={out.prob.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
+print(f"p(click)={out.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
       " both GRUs ran once for the two candidates")
 # a training segment: two contexts in one graph, the first seeing one click
 # and one exposure, the second both; each GRU still runs once
 seg = fast.forward([4, 9], [13, 30], [7, 12], prior=prior, prefixes=[(1, 1), (2, 2)])
-print(f"as a segment of two contexts: p(click)={seg.prob.data.ravel().round(4)};"
+print(f"as a segment of two contexts: p(click)={seg.data.ravel().round(4)};"
       f" the first candidate read the states after 1 click and 1 exposure")
 
 section("checkpoint round trip")

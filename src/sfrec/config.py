@@ -130,12 +130,16 @@ def load_config(path=None, overrides=None):
     File syntax: one ``key = value`` per line, ``#`` comments, blank lines
     ignored.  ``overrides`` (a key -> value dict, e.g. from CLI flags) wins
     over file values.  Each value parses from its text (a list joined
-    with commas), so a value of the wrong type is a ConfigError.
+    with commas); a mistyped value or a non-UTF-8 line is a ConfigError.
     """
     values = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with open(path, "rb") as fh:
+            for lineno, raw_line in enumerate(fh, start=1):
+                try:
+                    line = raw_line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({err.reason})") from None
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue

@@ -12,13 +12,14 @@ after each cloud refresh, so a held row always equals the cloud's.  Looking
 up a row that was never synced is a hard error, which keeps the simulation
 honest about what is actually on the device.
 
-Both wirings run through one graph ``forward``, which takes the prior and
-which the plain wiring ignores.  It takes a candidate list and, optionally,
-a ``(clicks, exposures)`` prefix length per candidate: training runs a
-segment (one user's consecutive contexts, whose windows only grow) through
-one graph, each GRU running once over the longest windows as one tape node
-and every candidate reading the states at its own context's prefixes.
-``score_candidates`` is ``forward`` with no tape open.
+Both wirings run through one graph ``forward``, which takes the prior (the
+plain wiring ignores it) and returns the (n, 1) click probabilities: an
+encoder, the init states then both GRUs, feeds the scoring tail.  It takes a
+candidate list and, optionally, a ``(clicks, exposures)`` prefix length per
+candidate: training runs a segment (one user's consecutive contexts, whose
+windows only grow) through one graph, each GRU running once over the longest
+windows as one tape node and every candidate reading the states at its own
+context's prefixes.  ``score_candidates`` is ``forward`` with no tape open.
 
 Serving and evaluation score through a :class:`DeviceSession`, which runs
 the two parts of ``forward`` apart: ``advance`` (the prior-derived init
@@ -46,7 +47,6 @@ from . import layers as ly
 
 __all__ = [
     "FastModel",
-    "FastForward",
     "DeviceContext",
     "DeviceSession",
     "ExposureMemory",
@@ -56,14 +56,6 @@ __all__ = [
 
 class UnsyncedRowError(KeyError):
     pass
-
-
-class FastForward(NamedTuple):
-    """(n, 1) probabilities plus the (n, d) pre-blend interest rows each candidate read (for diagnostics)."""
-
-    prob: "ad.Tensor"
-    r_click: "ad.Tensor"
-    r_expose: "ad.Tensor"
 
 
 class DeviceContext(NamedTuple):
@@ -104,7 +96,7 @@ class FastModel:
             head_in = 3 * dim
         else:
             head_in = 2 * dim
-        self.head = ly.MlpHead(head_in, rng, hidden=head_hidden, name=f"{name}/head", dtype=dtype)
+        self.head = ly.Mlp([head_in, *head_hidden, 1], rng, name=f"{name}/head", dtype=dtype)
         self._versioned = self.params()  # what ``version`` sums, built once
 
     def params(self):
@@ -202,7 +194,7 @@ class FastModel:
         return ly.predict_head(self.head, ad.concat(feats, axis=1))
 
     def forward(self, clicked, exposed, candidates, prior=None, prefixes=None):
-        """(n, 1) click probabilities plus the click and exposure states each candidate read.
+        """(n, 1) click probabilities, one row per candidate.
 
         The interactive wiring starts both GRUs from states derived from
         ``prior``, whose (1, d) ``r_n`` and ``r_t`` all candidates share, and
@@ -211,7 +203,7 @@ class FastModel:
         """
         init_click, init_expose, r_t = self._prior_states(prior)
         r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), init_click, init_expose, prefixes)
-        return FastForward(self._score(r_click, r_expose, self.lookup(candidates), r_t), r_click, r_expose)
+        return self._score(r_click, r_expose, self.lookup(candidates), r_t)
 
     def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
         """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
@@ -221,7 +213,7 @@ class FastModel:
         candidate's ``(clicks, exposures)`` lengths (None: one context, every
         candidate sees both whole windows).  The plain wiring ignores ``prior``.
         """
-        return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes).prob, labels)
+        return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes), labels)
 
     # -- scoring, with no tape open --------------------------------------------
 
@@ -233,7 +225,7 @@ class FastModel:
 
     def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
         """Click probabilities for many candidates against one device context: ``forward`` with no tape open."""
-        return self.forward(clicked, exposed, candidate_ids, prior).prob.data[:, 0]
+        return self.forward(clicked, exposed, candidate_ids, prior).data[:, 0]
 
 
 class DeviceSession:

@@ -554,9 +554,10 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     trained weights replace the gates the syncs loaded.  For float32 runs
     every ranking scores as at training time, bit for bit.  An interactive
     device model with a user no interest download reached, a user of the
-    run that ``exposures`` lacks, or one with fewer unseen items than
-    ``n_eval_neg`` or ``n_train_neg`` raises :class:`LifecycleError`; a
-    tensor that ``arrays`` lacks a :class:`~sfrec.autodiff.CheckpointError`.
+    run that ``exposures`` lacks, an exposed item outside the vocabulary, a
+    user with fewer unseen items than ``n_eval_neg`` or ``n_train_neg``: each
+    raises :class:`LifecycleError`; a tensor that ``arrays`` lacks a
+    :class:`~sfrec.autodiff.CheckpointError`.
     """
     split, users = prepared
     _check_negative_counts(config, split, users)
@@ -572,7 +573,9 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
         if unprimed:
             raise LifecycleError(f"no INTEREST_DOWN message for user {unprimed[0]}: the device model needs its prior")
     for user, log in exposures.items():
-        run.exposure_log[int(user)] = [[int(i) for i in step] for step in log]
+        steps = run.exposure_log[int(user)] = [[int(i) for i in step] for step in log]
+        if stray := [i for step in steps for i in step if not 0 <= i < split.vocab_size]:
+            raise LifecycleError(f"user {user}'s exposures hold item {stray[0]}, outside [0, {split.vocab_size})")
     unexposed = set(users).difference(int(user) for user in exposures)
     if unexposed:
         raise LifecycleError(f"the exposures have no stream for user {next(u for u in users if u in unexposed)}")

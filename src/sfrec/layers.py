@@ -9,6 +9,7 @@ contexts share one history or click/exposure sequence, and each target row
 reads its own context's part of it: ``din_attention`` masks the history to a
 per-row window, ``gru_encode`` returns the states at per-row prefix lengths
 from one pass, and ``target_aware_fusion`` takes an interest row per target.
+A head is an :class:`Mlp` ending in one unit, ``predict_head`` its sigmoid.
 Every block exposes ``params()`` for optimizer registration.
 
 Attention pooling, the MLP, the target-aware fusion and a GRU sequence are
@@ -39,7 +40,6 @@ __all__ = [
     "AttentionUnit",
     "din_attention",
     "target_aware_fusion",
-    "MlpHead",
     "predict_head",
 ]
 
@@ -424,19 +424,6 @@ def target_aware_fusion(r1, r2, targets, mlp):
     return ad.node(w1 * rd1 + w2 * rd2, (r1, r2, targets, *mlp.params()), backward)
 
 
-class MlpHead:
-    """Prediction head: three affine layers (ReLU between), sigmoid output."""
-
-    def __init__(self, in_dim, rng, hidden=(64, 32), name="head", dtype=np.float64):
-        self.mlp = Mlp([in_dim, *hidden, 1], rng, name=name, dtype=dtype)
-        self.in_dim = in_dim
-
-    def params(self):
-        return self.mlp.params()
-
-
 def predict_head(head, features):
-    """Click probability per feature row: (n, in_dim) -> (n, 1)."""
-    if features.shape[1] != head.in_dim:
-        raise ad.ShapeError(f"head wants (n,{head.in_dim}) features, got {features.shape}")
-    return ad.sigmoid(head.mlp.apply(features))
+    """Click probability per feature row: the sigmoid of the :class:`Mlp` ``head``, (n, in) -> (n, 1)."""
+    return ad.sigmoid(head.apply(features))

@@ -4,10 +4,10 @@ Two wirings share one parameter set shape: the plain variant scores a
 candidate from the pooled history alone, and the interactive variant also
 consumes the device's negative-memory vector through a gated GRU step.  The
 prediction head width differs between them (2d vs 3d input), so a model is
-constructed for one wiring and stays there.  Both run through one
-``forward``, which takes the exchange input and which the plain wiring
-ignores.  What the cloud sends the device, ``export_interest``, is the
-``INTEREST_DOWN`` payload dict of :data:`sfrec.exchange.SCHEMAS` itself.
+constructed for one wiring and stays there.  ``forward`` is the head over
+one encoder, which takes the exchange input that the plain wiring ignores.
+``export_interest`` runs the encoder alone and returns the ``INTEREST_DOWN``
+payload dict of :data:`sfrec.exchange.SCHEMAS` itself.
 
 ``forward`` takes a candidate list and gives one row per candidate, with an
 optional ``[start, end)`` history window per candidate.  Training builds one
@@ -22,22 +22,12 @@ nothing, and the attention pool and the head's MLP are one fused node each.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import autodiff as ad
 from . import layers as ly
 
-__all__ = ["SlowModel", "SlowForward"]
-
-
-class SlowForward(NamedTuple):
-    """(n, 1) probabilities plus the (n, d) interest stacks the head read: r_n (None in the plain wiring) and r_t."""
-
-    prob: "ad.Tensor"
-    r_n: "ad.Tensor | None"
-    r_t: "ad.Tensor"
+__all__ = ["SlowModel"]
 
 
 class SlowModel:
@@ -53,7 +43,7 @@ class SlowModel:
             head_in = 3 * dim
         else:
             head_in = 2 * dim
-        self.head = ly.MlpHead(head_in, rng, hidden=head_hidden, name="slow/head", dtype=dtype)
+        self.head = ly.Mlp([head_in, *head_hidden, 1], rng, name="slow/head", dtype=dtype)
 
     def params(self):
         out = self.embedding.params() + self.attention.params()
@@ -63,31 +53,35 @@ class SlowModel:
 
     # -- forward graph -------------------------------------------------------
 
-    def forward(self, seq_ids, candidates, neg_memory=None, windows=None):
-        """(n, 1) click probabilities plus the (n, d) interest stacks, one row per candidate.
-
-        ``windows`` holds one ``[start, end)`` slice of ``seq_ids`` per
-        candidate (None: all of it for every candidate).  ``neg_memory`` is the
-        device-uploaded (1, d) array shared by every candidate; the plain
-        wiring ignores it and its ``r_n`` is None.
-        """
+    def _interests(self, seq_ids, candidates, neg_memory=None, windows=None):
+        """The encoder: the (n, d) candidate rows and the interest rows the head reads, ``[r_n, r_t]``
+        (``[r_t]`` in the plain wiring, which ignores ``neg_memory``), one row per candidate."""
         if len(seq_ids) == 0:
             raise ad.ShapeError("slow sequences must be non-empty")
         if self.interactive:
             neg_memory = np.asarray(neg_memory)
             if neg_memory.shape != (1, self.dim):
                 raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
-        history = self.embedding.lookup(seq_ids)
+        history = self.embedding.lookup(seq_ids)  # before the targets: both lookups feed one gradient
         targets = self.embedding.lookup(candidates)
         r_t = ly.din_attention(self.attention, history, targets, windows)
         if not self.interactive:
-            return SlowForward(ly.predict_head(self.head, ad.concat([r_t, targets], axis=1)), None, r_t)
-        n = targets.shape[0]
-        memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), n, axis=0))
+            return targets, [r_t]
+        memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), targets.shape[0], axis=0))
         refreshed = self.gru_n.step(targets, memory_state)
         gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, targets], axis=1), self.gate_w), self.gate_b))
-        r_n = ad.scale(gate, refreshed)
-        return SlowForward(ly.predict_head(self.head, ad.concat([r_n, r_t, targets], axis=1)), r_n, r_t)
+        return targets, [ad.scale(gate, refreshed), r_t]
+
+    def forward(self, seq_ids, candidates, neg_memory=None, windows=None):
+        """(n, 1) click probabilities, one row per candidate.
+
+        ``windows`` holds one ``[start, end)`` slice of ``seq_ids`` per
+        candidate (None: all of it for every candidate).  ``neg_memory`` is the
+        device-uploaded (1, d) array shared by every candidate; the plain
+        wiring ignores it.
+        """
+        targets, interests = self._interests(seq_ids, candidates, neg_memory, windows)
+        return ly.predict_head(self.head, ad.concat(interests + [targets], axis=1))
 
     def loss(self, seq_ids, candidates, labels, neg_memory=None, windows=None):
         """Training loss of one segment under the model's own wiring.
@@ -98,7 +92,7 @@ class SlowModel:
         candidate; the loss is the (1,1) sum of the per-candidate
         cross-entropies, which is the sum of the segment's context losses.
         """
-        return ad.binary_cross_entropy(self.forward(seq_ids, candidates, neg_memory, windows).prob, labels)
+        return ad.binary_cross_entropy(self.forward(seq_ids, candidates, neg_memory, windows), labels)
 
     # -- exchange ------------------------------------------------------------
 
@@ -107,17 +101,17 @@ class SlowModel:
 
         Before any upload has arrived (``neg_memory`` None) the r_n slot is
         all zeros, as there is no exposure signal to refresh; afterwards it is
-        exactly the interactive forward's r_n for the most recent slow-phase
-        item.  The plain wiring always ships zeros there.
+        exactly the interactive encoder's r_n for the most recent slow-phase
+        item (the head never runs).  The plain wiring always ships zeros there.
         """
         memory = np.zeros((1, self.dim)) if neg_memory is None else neg_memory
-        out = self.forward(seq_ids, [seq_ids[-1]], memory)
-        r_t = out.r_t.data.copy()
-        r_n = np.zeros_like(r_t) if neg_memory is None or out.r_n is None else out.r_n.data.copy()
+        _, interests = self._interests(seq_ids, [seq_ids[-1]], memory)
+        r_t = interests[-1].data.copy()
+        r_n = interests[0].data.copy() if self.interactive and neg_memory is not None else np.zeros_like(r_t)
         return {"r_n": r_n, "r_t": r_t}
 
     # -- scoring ----------------------------------------------------------------
 
     def score_candidates(self, seq_ids, candidate_ids, neg_memory=None):
         """Click probabilities for many candidates against one context: ``forward`` with no tape open."""
-        return self.forward(seq_ids, candidate_ids, neg_memory).prob.data[:, 0]
+        return self.forward(seq_ids, candidate_ids, neg_memory).data[:, 0]

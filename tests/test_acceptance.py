@@ -28,7 +28,7 @@ from sfrec.exchange import (
     decode_message,
     encode_message,
 )
-from sfrec.fast import FastModel
+from sfrec.fast import DeviceSession, FastModel
 from sfrec.harness import prepare_data, run_lifecycle, write_results
 from sfrec.metrics import RankingResult, hr_at_k, mrr, ndcg_at_k, rank_candidates
 from sfrec.slow import SlowModel
@@ -71,7 +71,7 @@ def test_acceptance_gradient_suite():
     gru = ly.GruCell(dim, dim, rng, name="gru")
     att = ly.AttentionUnit(dim, rng, name="att", hidden=6)
     fuse = ly.Mlp([2 * dim, 6, 1], rng, name="fuse")
-    head = ly.MlpHead(2 * dim, rng, hidden=(6, 4), name="head")
+    head = ly.Mlp([2 * dim, 6, 4, 1], rng, name="head")
 
     x = ad.constant(rng.normal(size=(1, dim)))
     h = ad.constant(rng.normal(size=(1, dim)))
@@ -168,10 +168,10 @@ def test_acceptance_reduction_to_independent_fast():
     zero_prior = {"r_n": np.zeros((1, dim)), "r_t": np.zeros((1, dim))}
 
     clicked, exposed, cand = [3, 17, 8, 25], [5, 30, 2], 21
-    got = interactive.forward(clicked, exposed, [cand], zero_prior)
-    want = plain.forward(clicked, exposed, [cand])
-    assert np.array_equal(got.r_click.data, want.r_click.data)
-    assert np.array_equal(got.r_expose.data, want.r_expose.data)
+    got = DeviceSession(interactive).advance(clicked, exposed, zero_prior)
+    want = DeviceSession(plain).advance(clicked, exposed)
+    assert np.array_equal(got.r_click, want.r_click)
+    assert np.array_equal(got.r_expose, want.r_expose)
 
 
 # --------------------------------------------------------------------------

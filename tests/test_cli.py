@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from sfrec.autodiff import load_checkpoint
 from sfrec.cli import main
 from sfrec.harness import read_results
 
@@ -151,6 +152,24 @@ def test_eval_names_a_malformed_exposures_file(trained_state, tmp_path, capsys, 
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "LifecycleError"
     assert str(expo) in payload["detail"]
+
+
+@pytest.mark.parametrize("stray", [-1, "vocab", 10**30], ids=["negative", "vocab-size", "huge"])
+def test_eval_names_an_exposed_item_outside_the_vocabulary(trained_state, tmp_path, capsys, stray):
+    state = tmp_path / "state"
+    shutil.copytree(trained_state, state)
+    expo = state / "seed0_exposures.json"
+    streams = json.loads(expo.read_text())
+    user = next(iter(streams))
+    if stray == "vocab":
+        stray = load_checkpoint(state / "seed0.ckpt")["slow/emb"].shape[0]
+    streams[user].append([stray])
+    expo.write_text(json.dumps(streams))
+    capsys.readouterr()
+    assert main(["eval", "--state-dir", str(state), *TINY]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "LifecycleError"
+    assert f"user {user}'s exposures hold item {stray}," in payload["detail"]
 
 
 def test_eval_names_a_user_the_exposures_file_lacks(trained_state, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sfrec.config import ConfigError, ExperimentConfig, load_config
@@ -86,6 +88,14 @@ def test_unparsable_value_is_named(tmp_path):
 def test_missing_equals_sign_reports_line(tmp_path):
     with pytest.raises(ConfigError, match=":2:"):
         load_config(write(tmp_path, "lr = 0.01\nthreshold 5\n"))
+
+
+@pytest.mark.parametrize("body", [b"lr = 0.01\n\xff\xfe = 3\n", b"lr = 0.01\n# caf\xe9\n"], ids=["key", "comment"])
+def test_non_utf8_line_is_a_config_error_naming_path_and_line(tmp_path, body):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: not UTF-8"):
+        load_config(path)
 
 
 def test_constraint_violations_are_named():

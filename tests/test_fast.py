@@ -40,7 +40,7 @@ def reference_score(m, r1, r2, tgt, r_t=None):
     w = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
     blended = w[0, 0] * r1 + w[0, 1] * r2
     feats = [blended, tgt] if r_t is None else [blended, r_t, tgt]
-    return sig(reference_mlp(m.head.mlp, np.hstack(feats)))[0, 0]
+    return sig(reference_mlp(m.head, np.hstack(feats)))[0, 0]
 
 
 def reference_prior_states(m, prior):
@@ -101,15 +101,15 @@ def test_sync_rejects_rows_not_shaped_one_per_id(shape):
 def test_plain_forward_empty_exposures_is_well_defined():
     m = make_model(3)
     out = m.forward([1, 2], [], [5])
-    np.testing.assert_array_equal(out.r_expose.data, np.zeros((1, 4)))
-    assert 0.0 < out.prob.item() < 1.0
+    np.testing.assert_array_equal(DeviceSession(m).advance([1, 2], []).r_expose, np.zeros((1, 4)))
+    assert 0.0 < out.item() < 1.0
 
 
 def test_plain_forward_zeroed_head_gives_half():
     m = make_model(4)
-    m.head.mlp.weights[-1].data[:] = 0.0
-    m.head.mlp.biases[-1].data[:] = 0.0
-    assert m.forward([1, 2], [3], [5]).prob.item() == 0.5
+    m.head.weights[-1].data[:] = 0.0
+    m.head.biases[-1].data[:] = 0.0
+    assert m.forward([1, 2], [3], [5]).item() == 0.5
 
 
 def test_plain_forward_matches_layer_composition():
@@ -118,7 +118,7 @@ def test_plain_forward_matches_layer_composition():
     r1 = m.gru_click.encode_np(m.lookup_np(clicked), np.zeros((1, 4)))
     r2 = m.gru_expose.encode_np(m.lookup_np(exposed), np.zeros((1, 4)))
     expected = reference_score(m, r1, r2, m.lookup_np([cand]))
-    assert m.forward(clicked, exposed, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(clicked, exposed, [cand]).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_plain_forward_rejects_empty_clicks():
@@ -139,7 +139,7 @@ def _plain_forward_inputs(model):
 @pytest.mark.parametrize("model", ["slow", "fast"])
 def test_plain_wiring_ignores_the_exchange_input_bit_for_bit(model):
     m, args, exchange = _plain_forward_inputs(model)
-    np.testing.assert_array_equal(m.forward(*args, **exchange).prob.data, m.forward(*args).prob.data)
+    np.testing.assert_array_equal(m.forward(*args, **exchange).data, m.forward(*args).data)
     grads = []
     for kwargs in ({}, exchange):
         for p in m.params():
@@ -181,10 +181,10 @@ def test_reduction_zero_prior_and_projections_reproduce_plain_encodings():
     zero = np.zeros((1, 4))
     prior = {"r_n": zero, "r_t": zero}
     clicked, exposed, cand = [1, 5, 8], [0, 2], 3
-    out_i = mi.forward(clicked, exposed, [cand], prior)
-    out_p = mp.forward(clicked, exposed, [cand])
-    np.testing.assert_array_equal(out_i.r_click.data, out_p.r_click.data)
-    np.testing.assert_array_equal(out_i.r_expose.data, out_p.r_expose.data)
+    out_i = DeviceSession(mi).advance(clicked, exposed, prior)
+    out_p = DeviceSession(mp).advance(clicked, exposed)
+    np.testing.assert_array_equal(out_i.r_click, out_p.r_click)
+    np.testing.assert_array_equal(out_i.r_expose, out_p.r_expose)
 
 
 def test_interactive_matches_step_by_step_oracle():
@@ -196,7 +196,7 @@ def test_interactive_matches_step_by_step_oracle():
     r2 = m.gru_expose.encode_np(m.lookup_np(exposed), init_expose)
     expected = reference_score(m, r1, r2, m.lookup_np([cand]), prior["r_t"])
     out = m.forward(clicked, exposed, [cand], prior)
-    assert out.prob.item() == pytest.approx(expected, rel=1e-12)
+    assert out.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_interactive_rejects_bad_prior_shape():
@@ -313,7 +313,7 @@ def test_batched_scores_match_graph_forward_plain():
     cands = [1, 3, 5, 7, 11]
     batched = m.score_candidates(clicked, exposed, cands)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(clicked, exposed, [c]).prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(clicked, exposed, [c]).item(), rel=1e-12)
 
 
 def test_batched_scores_match_graph_forward_interactive():
@@ -324,7 +324,7 @@ def test_batched_scores_match_graph_forward_interactive():
     batched = m.score_candidates(clicked, exposed, cands, prior=prior)
     for i, c in enumerate(cands):
         out = m.forward(clicked, exposed, [c], prior)
-        assert batched[i] == pytest.approx(out.prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(out.item(), rel=1e-12)
 
 
 @pytest.mark.parametrize("interactive", [False, True])

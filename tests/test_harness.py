@@ -195,7 +195,7 @@ def test_non_finite_loss_aborts_with_context(cluster_prepared):
     split, users = cluster_prepared
     run = _SeedRun(tiny_config(), 0, split, users)
     # the head's output bias feeds sigmoid directly, so a NaN here reaches the loss
-    bad = run.slow.head.mlp.params()[-1]
+    bad = run.slow.head.params()[-1]
     bad.data = np.full_like(bad.data, np.nan)
     contexts = []
     real_loss = run.slow.loss

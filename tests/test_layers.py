@@ -3,6 +3,8 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
+from sfrec.fast import FastModel
+from sfrec.slow import SlowModel
 
 
 def rng(seed=0):
@@ -608,41 +610,44 @@ def test_fusion_gradients():
 
 
 def test_head_has_exactly_three_affine_layers():
-    head = ly.MlpHead(8, rng(40))
-    assert len(head.mlp.weights) == 3
+    for model in (SlowModel, FastModel):
+        for interactive in (False, True):
+            head = model(12, 4, rng(40), interactive=interactive).head
+            assert len(head.weights) == 3
+            assert head.dims == [(3 if interactive else 2) * 4, 64, 32, 1]
 
 
 def test_head_zeroed_final_layer_outputs_half():
-    head = ly.MlpHead(6, rng(41))
-    head.mlp.weights[-1].data[:] = 0.0
-    head.mlp.biases[-1].data[:] = 0.0
+    head = ly.Mlp([6, 64, 32, 1], rng(41))
+    head.weights[-1].data[:] = 0.0
+    head.biases[-1].data[:] = 0.0
     out = ly.predict_head(head, ad.constant(rng(42).normal(size=(1, 6))))
     assert out.item() == 0.5
 
 
 def test_head_output_strictly_increases_with_final_bias():
     r = rng(43)
-    head = ly.MlpHead(6, r)
+    head = ly.Mlp([6, 64, 32, 1], r)
     x = ad.constant(r.normal(size=(1, 6)))
     base = ly.predict_head(head, x).item()
-    head.mlp.biases[-1].data += 0.75
+    head.biases[-1].data += 0.75
     assert ly.predict_head(head, x).item() > base
 
 
 def test_head_matches_recomputation_and_stays_in_unit_interval():
     r = rng(44)
-    head = ly.MlpHead(5, r)
+    head = ly.Mlp([5, 64, 32, 1], r)
     x = r.normal(size=(1, 5))
-    h1 = np.maximum(x @ head.mlp.weights[0].data + head.mlp.biases[0].data, 0.0)
-    h2 = np.maximum(h1 @ head.mlp.weights[1].data + head.mlp.biases[1].data, 0.0)
-    logit = h2 @ head.mlp.weights[2].data + head.mlp.biases[2].data
+    h1 = np.maximum(x @ head.weights[0].data + head.biases[0].data, 0.0)
+    h2 = np.maximum(h1 @ head.weights[1].data + head.biases[1].data, 0.0)
+    logit = h2 @ head.weights[2].data + head.biases[2].data
     out = ly.predict_head(head, ad.constant(x))
     np.testing.assert_allclose(out.data, sig(logit), atol=1e-14)
     assert 0.0 < out.item() < 1.0
 
 
 def test_head_rejects_wrong_width():
-    head = ly.MlpHead(6, rng(45))
+    head = ly.Mlp([6, 64, 32, 1], rng(45))
     with pytest.raises(ad.ShapeError):
         ly.predict_head(head, ad.constant(np.zeros((1, 5))))
 
@@ -675,7 +680,7 @@ def test_fused_mlp_is_one_tape_node_and_checks_its_input():
 
 def test_head_gradients():
     r = rng(47)
-    head = ly.MlpHead(4, r, hidden=(5, 3))
+    head = ly.Mlp([4, 5, 3, 1], r)
     x = ad.parameter(r.normal(size=(1, 4)), "x")
 
     def loss_fn():

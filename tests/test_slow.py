@@ -16,9 +16,9 @@ def sig(x):
 
 def reference_head(head, x):
     """The prediction head written out in numpy: affine layers, ReLU between, sigmoid."""
-    for k, (w, b) in enumerate(zip(head.mlp.weights, head.mlp.biases)):
+    for k, (w, b) in enumerate(zip(head.weights, head.biases)):
         x = x @ w.data + b.data
-        if k != len(head.mlp.weights) - 1:
+        if k != len(head.weights) - 1:
             x = np.maximum(x, 0.0)
     with np.errstate(over="ignore"):
         return sig(x)
@@ -69,9 +69,9 @@ def test_loss_gradient_wrt_logit_is_prob_minus_label():
 
 def test_plain_forward_zeroed_head_gives_half():
     m = make_model(1)
-    m.head.mlp.weights[-1].data[:] = 0.0
-    m.head.mlp.biases[-1].data[:] = 0.0
-    assert m.forward([0, 1, 2], [5]).prob.item() == 0.5
+    m.head.weights[-1].data[:] = 0.0
+    m.head.biases[-1].data[:] = 0.0
+    assert m.forward([0, 1, 2], [5]).item() == 0.5
 
 
 def test_plain_forward_single_item_history_with_unit_attention():
@@ -79,7 +79,7 @@ def test_plain_forward_single_item_history_with_unit_attention():
     for p in m.attention.params():
         p.data[:] = 0.0
     m.attention.mlp.biases[-1].data[:] = 1.0
-    prob = m.forward([7], [3]).prob
+    prob = m.forward([7], [3])
     e1 = m.embedding.lookup_np([7])
     e_t = m.embedding.lookup_np([3])
     direct = ly.predict_head(m.head, ad.constant(np.hstack([e1, e_t])))
@@ -93,7 +93,7 @@ def test_plain_forward_matches_layer_composition():
     tgt = m.embedding.lookup_np([cand])
     pooled = ly.din_attention(m.attention, ad.constant(hist), ad.constant(tgt)).data
     expected = reference_head(m.head, np.hstack([pooled, tgt]))[0, 0]
-    assert m.forward(seq, [cand]).prob.item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(seq, [cand]).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_plain_forward_rejects_empty_history():
@@ -111,7 +111,7 @@ def test_interactive_zeroed_gate_params_halve_the_refreshed_state():
     m.gate_w.data[:] = 0.0
     m.gate_b.data[:] = 0.0
     mem = rng(6).normal(size=(1, 4))
-    r_n = m.forward([1, 2], [3], mem).r_n
+    _, (r_n, _) = m._interests([1, 2], [3], mem)
     refreshed = ref_gru_step(m.gru_n, m.embedding.lookup_np([3]), mem)
     np.testing.assert_allclose(r_n.data, 0.5 * refreshed, rtol=1e-12)
 
@@ -120,7 +120,7 @@ def test_interactive_zero_memory_and_zero_gru_collapses_r_n():
     m = make_model(7, interactive=True)
     for p in m.gru_n.params():
         p.data[:] = 0.0
-    r_n = m.forward([1, 2], [3], np.zeros((1, 4))).r_n
+    _, (r_n, _) = m._interests([1, 2], [3], np.zeros((1, 4)))
     np.testing.assert_array_equal(r_n.data, np.zeros((1, 4)))
 
 
@@ -135,7 +135,7 @@ def test_interactive_matches_step_by_step_oracle():
     gate = sig(np.hstack([refreshed, tgt]) @ m.gate_w.data + m.gate_b.data)
     r_n = gate * refreshed
     expected = reference_head(m.head, np.hstack([r_n, pooled, tgt]))[0, 0]
-    assert m.forward(seq, [cand], mem).prob.item() == pytest.approx(expected, rel=1e-12)
+    assert m.forward(seq, [cand], mem).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_interactive_rejects_bad_memory_shape():
@@ -153,7 +153,8 @@ def test_gate_forced_to_zero_equals_feeding_zero_memory_feature():
     m.gate_b.data[:] = -1e4
     seq, mem = [2, 5], rng(12).normal(size=(1, 4))
     for cand in (1, 6, 8):
-        prob, r_n, _ = m.forward(seq, [cand], mem)
+        prob = m.forward(seq, [cand], mem)
+        _, (r_n, _) = m._interests(seq, [cand], mem)
         np.testing.assert_array_equal(r_n.data, np.zeros((1, 4)))
         hist = m.embedding.lookup_np(seq)
         tgt = m.embedding.lookup_np([cand])
@@ -196,7 +197,7 @@ def test_export_cold_start_zero_memory_slot():
     export = m.export_interest(seq_ids=[1, 2, 3])
     np.testing.assert_array_equal(export["r_n"], np.zeros((1, 4)))
     # r_t does not read the memory: any memory gives the same pooled interest
-    np.testing.assert_array_equal(export["r_t"], m.forward([1, 2, 3], [3], rng(26).normal(size=(1, 4))).r_t.data)
+    np.testing.assert_array_equal(export["r_t"], m._interests([1, 2, 3], [3], rng(26).normal(size=(1, 4)))[1][-1].data)
     assert set(export) == {"r_n", "r_t"}  # the INTEREST_DOWN payload, nothing the header carries
 
 
@@ -205,9 +206,22 @@ def test_export_after_upload_matches_interactive_forward_bit_exactly():
     seq = [4, 0, 9]
     mem = rng(17).normal(size=(1, 4))
     export = m.export_interest(seq_ids=seq, neg_memory=mem)
-    _, r_n, r_t = m.forward(seq, [seq[-1]], mem)
+    _, (r_n, r_t) = m._interests(seq, [seq[-1]], mem)
     np.testing.assert_array_equal(export["r_n"], r_n.data)
     np.testing.assert_array_equal(export["r_t"], r_t.data)
+
+
+@pytest.mark.parametrize("interactive", [False, True])
+def test_export_never_runs_the_head(monkeypatch, interactive):
+    m = make_model(27, interactive=interactive)
+
+    def no_head(head, features):
+        raise AssertionError("export_interest ran the prediction head")
+
+    monkeypatch.setattr(ly, "predict_head", no_head)
+    for memory in (None, rng(28).normal(size=(1, 4))):
+        export = m.export_interest(seq_ids=[3, 1, 5], neg_memory=memory)
+        assert export["r_t"].shape == export["r_n"].shape == (1, 4)
 
 
 def test_export_is_a_value_snapshot():
@@ -229,7 +243,7 @@ def test_batched_scores_match_graph_forward_plain():
     cands = [1, 3, 5, 7, 9, 11]
     batched = m.score_candidates(seq, cands)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(seq, [c]).prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(seq, [c]).item(), rel=1e-12)
 
 
 def test_batched_scores_match_graph_forward_interactive():
@@ -239,7 +253,7 @@ def test_batched_scores_match_graph_forward_interactive():
     cands = [0, 2, 3, 5, 11]
     batched = m.score_candidates(seq, cands, neg_memory=mem)
     for i, c in enumerate(cands):
-        assert batched[i] == pytest.approx(m.forward(seq, [c], mem).prob.item(), rel=1e-12)
+        assert batched[i] == pytest.approx(m.forward(seq, [c], mem).item(), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-1, 12])
