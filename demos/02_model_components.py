@@ -44,7 +44,7 @@ seq = ly.gru_encode(gru, emb.lookup([3, 7, 5]), ad.constant(np.zeros((1, dim))))
 print(f"folding a 3-item sequence gives {seq.shape}")
 
 section("attention pooling (weights are not normalized)")
-att = ly.AttentionUnit(dim, rng, hidden=6)
+att = ly.Mlp([4 * dim, 6, 1], rng, name="att")  # the attention unit: pair features (4d wide) to one weight
 history = emb.lookup([1, 2, 3, 4])
 target = emb.lookup([9])
 pooled = ly.din_attention(att, history, target)

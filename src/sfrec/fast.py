@@ -24,21 +24,18 @@ context's prefixes.  ``score_candidates`` is ``forward`` with no tape open.
 Serving and evaluation score through a :class:`DeviceSession`, which runs
 the two parts of ``forward`` apart: ``advance`` (the prior-derived init
 states, then both GRUs, running the training node's kernel on plain arrays)
-turns a click window, an exposure window and (interactive) the downloaded
-prior into a :class:`DeviceContext`, and ``score_context`` runs the scoring
-tail (fusion, feature concat, head) for any number of candidates against it.
+moves the session to a click window, an exposure window and (interactive)
+the downloaded prior, and ``score`` runs the scoring tail (fusion, feature
+concat, head) for any number of candidates against the session's state.
 A session carries one user's context from event to event, as a
 session-based GRU carries its hidden state: while the model's ``version``
 and the prior hold, it keeps the init states and steps each GRU over only
 the rows its window gained, and re-encodes a GRU from its init state only
 where its window slid.  Each step is the one a full encode takes, so a
-carried context scores as ``score_candidates`` on the same windows, bit for
-bit.
+session scores as ``score_candidates`` on the same windows, bit for bit.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +44,6 @@ from . import layers as ly
 
 __all__ = [
     "FastModel",
-    "DeviceContext",
     "DeviceSession",
     "ExposureMemory",
     "UnsyncedRowError",
@@ -56,22 +52,6 @@ __all__ = [
 
 class UnsyncedRowError(KeyError):
     pass
-
-
-class DeviceContext(NamedTuple):
-    """An encoded device context: everything scoring needs except the candidates.
-
-    ``init_click`` and ``init_expose`` are the GRUs' start states
-    (prior-derived, or zero in the plain wiring), kept so a slid window can be
-    re-encoded without recomputing the prior; ``r_t`` is the long-term
-    interest row the interactive head reads (None in the plain wiring).
-    """
-
-    init_click: np.ndarray
-    init_expose: np.ndarray
-    r_click: np.ndarray
-    r_expose: np.ndarray
-    r_t: "np.ndarray | None"
 
 
 class FastModel:
@@ -217,12 +197,6 @@ class FastModel:
 
     # -- scoring, with no tape open --------------------------------------------
 
-    def score_context(self, context, candidate_ids):
-        """Click probabilities for many candidates against an encoded context: forward's scoring tail."""
-        targets = self.lookup(candidate_ids)
-        r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (context.r_click, context.r_expose))
-        return self._score(r_click, r_expose, targets, context.r_t).data[:, 0]
-
     def score_candidates(self, clicked, exposed, candidate_ids, prior=None):
         """Click probabilities for many candidates against one device context: ``forward`` with no tape open."""
         return self.forward(clicked, exposed, candidate_ids, prior).data[:, 0]
@@ -235,35 +209,49 @@ class DeviceSession:
     model's ``version`` moved or the prior is another object, it first
     rebuilds the prior-derived init states and starts both windows empty;
     then each GRU steps over only the rows its window gained, or re-encodes
-    from its init state where its window slid.
+    from its init state where its window slid.  The session holds the
+    encoded context: the GRUs' init states (prior-derived, or zero in the
+    plain wiring), kept so a slid window can be re-encoded without
+    recomputing the prior, their states ``r_click`` and ``r_expose``, and the
+    long-term interest row ``r_t`` the interactive head reads (None in the
+    plain wiring).  ``score`` rates candidates against it.
     """
 
     def __init__(self, model):
         self.model = model
-        self.context = self.clicked = self.exposed = self.prior = self.version = None
+        self.init_click = self.init_expose = self.r_click = self.r_expose = self.r_t = None
+        self.clicked = self.exposed = self.prior = self.version = None
 
     def advance(self, clicked, exposed, prior=None):
-        """The :class:`DeviceContext` of the ``clicked`` and ``exposed`` windows under ``prior``."""
+        """Move the session to the ``clicked`` and ``exposed`` windows under
+        ``prior``; an advance that raises leaves the session as it was."""
         model, clicked, exposed = self.model, list(clicked), list(exposed)
         if not clicked:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        ctx, old_clicked, old_exposed, version = self.context, self.clicked, self.exposed, model.version
+        init_click, init_expose, r_t, version = self.init_click, self.init_expose, self.r_t, model.version
+        r_click, r_expose, old_clicked, old_exposed = self.r_click, self.r_expose, self.clicked, self.exposed
         if version != self.version or prior is not self.prior:
             init_click, init_expose, r_t = model._prior_states(prior)
-            ctx = DeviceContext(init_click.data, init_expose.data, init_click.data, init_expose.data, r_t)
+            init_click = r_click = init_click.data
+            init_expose = r_expose = init_expose.data
             old_clicked = old_exposed = []
-        ctx = ctx._replace(
-            r_click=self._carry(model.gru_click, old_clicked, clicked, ctx.r_click, ctx.init_click),
-            r_expose=self._carry(model.gru_expose, old_exposed, exposed, ctx.r_expose, ctx.init_expose),
-        )
-        self.context, self.clicked, self.exposed, self.prior, self.version = ctx, clicked, exposed, prior, version
-        return ctx
+        r_click = self._carry(model.gru_click, old_clicked, clicked, r_click, init_click)
+        r_expose = self._carry(model.gru_expose, old_exposed, exposed, r_expose, init_expose)
+        self.init_click, self.init_expose, self.r_t, self.version = init_click, init_expose, r_t, version
+        self.r_click, self.r_expose, self.clicked, self.exposed, self.prior = r_click, r_expose, clicked, exposed, prior
 
     def _carry(self, cell, old, new, state, init):
         """``state``, the encoding of the window ``old``, moved to the window ``new``."""
         if new[: len(old)] != old:  # slid: re-encode from the init state
             state, old = init, []
         return cell.encode_np(self.model.lookup_np(new[len(old) :]), state) if len(new) > len(old) else state
+
+    def score(self, candidate_ids):
+        """Click probabilities for many candidates against the session's context: forward's scoring tail."""
+        model = self.model
+        targets = model.lookup(candidate_ids)
+        r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (self.r_click, self.r_expose))
+        return model._score(r_click, r_expose, targets, self.r_t).data[:, 0]
 
 
 class ExposureMemory:

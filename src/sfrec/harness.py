@@ -20,9 +20,11 @@ The cadence is linearized per seed:
    consumed test item.
 
 Serving and evaluation each make one ``DeviceSession`` per user for that
-user's events: a full encode only when the device model's version or the
-user's prior changed, else each GRU steps over the rows its window gained
-or, where the window slid, re-encodes (``_SeedRun.evaluate``).
+user's events.  Each event advances the session to its windows (a full
+encode only when the device model's version or the user's prior changed,
+else each GRU steps over the rows its window gained or, where the window
+slid, re-encodes) and hands ``session.score`` to the exposure simulation or
+the ranking (``_SeedRun.evaluate``).
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -41,9 +43,9 @@ The step schedule and the close-at-the-step rule live in ``_Segments``, which
 slow epochs, refreshes (one step per refresh) and fast epochs all train
 through; the device-side closing checks stay in ``serve_and_train_fast``.
 Every exchange message, live or replayed by ``evaluate_from_state``, is
-checked and applied in one place, ``_SeedRun._receive``: its payload widths,
-the upload round, and what it carries (a prior, a negative memory, or the
-exposure GRU's gates).
+checked and applied in one place, ``_SeedRun._receive``: its user (one of
+the run's), its payload widths, the upload round, and what it carries (a
+prior, a negative memory, or the exposure GRU's gates).
 
 Everything is deterministic given (config, seed): rngs hang off one seed
 sequence per purpose, users iterate in sorted or seeded-permutation order,
@@ -232,8 +234,11 @@ class _SeedRun:
         return self.slow_memory.get(user, np.zeros((1, self.config.dim), dtype=self.dtype))
 
     def _sync_device_rows(self, ids):
+        """Copy the cloud's rows of ``ids`` to the device.  ``sync_rows`` checks
+        the ids before it writes a row; the clipped gather only keeps an id
+        outside the table from failing (or wrapping) ahead of that check."""
         ids = np.asarray(ids, dtype=np.intp)
-        self.fast.sync_rows(ids, self.slow.embedding.lookup_np(ids))
+        self.fast.sync_rows(ids, self.slow.embedding.table.data.take(ids, axis=0, mode="clip"))
 
     def _exposed(self, user, steps=None):
         """The exposure window over ``user``'s first ``steps`` serving steps (None: all of them)."""
@@ -330,7 +335,6 @@ class _SeedRun:
 
     def _send(self, kind, user, round_no, payload):
         """Encode a message, decode it as the receiver would, log it and deliver it."""
-        payload = {k: np.asarray(v, dtype=np.float32) for k, v in payload.items()}
         msg = ex.decode_message(ex.encode_message(ex.ExchangeMessage(kind, user, round_no, payload)))
         self.messages.append(msg)
         self._receive(msg)
@@ -338,10 +342,13 @@ class _SeedRun:
     def _receive(self, msg):
         """Check a decoded message and apply it, cast to the run's dtype: the
         prior of an ``INTEREST_DOWN``, the memory of a ``NEGATIVE_MEMORY_UP``,
-        the exposure GRU's gates of a ``GRU_N_SYNC``.  A tensor other than a
-        (1, dim) row or a (dim, dim) ``w_*``/``u_*`` gate is a LifecycleError,
-        an upload round not newer than the user's last a StaleRoundError."""
+        the exposure GRU's gates of a ``GRU_N_SYNC``.  A user outside the run
+        or a tensor other than a (1, dim) row or a (dim, dim) ``w_*``/``u_*``
+        gate is a LifecycleError, an upload round not newer than the user's
+        last a StaleRoundError."""
         dim, kind = self.config.dim, ex.MessageKind(msg.kind)
+        if msg.user not in self.exposure_log:
+            raise LifecycleError(f"({kind.name}) for user {msg.user}, who is not one of the run's users")
         for name, value in sorted(msg.payload.items()):
             want = (dim, dim) if name.startswith(("w_", "u_")) else (1, dim)
             if np.shape(value) != want:
@@ -414,10 +421,9 @@ class _SeedRun:
         exposed = self._exposed(user)
         pool = self.sampler.complement(user)
         self._sync_device_rows(np.concatenate([pool, clicked + [item]]))  # the pool holds no clicked item
-        context = session.advance(clicked, exposed, self.priors.get(user))
+        session.advance(clicked, exposed, self.priors.get(user))
         shown = simulate_exposures(
-            lambda ids: self.fast.score_context(context, ids),
-            pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k,
+            session.score, pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k
         )
         self.exposure_log[user].append(shown)
         if self.slow.interactive:
@@ -457,8 +463,8 @@ class _SeedRun:
         """Rank each user's test items with both frozen models.
 
         The cloud context is the slow-phase window for every ranking.  The
-        device context comes from a session made for the user: its click
-        state steps once per consumed test item, or is re-encoded where the
+        device scores through a session made for the user: its click state
+        steps once per consumed test item, or is re-encoded where the
         ``max_history_len`` window slides.  Each ranking first syncs every
         row it reads (candidates, click and exposure windows) from the cloud
         table, so a replay rebuilds the device rows from the checkpoint's
@@ -478,8 +484,8 @@ class _SeedRun:
                 self._sync_device_rows(negs + [positive] + clicked + exposed)
                 slow_score = partial(self.slow.score_candidates, slow_ctx, neg_memory=memory)
                 slow_results.append(rank_candidates(slow_score, user, positive, negs))
-                device = session.advance(clicked, exposed, self.priors.get(user))
-                fast_results.append(rank_candidates(partial(self.fast.score_context, device), user, positive, negs))
+                session.advance(clicked, exposed, self.priors.get(user))
+                fast_results.append(rank_candidates(session.score, user, positive, negs))
         return slow_results, fast_results
 
     def aggregate(self, results, component, dataset_tag, wall):
@@ -553,10 +559,12 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
     prefixed with the message's index), then the checkpoint loads, so the
     trained weights replace the gates the syncs loaded.  For float32 runs
     every ranking scores as at training time, bit for bit.  An interactive
-    device model with a user no interest download reached, a user of the
-    run that ``exposures`` lacks, an exposed item outside the vocabulary, a
-    user with fewer unseen items than ``n_eval_neg`` or ``n_train_neg``: each
-    raises :class:`LifecycleError`; a tensor that ``arrays`` lacks a
+    device model with a user no interest download reached, a message for a
+    user outside the run, a user of the run that ``exposures`` lacks, a
+    stream for a user outside the run or with other than one step per
+    fast-phase event, an exposed item outside the vocabulary, a user with
+    fewer unseen items than ``n_eval_neg`` or ``n_train_neg``: each raises
+    :class:`LifecycleError`; a tensor that ``arrays`` lacks a
     :class:`~sfrec.autodiff.CheckpointError`.
     """
     split, users = prepared
@@ -573,9 +581,15 @@ def evaluate_from_state(config, seed, prepared, arrays, messages, exposures):
         if unprimed:
             raise LifecycleError(f"no INTEREST_DOWN message for user {unprimed[0]}: the device model needs its prior")
     for user, log in exposures.items():
-        steps = run.exposure_log[int(user)] = [[int(i) for i in step] for step in log]
+        user, steps = int(user), [[int(i) for i in step] for step in log]
+        if user not in run.exposure_log:
+            raise LifecycleError(f"the exposures have a stream for user {user}, who is not one of the run's users")
         if stray := [i for step in steps for i in step if not 0 <= i < split.vocab_size]:
             raise LifecycleError(f"user {user}'s exposures hold item {stray[0]}, outside [0, {split.vocab_size})")
+        if len(steps) != len(split.users[user].fast):
+            events = len(split.users[user].fast)
+            raise LifecycleError(f"user {user}'s exposures hold {len(steps)} serving steps, for {events} fast-phase events")
+        run.exposure_log[user] = steps
     unexposed = set(users).difference(int(user) for user in exposures)
     if unexposed:
         raise LifecycleError(f"the exposures have no stream for user {next(u for u in users if u in unexposed)}")

@@ -9,8 +9,10 @@ contexts share one history or click/exposure sequence, and each target row
 reads its own context's part of it: ``din_attention`` masks the history to a
 per-row window, ``gru_encode`` returns the states at per-row prefix lengths
 from one pass, and ``target_aware_fusion`` takes an interest row per target.
-A head is an :class:`Mlp` ending in one unit, ``predict_head`` its sigmoid.
-Every block exposes ``params()`` for optimizer registration.
+A head is an :class:`Mlp` ending in one unit, ``predict_head`` its sigmoid;
+so is the attention unit, a ``[4d, k, 1]`` :class:`Mlp` that
+``din_attention`` evaluates without building its pair features.  Every
+block exposes ``params()`` for optimizer registration.
 
 Attention pooling, the MLP, the target-aware fusion and a GRU sequence are
 one fused tape node each; the MLP's and the fusion's hand-written backwards
@@ -20,7 +22,7 @@ nothing, which makes it the scoring path as well.  The GRU's one kernel
 takes one step per input row (``GruCell.encode_np`` runs it on plain
 arrays), so a caller can carry a hidden state forward a click at a time and
 reach the same bits as encoding the whole sequence at once (the device
-model's evaluation does this).
+model's ``DeviceSession`` does this).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "GruCell",
     "gru_encode",
     "Mlp",
-    "AttentionUnit",
     "din_attention",
     "target_aware_fusion",
     "predict_head",
@@ -276,26 +277,13 @@ class Mlp:
         return g
 
 
-class AttentionUnit:
-    """Local activation unit: per-history-item scalar relevance to a target.
-
-    The feature for history row h_j against target t_i is
-    ``h_j (+) t_i (+) (h_j - t_i) (+) (h_j * t_i)``; a small MLP maps it to one
-    unnormalized weight.  No softmax over the weights.  The unit holds the
-    MLP's parameters; :func:`din_attention` evaluates it without building the
-    features.
-    """
-
-    def __init__(self, dim, rng, hidden=16, name="att", dtype=np.float64):
-        self.dim = dim
-        self.mlp = Mlp([4 * dim, hidden, 1], rng, name=name, dtype=dtype)
-
-    def params(self):
-        return self.mlp.params()
-
-
-def din_attention(unit, history, targets, windows=None):
+def din_attention(mlp, history, targets, windows=None):
     """Weighted pool of history rows per target row: sum_j a_ij h_j, (n_targets, d).
+
+    The weight a_ij is the local activation unit's relevance of history row
+    h_j to target t_i: the :class:`Mlp` ``mlp``, of dims ``[4d, k, 1]``, maps
+    the feature ``h_j (+) t_i (+) (h_j - t_i) (+) (h_j * t_i)`` to one
+    unnormalized weight.  No softmax over the weights.
 
     ``windows`` gives each target row a ``[start, end)`` slice of the history
     rows; weights outside it are zero, in the forward and the backward.  As
@@ -317,11 +305,12 @@ def din_attention(unit, history, targets, windows=None):
     n = targets.shape[0]
     if l < 1:
         raise ad.ShapeError("attention needs a non-empty history")
-    if d != unit.dim or targets.shape[1] != d:
+    if len(mlp.dims) != 3 or mlp.dims[0] != 4 * d or mlp.dims[2] != 1 or targets.shape[1] != d:
         raise ad.ShapeError(
-            f"attention wants (l,{unit.dim}) history and (n,{unit.dim}) targets, got {history.shape}, {targets.shape}"
+            f"attention wants a [4d, k, 1] mlp, (l,d) history and (n,d) targets, "
+            f"got {mlp.dims}, {history.shape}, {targets.shape}"
         )
-    (w0, w1), (b0, b1) = unit.mlp.weights, unit.mlp.biases
+    (w0, w1), (b0, b1) = mlp.weights, mlp.biases
     if not history.dtype == targets.dtype == w0.dtype:
         raise ad.ShapeError(f"mixed dtypes {history.dtype}, {targets.dtype}, {w0.dtype}")
     hd, td, w0d = history.data, targets.data, w0.data

@@ -35,7 +35,7 @@ class SlowModel:
         self.dim = dim
         self.interactive = interactive
         self.embedding = ly.EmbeddingTable(n_items, dim, rng, name="slow/emb", dtype=dtype)
-        self.attention = ly.AttentionUnit(dim, rng, name="slow/att", dtype=dtype)
+        self.attention = ly.Mlp([4 * dim, 16, 1], rng, name="slow/att", dtype=dtype)
         if interactive:
             self.gru_n = ly.GruCell(dim, dim, rng, name="slow/gru_n", dtype=dtype)
             self.gate_w = ad.parameter(ly.glorot(rng, 2 * dim, 1, dtype), "slow/gate_w", decay=True)

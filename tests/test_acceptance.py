@@ -69,7 +69,7 @@ def test_acceptance_gradient_suite():
 
     emb = ly.EmbeddingTable(n_items, dim, rng, name="emb")
     gru = ly.GruCell(dim, dim, rng, name="gru")
-    att = ly.AttentionUnit(dim, rng, name="att", hidden=6)
+    att = ly.Mlp([4 * dim, 6, 1], rng, name="att")
     fuse = ly.Mlp([2 * dim, 6, 1], rng, name="fuse")
     head = ly.Mlp([2 * dim, 6, 4, 1], rng, name="head")
 
@@ -168,8 +168,9 @@ def test_acceptance_reduction_to_independent_fast():
     zero_prior = {"r_n": np.zeros((1, dim)), "r_t": np.zeros((1, dim))}
 
     clicked, exposed, cand = [3, 17, 8, 25], [5, 30, 2], 21
-    got = DeviceSession(interactive).advance(clicked, exposed, zero_prior)
-    want = DeviceSession(plain).advance(clicked, exposed)
+    got, want = DeviceSession(interactive), DeviceSession(plain)
+    got.advance(clicked, exposed, zero_prior)
+    want.advance(clicked, exposed)
     assert np.array_equal(got.r_click, want.r_click)
     assert np.array_equal(got.r_expose, want.r_expose)
 

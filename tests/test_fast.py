@@ -21,6 +21,13 @@ def make_model(seed=0, interactive=False, n_items=12, dim=4, synced=True):
     return m
 
 
+def session_at(m, clicked, exposed, prior=None):
+    """A new session of ``m`` advanced once, to ``clicked`` and ``exposed`` under ``prior``."""
+    session = DeviceSession(m)
+    session.advance(clicked, exposed, prior)
+    return session
+
+
 def sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -101,7 +108,7 @@ def test_sync_rejects_rows_not_shaped_one_per_id(shape):
 def test_plain_forward_empty_exposures_is_well_defined():
     m = make_model(3)
     out = m.forward([1, 2], [], [5])
-    np.testing.assert_array_equal(DeviceSession(m).advance([1, 2], []).r_expose, np.zeros((1, 4)))
+    np.testing.assert_array_equal(session_at(m, [1, 2], []).r_expose, np.zeros((1, 4)))
     assert 0.0 < out.item() < 1.0
 
 
@@ -181,8 +188,8 @@ def test_reduction_zero_prior_and_projections_reproduce_plain_encodings():
     zero = np.zeros((1, 4))
     prior = {"r_n": zero, "r_t": zero}
     clicked, exposed, cand = [1, 5, 8], [0, 2], 3
-    out_i = DeviceSession(mi).advance(clicked, exposed, prior)
-    out_p = DeviceSession(mp).advance(clicked, exposed)
+    out_i = session_at(mi, clicked, exposed, prior)
+    out_p = session_at(mp, clicked, exposed)
     np.testing.assert_array_equal(out_i.r_click, out_p.r_click)
     np.testing.assert_array_equal(out_i.r_expose, out_p.r_expose)
 
@@ -336,13 +343,14 @@ def test_carried_click_state_equals_full_reencode_bit_exactly(interactive, dtype
     clicks, exposed, cands = [3, 0, 7, 7, 11, 2], [8, 9, 1], [1, 4, 5, 10]
     session = DeviceSession(m)
     for n in range(1, len(clicks) + 1):
-        context = session.advance(clicks[:n], exposed, prior)
-        full = DeviceSession(m).advance(clicks[:n], exposed, prior)
-        np.testing.assert_array_equal(context.r_click, full.r_click)
-        assert np.array_equal(m.score_context(context, cands), m.score_candidates(clicks[:n], exposed, cands, prior))
-    slid = session.advance(clicks[2:], exposed, prior)
-    np.testing.assert_array_equal(slid.r_click, DeviceSession(m).advance(clicks[2:], exposed, prior).r_click)
-    np.testing.assert_array_equal(slid.r_expose, context.r_expose)
+        session.advance(clicks[:n], exposed, prior)
+        full = session_at(m, clicks[:n], exposed, prior)
+        np.testing.assert_array_equal(session.r_click, full.r_click)
+        assert np.array_equal(session.score(cands), m.score_candidates(clicks[:n], exposed, cands, prior))
+    r_expose = session.r_expose.copy()  # what the slid advance must keep, copied before it runs
+    session.advance(clicks[2:], exposed, prior)
+    np.testing.assert_array_equal(session.r_click, session_at(m, clicks[2:], exposed, prior).r_click)
+    np.testing.assert_array_equal(session.r_expose, r_expose)
 
 
 def test_reencode_rejects_an_empty_click_window():
@@ -351,6 +359,27 @@ def test_reencode_rejects_an_empty_click_window():
     session.advance([1, 2], [3])
     with pytest.raises(ad.ShapeError):
         session.advance([], [3])
+
+
+@pytest.mark.parametrize("interactive", [False, True])
+def test_a_failed_advance_leaves_the_session_scoring_as_before(interactive):
+    m = make_model(34, interactive=interactive, synced=False)
+    m.sync_rows(np.arange(10), rng(35).uniform(-0.05, 0.05, size=(10, 4)))  # items 10 and 11 never synced
+    prior = prior_of(m, 36) if interactive else None
+    session = session_at(m, [3, 0, 7], [8, 9], prior)
+    before = session.score([1, 4, 5])
+    failing = [
+        ([3, 0, 7, 11], [8, 9], prior),  # the click step fails
+        ([3, 0, 7, 2], [8, 9, 10], prior),  # the click step succeeds, the exposure step fails
+        ([0, 7, 11], [8], prior),  # both windows slid
+        ([3, 0, 7], [8, 9, 10], prior_of(m, 37) if interactive else None),  # new init states, then a failure
+    ]
+    for clicked, exposed, new_prior in failing:
+        with pytest.raises(UnsyncedRowError):
+            session.advance(clicked, exposed, new_prior)
+        assert np.array_equal(session.score([1, 4, 5]), before)
+    session.advance([3, 0, 7, 2], [8, 9], prior)
+    assert np.array_equal(session.score([1, 4, 5]), m.score_candidates([3, 0, 7, 2], [8, 9], [1, 4, 5], prior))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +417,10 @@ def advance_checked(session, counts, clicked, exposed, prior):
     """Advance ``session``; check its scores against ``score_candidates`` bit
     for bit and return what the advance encoded."""
     counts.clear()
-    context = session.advance(clicked, exposed, prior)
+    session.advance(clicked, exposed, prior)
     encoded = dict(counts)
     want = session.model.score_candidates(clicked, exposed, CANDS, prior)
-    assert np.array_equal(session.model.score_context(context, CANDS), want)
+    assert np.array_equal(session.score(CANDS), want)
     return encoded
 
 

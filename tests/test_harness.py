@@ -15,6 +15,7 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec import harness
+from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.exchange import MessageKind, StaleRoundError, decode_message, encode_message
 from sfrec.fast import DeviceSession
@@ -385,14 +386,15 @@ def assert_evaluation_matches_reference(run):
     per-ranking reference, run on a copy of ``run`` as it stood before."""
     reference = per_ranking_reference(copy.deepcopy(run))
     scored = []
-    score_context = run.fast.score_context
+    score = DeviceSession.score
 
-    def spy(context, ids):
-        scored.append(score_context(context, ids))
+    def spy(session, ids):
+        scored.append(score(session, ids))
         return scored[-1]
 
-    run.fast.score_context = spy
-    _, fast_results = run.evaluate()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeviceSession, "score", spy)
+        _, fast_results = run.evaluate()
     assert fast_results == [result for result, _ in reference]
     assert len(scored) == len(reference)
     for got, (_, want) in zip(scored, reference):
@@ -466,6 +468,28 @@ def test_every_row_the_device_holds_equals_the_clouds_after_each_sync(monkeypatc
     assert held and held[-1] > 0
 
 
+@pytest.mark.parametrize("bad", [-1, "vocab"])
+def test_a_device_sync_checks_its_ids_once_before_writing_a_row(monkeypatch, cluster_prepared, bad):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(), 0, split, users)
+    checks, checked_ids = [], ly.checked_ids
+
+    def counted(ids, vocab_size):
+        checks.append(len(ids))
+        return checked_ids(ids, vocab_size)
+
+    monkeypatch.setattr(ly, "checked_ids", counted)
+    run._sync_device_rows([3, 5, 8])
+    assert checks == [3]
+    held = run.fast.lookup_np([3, 5, 8])
+    run.slow.embedding.table.data[[5, 9]] += 0.01  # a resync of 5 or a first sync of 9 would write a row
+    bad = split.vocab_size if bad == "vocab" else bad
+    with pytest.raises(ly.OutOfVocabularyError, match=f"item id {bad} "):
+        run._sync_device_rows([5, 9, bad])
+    np.testing.assert_array_equal(run.fast.synced_ids(), [3, 5, 8])
+    np.testing.assert_array_equal(run.fast.lookup_np([3, 5, 8]), held)
+
+
 def test_evaluation_keeps_no_test_negatives(cluster_prepared):
     run = trained_run(cluster_prepared, variant="independent")
     run.evaluate()
@@ -494,15 +518,15 @@ def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster
         for user in users:
             run._download(user, round_no=0)
     pending, reencode_rows, rows, in_session = [], [], Counter(), [False]
-    serve_event, score_context = run._serve_event, run.fast.score_context
+    serve_event, score = run._serve_event, DeviceSession.score
 
     def spied_event(user, j, item, session):
         pending.append((user, j))
         serve_event(user, j, item, session)
         assert not pending, "a serving event scored nothing"
 
-    def spied_score(context, ids):
-        got = score_context(context, ids)
+    def spied_score(session, ids):
+        got = score(session, ids)
         if pending:  # the serving event's own scoring, not the reference's below
             user, j = pending.pop()
             us = run.split.users[user]
@@ -512,12 +536,13 @@ def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster
         return got
 
     class CountedSession(DeviceSession):
-        """Serving's sessions; the reference's ``score_candidates`` makes sessions of its own."""
+        """Serving's sessions: their advances count the rows they encode, which
+        leaves out the rows an upload's ``ExposureMemory.export`` encodes."""
 
         def advance(self, *args):
             in_session[0] = True
             try:
-                return super().advance(*args)
+                super().advance(*args)
             finally:
                 in_session[0] = False
 
@@ -530,7 +555,8 @@ def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster
             return encode(seq, init)
 
         cell.encode_np = counted
-    run._serve_event, run.fast.score_context = spied_event, spied_score
+    monkeypatch.setattr(DeviceSession, "score", spied_score)
+    run._serve_event = spied_event
     run.serve_and_train_fast()
     assert len(reencode_rows) == sum(len(split.users[u].fast) for u in users)
     assert 0 < sum(rows.values()) < sum(reencode_rows)
@@ -586,6 +612,46 @@ def test_replay_rejects_a_repeated_upload_round(cluster_prepared, s2f_state):
     want = f"user {upload.user}: round {upload.round} <= last seen {upload.round}"
     with pytest.raises(StaleRoundError, match=re.escape(want)):
         evaluate_from_state(cfg, 0, cluster_prepared, arrays, repeated, exposures)
+
+
+def outsider(prepared):
+    """A user of the corpus that the run left out."""
+    split, users = prepared
+    return next(u for u in sorted(split.users) if u not in users)
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.name)
+def test_replay_rejects_a_message_for_a_user_outside_the_run(cluster_prepared, s2f_state, kind):
+    cfg, arrays, messages, exposures = s2f_state
+    index = min(i for i, m in enumerate(messages) if m.kind == kind)
+    stranger = outsider(cluster_prepared)
+    altered = list(messages)
+    altered[index] = dataclasses.replace(messages[index], user=stranger)
+    want = f"message {index} ({kind.name}) for user {stranger}, who is not one of the run's users"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, altered, exposures)
+
+
+def test_replay_rejects_exposures_for_a_user_outside_the_run(cluster_prepared, s2f_state):
+    cfg, arrays, messages, exposures = s2f_state
+    stranger = outsider(cluster_prepared)
+    altered = {**exposures, stranger: [[1, 2]] * len(cluster_prepared[0].users[stranger].fast)}
+    want = f"the exposures have a stream for user {stranger}, who is not one of the run's users"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, messages, altered)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["truncated", "extended"])
+def test_replay_rejects_a_stream_without_one_step_per_fast_event(cluster_prepared, s2f_state, change):
+    cfg, arrays, messages, exposures = s2f_state
+    user = cluster_prepared[1][-1]
+    log = exposures[user]
+    altered = {**exposures, user: log[:-1] if change < 0 else log + log[-1:]}
+    events = len(cluster_prepared[0].users[user].fast)
+    assert len(log) == events
+    want = f"user {user}'s exposures hold {events + change} serving steps, for {events} fast-phase events"
+    with pytest.raises(LifecycleError, match=re.escape(want)):
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, messages, altered)
 
 
 def test_f2s_replay_scores_every_ranking_as_live(monkeypatch, cluster_prepared):

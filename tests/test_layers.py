@@ -285,17 +285,17 @@ def test_gru_gate_export_import_round_trip_and_shape_guard():
 
 
 def test_attention_single_row_with_unit_weight_returns_that_row():
-    unit = ly.AttentionUnit(3, rng(21))
+    unit = ly.Mlp([4 * 3, 16, 1], rng(21), name="att")
     for p in unit.params():
         p.data[:] = 0.0
-    unit.mlp.biases[-1].data[:] = 1.0  # constant weight 1.0
+    unit.biases[-1].data[:] = 1.0  # constant weight 1.0
     e1 = rng(22).normal(size=(1, 3))
     out = ly.din_attention(unit, ad.constant(e1), ad.constant(rng(23).normal(size=(1, 3))))
     np.testing.assert_allclose(out.data, e1, rtol=1e-14)
 
 
 def test_attention_zeroed_unit_gives_zero_vector():
-    unit = ly.AttentionUnit(3, rng(24))
+    unit = ly.Mlp([4 * 3, 16, 1], rng(24), name="att")
     for p in unit.params():
         p.data[:] = 0.0
     hist = rng(25).normal(size=(4, 3))
@@ -309,8 +309,8 @@ def reference_weights(unit, hist, targets):
     hist_rep = np.tile(hist, (n, 1))
     tgt_rep = np.repeat(targets, l, axis=0)
     feats = np.hstack([hist_rep, tgt_rep, hist_rep - tgt_rep, hist_rep * tgt_rep])
-    w0, b0 = unit.mlp.weights[0].data, unit.mlp.biases[0].data
-    w1, b1 = unit.mlp.weights[1].data, unit.mlp.biases[1].data
+    w0, b0 = unit.weights[0].data, unit.biases[0].data
+    w1, b1 = unit.weights[1].data, unit.biases[1].data
     return (np.maximum(feats @ w0 + b0, 0.0) @ w1 + b1).reshape(n, l)
 
 
@@ -320,8 +320,8 @@ def reference_attention(unit, hist, targets):
 
 def brute_force_attention(unit, hist, target):
     """Per-row feature build and weight-and-sum, written as explicit loops."""
-    w0, b0 = unit.mlp.weights[0].data, unit.mlp.biases[0].data
-    w1, b1 = unit.mlp.weights[1].data, unit.mlp.biases[1].data
+    w0, b0 = unit.weights[0].data, unit.biases[0].data
+    w1, b1 = unit.weights[1].data, unit.biases[1].data
     out = np.zeros((1, hist.shape[1]))
     for j in range(hist.shape[0]):
         e = hist[j : j + 1]
@@ -333,7 +333,7 @@ def brute_force_attention(unit, hist, target):
 
 def test_attention_matches_brute_force_oracle():
     r = rng(27)
-    unit = ly.AttentionUnit(5, r)
+    unit = ly.Mlp([4 * 5, 16, 1], r, name="att")
     hist = r.normal(size=(4, 5))
     target = r.normal(size=(1, 5))
     out = ly.din_attention(unit, ad.constant(hist), ad.constant(target))
@@ -342,10 +342,10 @@ def test_attention_matches_brute_force_oracle():
 
 def test_attention_weight_count_and_empty_rejection():
     r = rng(28)
-    unit = ly.AttentionUnit(3, r)
+    unit = ly.Mlp([4 * 3, 16, 1], r, name="att")
     for p in unit.params():
         p.data[:] = 0.0
-    unit.mlp.biases[-1].data[:] = 1.0  # every weight is 1, so the pool sums one weight per row
+    unit.biases[-1].data[:] = 1.0  # every weight is 1, so the pool sums one weight per row
     hist = r.normal(size=(7, 3))
     out = ly.din_attention(unit, ad.constant(hist), ad.constant(r.normal(size=(1, 3))))
     np.testing.assert_allclose(out.data, hist.sum(axis=0, keepdims=True), rtol=1e-14)
@@ -355,7 +355,7 @@ def test_attention_weight_count_and_empty_rejection():
 
 def test_attention_output_invariant_under_history_permutation():
     r = rng(29)
-    unit = ly.AttentionUnit(4, r)
+    unit = ly.Mlp([4 * 4, 16, 1], r, name="att")
     hist = r.normal(size=(5, 4))
     target = ad.constant(r.normal(size=(1, 4)))
     perm = r.permutation(5)
@@ -366,7 +366,7 @@ def test_attention_output_invariant_under_history_permutation():
 
 def test_attention_batched_numpy_path_matches_graph():
     r = rng(30)
-    unit = ly.AttentionUnit(4, r)
+    unit = ly.Mlp([4 * 4, 16, 1], r, name="att")
     hist = r.normal(size=(6, 4))
     targets = r.normal(size=(9, 4))
     batched = reference_attention(unit, hist, targets)
@@ -377,7 +377,7 @@ def test_attention_batched_numpy_path_matches_graph():
 
 def test_attention_graph_on_many_targets_matches_one_target_at_a_time():
     r = rng(51)
-    unit = ly.AttentionUnit(4, r)
+    unit = ly.Mlp([4 * 4, 16, 1], r, name="att")
     hist = ad.constant(r.normal(size=(6, 4)))
     targets = r.normal(size=(3, 4))
     assert reference_weights(unit, hist.data, targets).shape == (3, 6)
@@ -390,7 +390,7 @@ def test_attention_graph_on_many_targets_matches_one_target_at_a_time():
 
 def test_attention_gradients():
     r = rng(31)
-    unit = ly.AttentionUnit(3, r, hidden=4)
+    unit = ly.Mlp([4 * 3, 4, 1], r, name="att")
     hist = ad.parameter(r.normal(size=(3, 3)), "hist")
     target = ad.parameter(r.normal(size=(1, 3)), "target")
     probe = ad.constant(r.normal(size=(3, 1)))
@@ -406,9 +406,9 @@ def test_attention_gradients():
 @pytest.mark.parametrize("l", [1, 5, 30])
 def test_fused_attention_matches_pair_feature_reference(n, l):
     r = rng(100 * n + l)
-    unit = ly.AttentionUnit(6, r, hidden=5)
-    unit.mlp.biases[0].data[:] = r.normal(size=(1, 5))
-    unit.mlp.biases[1].data[:] = r.normal(size=(1, 1))
+    unit = ly.Mlp([4 * 6, 5, 1], r, name="att")
+    unit.biases[0].data[:] = r.normal(size=(1, 5))
+    unit.biases[1].data[:] = r.normal(size=(1, 1))
     hist = r.normal(size=(l, 6))
     targets = r.normal(size=(n, 6))
     out = ly.din_attention(unit, ad.constant(hist), ad.constant(targets))
@@ -418,7 +418,7 @@ def test_fused_attention_matches_pair_feature_reference(n, l):
 
 def test_fused_attention_gradients_over_many_targets():
     r = rng(32)
-    unit = ly.AttentionUnit(3, r, hidden=4)
+    unit = ly.Mlp([4 * 3, 4, 1], r, name="att")
     for p in unit.params():
         p.data[:] = r.normal(size=p.data.shape)  # nonzero biases, so every block of dW0 is exercised
     hist = ad.parameter(r.normal(size=(4, 3)), "hist")
@@ -434,7 +434,7 @@ def test_fused_attention_gradients_over_many_targets():
 
 def test_fused_attention_is_one_tape_node_and_records_nothing_without_a_tape():
     r = rng(33)
-    unit = ly.AttentionUnit(3, r)
+    unit = ly.Mlp([4 * 3, 16, 1], r, name="att")
     hist = ad.parameter(r.normal(size=(5, 3)), "hist")
     targets = ad.constant(r.normal(size=(2, 3)))
     with ad.tape() as t:
@@ -444,9 +444,16 @@ def test_fused_attention_is_one_tape_node_and_records_nothing_without_a_tape():
     assert not out.track and out._backward is None
 
 
+@pytest.mark.parametrize("dims", [[4 * 4, 16, 1], [4 * 3, 16, 2], [4 * 3, 1], [4 * 3, 5, 4, 1]])
+def test_attention_rejects_an_mlp_that_is_not_4d_by_k_by_1(dims):
+    r = rng(35)
+    with pytest.raises(ad.ShapeError, match="attention wants a"):
+        ly.din_attention(ly.Mlp(dims, r), ad.constant(r.normal(size=(5, 3))), ad.constant(r.normal(size=(2, 3))))
+
+
 def test_fused_attention_keeps_float32():
     r = rng(34)
-    unit = ly.AttentionUnit(3, r, dtype=np.float32)
+    unit = ly.Mlp([4 * 3, 16, 1], r, name="att", dtype=np.float32)
     hist = ad.constant(r.normal(size=(5, 3)).astype(np.float32))
     targets = ad.constant(r.normal(size=(4, 3)).astype(np.float32))
     assert ly.din_attention(unit, hist, targets).dtype == np.float32

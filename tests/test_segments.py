@@ -112,7 +112,7 @@ def test_segment_graph_passes_gradient_check(wiring):
 
 def attention_parts(seed):
     r = np.random.default_rng(seed)
-    unit = ly.AttentionUnit(DIM, r, hidden=5)
+    unit = ly.Mlp([4 * DIM, 5, 1], r, name="att")
     return unit, r.normal(size=(6, DIM)), r.normal(size=(4, DIM))
 
 

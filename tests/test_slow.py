@@ -78,7 +78,7 @@ def test_plain_forward_single_item_history_with_unit_attention():
     m = make_model(2)
     for p in m.attention.params():
         p.data[:] = 0.0
-    m.attention.mlp.biases[-1].data[:] = 1.0
+    m.attention.biases[-1].data[:] = 1.0
     prob = m.forward([7], [3])
     e1 = m.embedding.lookup_np([7])
     e_t = m.embedding.lookup_np([3])
