@@ -16,7 +16,6 @@ import numpy as np
 
 from sfrec.exchange import (
     BadMagic,
-    Decision,
     ExchangeMessage,
     MessageKind,
     RoundTracker,
@@ -63,12 +62,12 @@ for label, mutant in [
 
 section("the scheduler uploads every N events")
 scheduler = UploadScheduler(threshold=4)
-log = []
+uploads = {}  # event -> the round tick returned
 for event in range(1, 13):
-    if scheduler.tick(user=1) is Decision.UPLOAD_NOW:
-        log.append(event)
-print(f"12 events at threshold 4 uploaded after events {log}")
-print(f"rounds issued to user 1: {[scheduler.next_round(1) for _ in log]}")
+    if round_no := scheduler.tick(user=1):
+        uploads[event] = round_no
+print(f"12 events at threshold 4 uploaded after events {list(uploads)}")
+print(f"rounds issued to user 1: {list(uploads.values())}")
 
 section("stale rounds bounce")
 tracker = RoundTracker()

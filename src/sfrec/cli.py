@@ -68,10 +68,22 @@ def read_exposures(path):
     """The per-user shown-item streams :func:`write_exposures` wrote, keyed by int user.
 
     Anything but a JSON object of ``user: [[item, ...], ...]`` with integer
-    users and items raises :class:`LifecycleError` naming ``path``.
+    users and items, or two streams for one user (a repeated key, or keys
+    such as ``"1"`` and ``"01"`` that name one user), raises
+    :class:`LifecycleError` naming ``path``.
     """
+
+    def unique(pairs):  # json keeps only the last value of a repeated key, and int() reads "01" as 1
+        seen = set()
+        for key, _ in pairs:
+            user = int(key) if key.isdecimal() else key
+            if user in seen:
+                raise LifecycleError(f"{path}: user {user} has two exposure streams")
+            seen.add(user)
+        return dict(pairs)
+
     try:
-        data = json.loads(Path(path).read_bytes())
+        data = json.loads(Path(path).read_bytes(), object_pairs_hook=unique)
     except ValueError as err:  # also a non-UTF-8 file
         raise LifecycleError(f"{path}: not a JSON exposures file: {err}") from None
     if not isinstance(data, dict):

@@ -8,6 +8,7 @@ running the wrong experiment.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "parse_value"]
@@ -76,8 +77,8 @@ class ExperimentConfig:
             "max_positions_per_user",
         )
         for name in positive_fields:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("patience", "base_seed", "expose_k", "max_users"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -89,8 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.mlp_layers > 5:
             raise ConfigError(f"mlp_layers capped at 5, got {self.mlp_layers}")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            raise ConfigError(f"eval_ks must be positive integers, got {self.eval_ks}")
+        if not self.eval_ks or any(k < 1 for k in self.eval_ks) or len(set(self.eval_ks)) < len(self.eval_ks):
+            raise ConfigError(f"eval_ks must be distinct positive integers, got {self.eval_ks}")
         if self.min_seq_len < 20:
             raise ConfigError(
                 f"min_seq_len below 20 breaks the 10/5/5 phase arithmetic, got {self.min_seq_len}"

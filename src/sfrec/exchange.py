@@ -11,6 +11,11 @@ Each message kind carries a fixed payload schema: (1, d) rows of one width
 d for the interest and negative-memory kinds, and the nine gate tensors of
 one GRU cell for the sync; both encode and decode enforce it.  Message logs
 on disk are a sequence of u32-length-prefixed encoded messages.
+
+The upload cadence is one count of serving events per user:
+``UploadScheduler.tick`` counts an event and returns the round of the
+upload it triggers (0: none), and the receiver's ``RoundTracker`` refuses
+a round not newer than the user's last.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "SchemaViolation",
     "encode_message",
     "decode_message",
-    "Decision",
     "UploadScheduler",
     "StaleRoundError",
     "RoundTracker",
@@ -174,41 +178,24 @@ def decode_message(data):
 # upload cadence
 
 
-class Decision(enum.Enum):
-    ACCUMULATE = "accumulate"
-    UPLOAD_NOW = "upload_now"
-
-
 class UploadScheduler:
-    """Count-based upload trigger: every ``threshold``-th event per user.
+    """Count-based upload trigger: every ``threshold``-th serving event per user.
 
-    Also hands out the per-user round number stamped on each upload, so
-    rounds are strictly increasing by construction.
+    ``tick`` counts one event and returns the round of the upload it
+    triggers, or 0 for none, so each user's rounds are 1, 2, ... by
+    construction.
     """
 
     def __init__(self, threshold=5):
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        self.counters = {}
-        self.rounds = {}
+        self.events = {}
 
     def tick(self, user):
-        count = self.counters.get(user, 0) + 1
-        if count >= self.threshold:
-            self.counters[user] = 0
-            return Decision.UPLOAD_NOW
-        self.counters[user] = count
-        return Decision.ACCUMULATE
-
-    def due(self, user):
-        """Whether the next ``tick`` for ``user`` will say UPLOAD_NOW (counts nothing)."""
-        return self.counters.get(user, 0) + 1 >= self.threshold
-
-    def next_round(self, user):
-        round_no = self.rounds.get(user, 0) + 1
-        self.rounds[user] = round_no
-        return round_no
+        events = self.events[user] = self.events.get(user, 0) + 1
+        round_no, rest = divmod(events, self.threshold)
+        return 0 if rest else round_no
 
 
 class StaleRoundError(ValueError):

@@ -257,21 +257,21 @@ class DeviceSession:
 class ExposureMemory:
     """Running GRU summary of everything shown to one user without a click.
 
-    Items are buffered as shown and encoded at export time with the device's
-    current exposure GRU; the hidden state carries across exports, so the
-    memory is cumulative over the whole stream.
+    ``export`` reads the user's exposure log (one list of shown items per
+    serving step) and encodes, with the device's current exposure GRU, only
+    its steps past ``steps``, the count earlier exports encoded; the hidden
+    state carries across exports, so the memory is cumulative over the whole
+    stream.
     """
 
     def __init__(self, dim, dtype=np.float64):
         self.hidden = np.zeros((1, dim), dtype=dtype)
-        self.pending = []
+        self.steps = 0
 
-    def record(self, item_ids):
-        self.pending.extend(int(i) for i in item_ids)
-
-    def export(self, model):
-        """The ``NEGATIVE_MEMORY_UP`` payload ``{"r2_hat"}``, after encoding what was shown since the last export."""
-        if self.pending:
-            self.hidden = model.gru_expose.encode_np(model.lookup_np(self.pending), self.hidden)
-            self.pending = []
+    def export(self, model, shown):
+        """The ``NEGATIVE_MEMORY_UP`` payload ``{"r2_hat"}``, after encoding the steps of ``shown`` since the last export."""
+        items = [int(i) for step in shown[self.steps :] for i in step]
+        if items:
+            self.hidden = model.gru_expose.encode_np(model.lookup_np(items), self.hidden)
+        self.steps = len(shown)
         return {"r2_hat": self.hidden.copy()}

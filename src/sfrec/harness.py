@@ -9,11 +9,13 @@ The cadence is linearized per seed:
 2. Bidirectional runs download an initial interest snapshot and GRU sync per
    user.
 3. Fast-phase events run in order.  On the first epoch each event also plays
-   a serving step: exposures are simulated with the current device model and
-   the scheduler decides whether to upload.  An upload ships the negative
-   memory through the real wire codec, triggers a one-user refresh round on
-   the cloud, a resync of every cloud row the device holds, and
-   (bidirectional only) a fresh download.
+   a serving step: exposures are simulated with the current device model
+   and logged, and (interactive runs) the scheduler's ``tick`` returns the
+   round of the upload the event triggers, 0 for none.  An upload encodes
+   the steps logged since the last one into the negative memory, ships it
+   through the real wire codec, and triggers a one-user refresh round on the
+   cloud, a resync of every cloud row the device holds, and (bidirectional
+   only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context; the device context grows with each
@@ -371,9 +373,8 @@ class _SeedRun:
         self._send(ex.MessageKind.GRU_N_SYNC, user, round_no, self.slow.gru_n.export_gates())
         self.counts["downloads"] += 1
 
-    def _upload(self, user):
-        memory = self.memories[user].export(self.fast)
-        round_no = self.scheduler.next_round(user)
+    def _upload(self, user, round_no):
+        memory = self.memories[user].export(self.fast, self.exposure_log[user])
         self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, memory)
         self.counts["uploads"] += 1
         self._refresh_slow(user)
@@ -413,9 +414,9 @@ class _SeedRun:
         last = segment[-1]
         return ctx.clicked[: len(last.clicked)] == last.clicked and ctx.exposed[: len(last.exposed)] == last.exposed
 
-    def _serve_event(self, user, j, item, session):
+    def _serve_event(self, user, j, item, session, round_no):
         """Simulate one impression, scored through the user's serving
-        ``session``: exposures, accumulation, maybe an upload."""
+        ``session``: exposures, then the upload of round ``round_no`` unless it is 0."""
         # before any fast click the device shows something for the last slow click
         clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
         exposed = self._exposed(user)
@@ -426,10 +427,8 @@ class _SeedRun:
             session.score, pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k
         )
         self.exposure_log[user].append(shown)
-        if self.slow.interactive:
-            self.memories[user].record(shown)
-            if self.scheduler.tick(user) == ex.Decision.UPLOAD_NOW:
-                self._upload(user)
+        if round_no:
+            self._upload(user, round_no)
 
     def serve_and_train_fast(self):
         cfg = self.config
@@ -441,11 +440,11 @@ class _SeedRun:
                 user = int(user)
                 session = DeviceSession(self.fast) if epoch == 0 else None
                 for j, item in enumerate(self.split.users[user].fast):
-                    # an upload changes what pending contexts read: close the segment first
-                    if epoch == 0 and uploads and self.scheduler.due(user):
-                        segments.close()
                     if epoch == 0:
-                        self._serve_event(user, j, item, session)
+                        round_no = self.scheduler.tick(user) if uploads else 0
+                        if round_no:  # an upload changes what pending contexts read: close the segment first
+                            segments.close()
+                        self._serve_event(user, j, item, session, round_no)
                     if j == 0:
                         continue  # no on-device click context yet
                     clicked, exposed = self._fast_contexts(user, j)

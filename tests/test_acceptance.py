@@ -19,7 +19,6 @@ import sfrec.layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.data import NegativeSampler, group_by_user, make_cluster_dataset, parse_ml1m, phase_split
 from sfrec.exchange import (
-    Decision,
     ExchangeMessage,
     MessageKind,
     RoundTracker,
@@ -199,9 +198,10 @@ def test_acceptance_exchange_suite():
         assert decode_message(encode_message(msg)) == msg, f"round-trip broke at message {i}"
 
     scheduler = UploadScheduler(threshold=5)
-    decisions = [scheduler.tick(user=1) for _ in range(23)]
-    uploads = [i + 1 for i, d in enumerate(decisions) if d is Decision.UPLOAD_NOW]
+    rounds = [scheduler.tick(user=1) for _ in range(23)]
+    uploads = [i + 1 for i, r in enumerate(rounds) if r]
     assert uploads == [5, 10, 15, 20]
+    assert [r for r in rounds if r] == [1, 2, 3, 4]
 
     tracker = RoundTracker()
     tracker.accept(user=1, round_no=3)

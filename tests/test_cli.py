@@ -172,6 +172,26 @@ def test_eval_names_an_exposed_item_outside_the_vocabulary(trained_state, tmp_pa
     assert f"user {user}'s exposures hold item {stray}," in payload["detail"]
 
 
+@pytest.mark.parametrize(
+    "twin",
+    [str, lambda user: "0" + user, lambda user: "".join(chr(ord("\uff10") + int(d)) for d in user)],
+    ids=["repeated-key", "leading-zero", "full-width-digits"],
+)
+def test_eval_refuses_two_exposure_streams_for_one_user(trained_state, tmp_path, capsys, twin):
+    state = tmp_path / "state"
+    shutil.copytree(trained_state, state)
+    expo = state / "seed0_exposures.json"
+    streams = json.loads(expo.read_text())
+    user, other = list(streams)[:2]
+    # a valid stream of another user, under a second key that names ``user``
+    expo.write_text(expo.read_text()[:-1] + f", {json.dumps(twin(user))}: {json.dumps(streams[other])}}}")
+    capsys.readouterr()
+    assert main(["eval", "--state-dir", str(state), *TINY]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "LifecycleError"
+    assert f"{expo}: user {user} has two exposure streams" in payload["detail"]
+
+
 def test_eval_names_a_user_the_exposures_file_lacks(trained_state, tmp_path, capsys):
     state = tmp_path / "state"
     shutil.copytree(trained_state, state)

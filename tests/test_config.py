@@ -71,6 +71,18 @@ def test_negative_lr_rejected(tmp_path):
         load_config(write(tmp_path, "lr = -1\n"))
 
 
+@pytest.mark.parametrize("key, raw", [("lr", "nan"), ("lr", "inf"), ("l2", "nan"), ("l2", "inf")])
+def test_a_rate_that_cannot_train_is_named(key, raw):
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite, got {raw}"):
+        load_config(None, {key: raw})
+
+
+def test_a_repeated_eval_k_is_named():
+    # each k would write its rows twice, and (component, metric, k, seed) would no longer key the results
+    with pytest.raises(ConfigError, match=r"eval_ks .*\[5, 5\]"):
+        load_config(None, {"eval_ks": "5,5"})
+
+
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="learning_rate"):
         load_config(write(tmp_path, "learning_rate = 0.01\n"))

@@ -309,9 +309,7 @@ def test_arbitrary_bytes_never_crash_outside_wire_errors(data):
 def _memory_export():
     device = FastModel(12, 4, rng(63), interactive=False)
     device.sync_rows(np.arange(12), rng(64).normal(size=(12, 4)))
-    memory = ExposureMemory(4)
-    memory.record([1, 5, 9])
-    return memory.export(device)
+    return ExposureMemory(4).export(device, [[1, 5, 9]])
 
 
 PRODUCERS = {
@@ -338,36 +336,26 @@ def test_each_exchange_producer_returns_its_kinds_wire_payload(kind, produce):
 
 def test_threshold_one_uploads_every_event():
     s = ex.UploadScheduler(threshold=1)
-    assert [s.tick(7) for _ in range(4)] == [ex.Decision.UPLOAD_NOW] * 4
+    assert [s.tick(7) for _ in range(4)] == [1, 2, 3, 4]
 
 
 def test_threshold_five_counts_up_and_resets():
     s = ex.UploadScheduler(threshold=5)
-    decisions = [s.tick(1) for _ in range(5)]
-    assert decisions[:4] == [ex.Decision.ACCUMULATE] * 4
-    assert decisions[4] == ex.Decision.UPLOAD_NOW
-    assert s.counters[1] == 0
+    assert [s.tick(1) for _ in range(10)] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 2]
 
 
 def test_seventeen_events_upload_at_5_10_15():
     s = ex.UploadScheduler(threshold=5)
-    positions = [i + 1 for i in range(17) if s.tick(3) == ex.Decision.UPLOAD_NOW]
+    positions = [i + 1 for i in range(17) if s.tick(3)]
     assert positions == [5, 10, 15]
 
 
 def test_counters_are_per_user():
     s = ex.UploadScheduler(threshold=2)
-    assert s.tick("a") == ex.Decision.ACCUMULATE
-    assert s.tick("b") == ex.Decision.ACCUMULATE
-    assert s.tick("a") == ex.Decision.UPLOAD_NOW
-    assert s.tick("b") == ex.Decision.UPLOAD_NOW
-
-
-def test_due_foretells_the_next_tick_without_counting():
-    s = ex.UploadScheduler(threshold=3)
-    for _ in range(7):
-        foretold = [s.due(4) for _ in range(2)]  # asking twice changes nothing
-        assert foretold[0] == foretold[1] == (s.tick(4) == ex.Decision.UPLOAD_NOW)
+    assert s.tick("a") == 0
+    assert s.tick("b") == 0
+    assert s.tick("a") == 1
+    assert s.tick("b") == 1
 
 
 def test_invalid_threshold_rejected():
@@ -381,7 +369,7 @@ def test_exactly_threshold_minus_one_accumulates_between_uploads(threshold, user
     s = ex.UploadScheduler(threshold=threshold)
     gaps = {}
     for u in users:
-        if s.tick(u) == ex.Decision.UPLOAD_NOW:
+        if s.tick(u):
             assert gaps.get(u, 0) == threshold - 1
             gaps[u] = 0
         else:
@@ -390,8 +378,8 @@ def test_exactly_threshold_minus_one_accumulates_between_uploads(threshold, user
 
 def test_rounds_strictly_increase_per_user():
     s = ex.UploadScheduler(threshold=1)
-    assert [s.next_round(4) for _ in range(3)] == [1, 2, 3]
-    assert s.next_round(9) == 1
+    assert [s.tick(4) for _ in range(3)] == [1, 2, 3]
+    assert s.tick(9) == 1
 
 
 def test_round_tracker_rejects_stale_rounds():

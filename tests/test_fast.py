@@ -268,9 +268,8 @@ def test_loss_matches_slow_loss_bit_exactly():
 def test_export_with_no_exposures_keeps_state_and_reports_zero():
     m = make_model(16)
     mem = ExposureMemory(4)
-    mem.record([1, 2])
-    first = mem.export(m)
-    second = mem.export(m)
+    first = mem.export(m, [[1, 2]])
+    second = mem.export(m, [[1, 2]])
     np.testing.assert_array_equal(first["r2_hat"], second["r2_hat"])
     assert set(second) == {"r2_hat"}  # the NEGATIVE_MEMORY_UP payload, nothing the header carries
 
@@ -279,8 +278,7 @@ def test_first_export_encodes_from_zero_state():
     m = make_model(17)
     mem = ExposureMemory(4)
     items = [2, 5, 9]
-    mem.record(items)
-    export = mem.export(m)
+    export = mem.export(m, [items])
     expected = m.gru_expose.encode_np(m.lookup_np(items), np.zeros((1, 4)))
     np.testing.assert_array_equal(export["r2_hat"], expected)
 
@@ -292,14 +290,10 @@ def test_exposure_accumulation_is_associative_across_200_random_splits():
         n = int(r.integers(2, 20))
         stream = r.integers(0, 12, size=n).tolist()
         cut = int(r.integers(1, n))
-        whole = ExposureMemory(4)
-        whole.record(stream)
-        one_pass = whole.export(m)["r2_hat"]
+        one_pass = ExposureMemory(4).export(m, [stream])["r2_hat"]
         split = ExposureMemory(4)
-        split.record(stream[:cut])
-        split.export(m)
-        split.record(stream[cut:])
-        two_pass = split.export(m)["r2_hat"]
+        split.export(m, [stream[:cut]])
+        two_pass = split.export(m, [stream[:cut], stream[cut:]])["r2_hat"]
         np.testing.assert_array_equal(one_pass, two_pass)
 
 

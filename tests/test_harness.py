@@ -18,7 +18,7 @@ from sfrec import harness
 from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.exchange import MessageKind, StaleRoundError, decode_message, encode_message
-from sfrec.fast import DeviceSession
+from sfrec.fast import DeviceSession, ExposureMemory
 from sfrec.harness import (
     LifecycleError,
     RunRecord,
@@ -94,6 +94,33 @@ def test_upload_count_follows_threshold(cluster_prepared):
     out = run_lifecycle(cfg, cluster_prepared)
     # 5 fast events with threshold 2 tick over at events 2 and 4
     assert out.diagnostics[0]["uploads"] == 2 * len(cluster_prepared[1])
+
+
+@pytest.mark.parametrize("variant", ["f2s", "s2f_full"])
+def test_each_user_uploads_rounds_one_and_two_of_their_exposure_log(monkeypatch, cluster_prepared, variant):
+    # 5 fast events with threshold 2: uploads at events 2 and 4, each after its event's exposures
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(variant=variant, threshold=2), 0, split, users)
+    export, exported = ExposureMemory.export, []
+
+    def spied_export(memory, model, shown):
+        exported.append((memory, len(shown)))
+        return export(memory, model, shown)
+
+    monkeypatch.setattr(ExposureMemory, "export", spied_export)
+    run.train_slow()
+    if variant == "s2f_full":
+        for user in users:
+            run._download(user, round_no=0)
+    run.serve_and_train_fast()
+    up, down, sync = MessageKind.NEGATIVE_MEMORY_UP, MessageKind.INTEREST_DOWN, MessageKind.GRU_N_SYNC
+    want = [(down, 0), (sync, 0), (up, 1), (down, 1), (sync, 1), (up, 2), (down, 2), (sync, 2)]
+    for user in users:
+        sent = [(m.kind, m.round) for m in run.messages if m.user == user]
+        assert [r for kind, r in sent if kind == up] == [1, 2]
+        assert sent == (want if variant == "s2f_full" else [(up, 1), (up, 2)])
+        assert [n for memory, n in exported if memory is run.memories[user]] == [2, 4]
+    assert len(exported) == 2 * len(users)
 
 
 def test_upload_only_variant_never_downloads(cluster_prepared):
@@ -520,9 +547,9 @@ def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster
     pending, reencode_rows, rows, in_session = [], [], Counter(), [False]
     serve_event, score = run._serve_event, DeviceSession.score
 
-    def spied_event(user, j, item, session):
+    def spied_event(user, j, item, session, round_no):
         pending.append((user, j))
-        serve_event(user, j, item, session)
+        serve_event(user, j, item, session, round_no)
         assert not pending, "a serving event scored nothing"
 
     def spied_score(session, ids):

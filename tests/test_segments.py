@@ -232,7 +232,7 @@ def reference_serve_and_train_fast(run):
             session = DeviceSession(run.fast)
             for j, item in enumerate(run.split.users[user].fast):
                 if epoch == 0:
-                    run._serve_event(user, j, item, session)
+                    run._serve_event(user, j, item, session, run.scheduler.tick(user) if run.slow.interactive else 0)
                 if j == 0:
                     continue
                 clicked, exposed = run._fast_contexts(user, j)
