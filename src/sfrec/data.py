@@ -6,9 +6,10 @@ order, then cut into three consecutive phases: the last 5 items are test, the
 trains the cloud side.  Users and items below the interaction floor are
 removed by alternating filters until stable.
 
-Public datasets carry no impression logs, so exposures are simulated: a
-seeded pool of never-clicked items is scored by the current device model and
-the top few become the "shown but not clicked" stream.
+Public datasets carry no impression logs, so exposures are simulated: the
+harness draws a seeded handful of never-clicked candidates per serving event,
+the current device model scores them, and the top few become the "shown but
+not clicked" stream.
 """
 
 from __future__ import annotations
@@ -266,24 +267,14 @@ class NegativeSampler:
         return table
 
 
-def simulate_exposures(score_fn, pool, next_click, rng, pool_size=20, expose_k=4):
-    """Pick the items a serving pass would have shown without a click.
-
-    ``pool`` is the user's never-clicked id array; ``score_fn`` ranks a
-    candidate id list with the current device model.  The top ``expose_k``
-    of a ``pool_size`` random draw (minus the next true click) are returned,
-    ordered best first.  Ties break by id so reruns are identical.
+def simulate_exposures(score_fn, candidates, expose_k):
+    """The ``expose_k`` of ``candidates`` (an id array) a serving pass would
+    have shown without a click, best first by ``score_fn``, the current device
+    model's scorer.  Ties break by id so reruns are identical.
     """
-    if expose_k == 0 or pool.size == 0:
-        return []
-    take = min(pool_size, pool.size)
-    sampled = rng.choice(pool, size=take, replace=False)
-    sampled = sampled[sampled != next_click]
-    if sampled.size == 0:
-        return []
-    scores = np.asarray(score_fn(sampled))
-    order = np.lexsort((sampled, -scores))
-    return [int(i) for i in sampled[order[:expose_k]]]
+    scores = np.asarray(score_fn(candidates))
+    order = np.lexsort((candidates, -scores))
+    return [int(i) for i in candidates[order[:expose_k]]]
 
 
 def make_cluster_dataset(n_users=200, n_items=100, n_clusters=4, seed=0):

@@ -9,13 +9,14 @@ The cadence is linearized per seed:
 2. Bidirectional runs download an initial interest snapshot and GRU sync per
    user.
 3. Fast-phase events run in order.  On the first epoch each event also plays
-   a serving step: exposures are simulated with the current device model
-   and logged, and (interactive runs) the scheduler's ``tick`` returns the
-   round of the upload the event triggers, 0 for none.  An upload encodes
-   the steps logged since the last one into the negative memory, ships it
-   through the real wire codec, and triggers a one-user refresh round on the
-   cloud, a resync of every cloud row the device holds, and (bidirectional
-   only) a fresh download.
+   a serving step: it draws ``pool_size`` never-clicked candidates, syncs
+   their rows and its click window to the device, and logs the top
+   ``expose_k`` of them by the current device model; (interactive runs) the
+   scheduler's ``tick`` returns the round of the upload the event triggers,
+   0 for none.  An upload encodes the steps logged since the last one into
+   the negative memory, ships it through the real wire codec, and triggers
+   a one-user refresh round on the cloud, a resync of every cloud row the
+   device holds, and (bidirectional only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context; the device context grows with each
@@ -26,7 +27,10 @@ user's events.  Each event advances the session to its windows (a full
 encode only when the device model's version or the user's prior changed,
 else each GRU steps over the rows its window gained or, where the window
 slid, re-encodes) and hands ``session.score`` to the exposure simulation or
-the ranking (``_SeedRun.evaluate``).
+the ranking (``_SeedRun.evaluate``).  Each of the device's reads syncs the
+cloud rows it reads first: a serving event its draw and click window, a
+training segment its candidates (its windows' rows serving already synced),
+an evaluation ranking its candidates and both windows.
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -401,6 +405,7 @@ class _SeedRun:
             candidates += ctx.candidates
             labels += ctx.labels
             prefixes += [(len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
+        self._sync_device_rows(candidates)  # the windows' rows are held: serving synced every click window and draw
         return self.fast.loss(
             last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
         )
@@ -414,19 +419,20 @@ class _SeedRun:
         last = segment[-1]
         return ctx.clicked[: len(last.clicked)] == last.clicked and ctx.exposed[: len(last.exposed)] == last.exposed
 
-    def _serve_event(self, user, j, item, session, round_no):
+    def _serve_event(self, user, j, session, round_no):
         """Simulate one impression, scored through the user's serving
-        ``session``: exposures, then the upload of round ``round_no`` unless it is 0."""
+        ``session``: draw ``pool_size`` never-clicked candidates, sync them and
+        the click window, show the top ``expose_k``, then upload round
+        ``round_no`` unless it is 0."""
         # before any fast click the device shows something for the last slow click
         clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
         exposed = self._exposed(user)
+        # the pool holds no item the user ever clicks, so no draw can show this event's click
         pool = self.sampler.complement(user)
-        self._sync_device_rows(np.concatenate([pool, clicked + [item]]))  # the pool holds no clicked item
+        drawn = self.serving_rng.choice(pool, size=min(self.config.pool_size, pool.size), replace=False)
+        self._sync_device_rows(np.concatenate([drawn, clicked]))
         session.advance(clicked, exposed, self.priors.get(user))
-        shown = simulate_exposures(
-            session.score, pool, item, self.serving_rng, pool_size=self.config.pool_size, expose_k=self.config.expose_k
-        )
-        self.exposure_log[user].append(shown)
+        self.exposure_log[user].append(simulate_exposures(session.score, drawn, self.config.expose_k))
         if round_no:
             self._upload(user, round_no)
 
@@ -444,7 +450,7 @@ class _SeedRun:
                         round_no = self.scheduler.tick(user) if uploads else 0
                         if round_no:  # an upload changes what pending contexts read: close the segment first
                             segments.close()
-                        self._serve_event(user, j, item, session, round_no)
+                        self._serve_event(user, j, session, round_no)
                     if j == 0:
                         continue  # no on-device click context yet
                     clicked, exposed = self._fast_contexts(user, j)

@@ -297,48 +297,14 @@ def test_sampler_rejects_oversized_draws():
 
 
 def test_exposures_zero_k_is_empty():
-    rng = np.random.default_rng(0)
-    out = dt.simulate_exposures(lambda ids: np.ones(len(ids)), np.arange(50), 3, rng, expose_k=0)
+    out = dt.simulate_exposures(lambda ids: np.ones(len(ids)), np.arange(50), expose_k=0)
     assert out == []
 
 
-def test_exposures_come_from_the_pool_only():
-    rng = np.random.default_rng(1)
-    pool = np.arange(100, 160)
-    seen = set()
-    for _ in range(2500):
-        out = dt.simulate_exposures(lambda ids: rng.random(len(ids)), pool, 3, rng)
-        assert len(out) == 4
-        seen.update(out)
-    assert seen <= set(pool.tolist())
-    assert len(seen) > 30  # the draw actually varies
-
-
-def test_exposures_exclude_the_next_click():
-    rng = np.random.default_rng(2)
-    pool = np.arange(10)  # pool_size > len(pool): every item sampled
-    for _ in range(100):
-        out = dt.simulate_exposures(lambda ids: np.zeros(len(ids)), pool, 7, rng, pool_size=10)
-        assert 7 not in out
-
-
 def test_exposures_rank_by_score_then_id():
-    rng = np.random.default_rng(3)
-    pool = np.arange(6)
     scores = {0: 0.1, 1: 0.9, 2: 0.9, 3: 0.5, 4: 0.2, 5: 0.05}
-    out = dt.simulate_exposures(
-        lambda ids: np.array([scores[i] for i in ids]), pool, 99, rng, pool_size=6, expose_k=3
-    )
+    out = dt.simulate_exposures(lambda ids: np.array([scores[i] for i in ids]), np.array([5, 4, 3, 2, 1, 0]), expose_k=3)
     assert out == [1, 2, 3]
-
-
-def test_exposures_deterministic_under_fixed_seed():
-    pool = np.arange(40)
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(44)
-        runs.append(dt.simulate_exposures(lambda ids: np.sin(ids.astype(float)), pool, 0, rng))
-    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,72 @@ def test_a_device_sync_checks_its_ids_once_before_writing_a_row(monkeypatch, clu
     np.testing.assert_array_equal(run.fast.lookup_np([3, 5, 8]), held)
 
 
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads(cluster_prepared, variant):
+    # threshold 2: an upload's resync of every held row falls inside some events
+    split, users = cluster_prepared
+    cfg = tiny_config(variant=variant, threshold=2)
+    run = _SeedRun(cfg, 0, split, users)
+    twin = copy.deepcopy(run.serving_rng)  # replays serving's draws
+    run.train_slow()
+    if variant == "s2f_full":
+        for user in users:
+            run._download(user, round_no=0)
+    frames, events, segments = [], [], []
+    sync, serve, upload, segment_loss = run._sync_device_rows, run._serve_event, run._upload, run._fast_segment_loss
+
+    def spied_sync(ids):
+        if frames:
+            frames[-1] += [int(i) for i in ids]
+        sync(ids)
+
+    def spied_upload(user, round_no):
+        frames.append([])  # the resync after a refresh belongs to the upload
+        upload(user, round_no)
+        frames.pop()
+
+    def spied_event(user, j, *rest):
+        us, pool = split.users[user], run.sampler.complement(user)
+        drawn = twin.choice(pool, size=min(cfg.pool_size, pool.size), replace=False)
+        clicked = run._window(us.fast[:j]) or us.slow[-1:]
+        frames.append([])
+        serve(user, j, *rest)
+        events.append(sorted(frames.pop()))
+        assert events[-1] == sorted(drawn.tolist() + clicked)
+        assert len(events[-1]) <= cfg.pool_size + cfg.max_history_len
+
+    def spied_loss(user, segment):
+        frames.append([])
+        loss = segment_loss(user, segment)
+        segments.append(sorted(frames.pop()))
+        assert segments[-1] == sorted(c for ctx in segment for c in ctx.candidates)
+        return loss
+
+    run._sync_device_rows, run._upload, run._serve_event, run._fast_segment_loss = (
+        spied_sync, spied_upload, spied_event, spied_loss
+    )
+    run.serve_and_train_fast()
+    assert len(events) == sum(len(split.users[u].fast) for u in users)
+    assert segments and run.counts["uploads"] == (0 if variant == "independent" else 2 * len(users))
+
+
+@pytest.mark.parametrize("expose_k", [0, 4])
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_every_serving_step_shows_at_most_expose_k_never_clicked_items(cluster_prepared, variant, expose_k):
+    split, users = cluster_prepared
+    cfg = tiny_config(variant=variant, expose_k=expose_k)
+    _, exposures = run_lifecycle(cfg, cluster_prepared, collect_state=True).states[0]
+    for user in users:
+        pool = set(range(split.vocab_size)).difference(split.users[user].all_items())
+        steps = exposures[user]
+        assert len(steps) == len(split.users[user].fast)
+        for step in steps:
+            assert len(step) == len(set(step)) == min(expose_k, cfg.pool_size)
+            assert set(step) <= pool  # neither this event's click nor any other of the user's
+        if expose_k:
+            assert len({i for step in steps for i in step}) > expose_k  # the draw varies across events
+
+
 def test_evaluation_keeps_no_test_negatives(cluster_prepared):
     run = trained_run(cluster_prepared, variant="independent")
     run.evaluate()
@@ -547,9 +613,9 @@ def test_every_serving_event_scores_as_a_per_event_reencode(monkeypatch, cluster
     pending, reencode_rows, rows, in_session = [], [], Counter(), [False]
     serve_event, score = run._serve_event, DeviceSession.score
 
-    def spied_event(user, j, item, session, round_no):
+    def spied_event(user, j, session, round_no):
         pending.append((user, j))
-        serve_event(user, j, item, session, round_no)
+        serve_event(user, j, session, round_no)
         assert not pending, "a serving event scored nothing"
 
     def spied_score(session, ids):

@@ -232,12 +232,13 @@ def reference_serve_and_train_fast(run):
             session = DeviceSession(run.fast)
             for j, item in enumerate(run.split.users[user].fast):
                 if epoch == 0:
-                    run._serve_event(user, j, item, session, run.scheduler.tick(user) if run.slow.interactive else 0)
+                    run._serve_event(user, j, session, run.scheduler.tick(user) if run.slow.interactive else 0)
                 if j == 0:
                     continue
                 clicked, exposed = run._fast_contexts(user, j)
                 negs = [int(n) for n in run.sampler.draw(user, "fast", j, run.config.n_train_neg)]
                 candidates, labels = [item] + negs, [1] + [0] * len(negs)
+                run._sync_device_rows(candidates)
                 with ad.tape() as t:
                     t.backward(run.fast.loss(clicked, exposed, candidates, labels, prior=run.priors.get(user)))
                 pending += len(candidates)
