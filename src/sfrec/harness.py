@@ -19,8 +19,10 @@ The cadence is linearized per seed:
    device holds, and (bidirectional only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
-   items from the slow-phase context; the device context grows with each
-   consumed test item.
+   items from the slow-phase context, scoring each user's candidates (the
+   test items plus every ranking's negatives) in one pass; the device
+   context grows with each consumed test item, and each ranking scores its
+   own candidates.
 
 Serving and evaluation each make one ``DeviceSession`` per user for that
 user's events.  Each event advances the session to its windows (a full
@@ -65,7 +67,6 @@ import io
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,6 +106,9 @@ class RunRecord:
 
 class LifecycleError(RuntimeError):
     pass
+
+
+_NO_USERS = "no users survived the split; nothing to run"
 
 
 @dataclass
@@ -179,7 +183,8 @@ class _Segments:
 
 
 def prepare_data(config):
-    """Load, split, and (optionally) subsample users; fixed across seeds."""
+    """Load, split, and (optionally) subsample users; fixed across seeds.
+    A split that no user survives is a LifecycleError."""
     if config.data_format == "cluster":
         interactions = make_cluster_dataset(seed=0)
     elif config.data_format == "ml1m":
@@ -188,6 +193,8 @@ def prepare_data(config):
         interactions, _, _ = parse_tsv(config.dataset)
     split = phase_split(interactions, min_len=config.min_seq_len)
     users = sorted(split.users)
+    if not users:
+        raise LifecycleError(_NO_USERS)
     if config.max_users and len(users) > config.max_users:
         picker = np.random.default_rng(np.random.SeedSequence(entropy=1_000_003))
         users = sorted(picker.choice(users, size=config.max_users, replace=False).tolist())
@@ -467,28 +474,30 @@ class _SeedRun:
     def evaluate(self):
         """Rank each user's test items with both frozen models.
 
-        The cloud context is the slow-phase window for every ranking.  The
-        device scores through a session made for the user: its click state
-        steps once per consumed test item, or is re-encoded where the
-        ``max_history_len`` window slides.  Each ranking first syncs every
-        row it reads (candidates, click and exposure windows) from the cloud
-        table, so a replay rebuilds the device rows from the checkpoint's
-        ``slow/emb``.  The scores equal ``score_candidates`` on each
-        ranking's windows, bit for bit.
+        The cloud context is the slow-phase window (and negative memory) for
+        every ranking, so the cloud scores each user once: one
+        ``score_candidates`` pass over the sorted union of the user's test
+        items and all of their test negatives, which every ranking reads its
+        scores from.  The device scores through a session made for the user:
+        its click state steps once per consumed test item, or is re-encoded
+        where the ``max_history_len`` window slides.  Each ranking first syncs
+        every row it reads (candidates, click and exposure windows) from the
+        cloud table, so a replay rebuilds the device rows from the
+        checkpoint's ``slow/emb``.  The device scores equal
+        ``score_candidates`` on each ranking's windows, bit for bit.
         """
         slow_results, fast_results = [], []
         for user in self.users:
             us = self.split.users[user]
-            slow_ctx = self._window(us.slow)
-            memory = self._memory(user)
+            drawn = [self.sampler.draw(user, "test", j, self.config.n_eval_neg) for j in range(len(us.test))]
+            ids = np.unique(np.concatenate([us.test, *drawn]))
+            scores = self.slow.score_candidates(self._window(us.slow), ids, neg_memory=self._memory(user))
             exposed = self._exposed(user)
             session = DeviceSession(self.fast)
-            for j, positive in enumerate(us.test):
-                negs = [int(n) for n in self.sampler.draw(user, "test", j, self.config.n_eval_neg)]
+            for j, (positive, negs) in enumerate(zip(us.test, drawn)):
                 clicked = self._window(us.fast + us.test[:j])
-                self._sync_device_rows(negs + [positive] + clicked + exposed)
-                slow_score = partial(self.slow.score_candidates, slow_ctx, neg_memory=memory)
-                slow_results.append(rank_candidates(slow_score, user, positive, negs))
+                self._sync_device_rows(np.concatenate([negs, [positive, *clicked, *exposed]]))
+                slow_results.append(rank_candidates(lambda c: scores[np.searchsorted(ids, c)], user, positive, negs))
                 session.advance(clicked, exposed, self.priors.get(user))
                 fast_results.append(rank_candidates(session.score, user, positive, negs))
         return slow_results, fast_results
@@ -522,8 +531,8 @@ def _check_negative_counts(config, split, users):
 def run_lifecycle(config, prepared=None, collect_state=False):
     """Run the full per-seed lifecycle grid for one config."""
     split, users = prepared if prepared is not None else prepare_data(config)
-    if not users:
-        raise LifecycleError("no users survived the split; nothing to run")
+    if not users:  # a caller's own ``prepared``; prepare_data checks its own
+        raise LifecycleError(_NO_USERS)
     _check_negative_counts(config, split, users)
     outcome = LifecycleOutcome()
     tag = _dataset_tag(config)

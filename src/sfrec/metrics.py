@@ -25,17 +25,18 @@ class RankingResult:
 def rank_candidates(score_fn, user, positive, negatives):
     """Rank the positive item against sampled negatives.
 
-    ``score_fn`` maps a candidate id list to a score array (one call for the
+    ``negatives`` is an id list or integer array.  ``score_fn`` maps the
+    candidate id array (positive first) to a score array (one call for the
     whole set).  Returns a RankingResult with the positive's 1-based rank.
     """
-    candidates = [positive, *negatives]
-    if len(set(candidates)) != len(candidates):
+    candidates = np.concatenate(([positive], np.asarray(negatives, dtype=np.int64)))
+    if np.unique(candidates).size != candidates.size:
         raise ValueError("candidate set contains duplicates")
     scores = np.asarray(score_fn(candidates), dtype=float)
     pos_score = scores[0]
-    higher = int(np.sum(scores[1:] > pos_score))
-    tied_before = int(np.sum((scores[1:] == pos_score) & (np.asarray(candidates[1:]) < positive)))
-    return RankingResult(user=user, positive=positive, rank=1 + higher + tied_before)
+    higher = np.count_nonzero(scores[1:] > pos_score)
+    tied_before = np.count_nonzero((scores[1:] == pos_score) & (candidates[1:] < positive))
+    return RankingResult(user=user, positive=positive, rank=int(1 + higher + tied_before))
 
 
 def _check(results, k=1):

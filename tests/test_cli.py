@@ -97,6 +97,17 @@ def test_dataset_resolves_through_data_dir_env(tmp_path, capsys, monkeypatch):
     assert stats["users"] == 25
 
 
+@pytest.mark.parametrize("command", ["inspect-split", "train"])
+def test_a_split_no_user_survives_is_a_lifecycle_error(tmp_path, capsys, command):
+    data = tmp_path / "tiny.tsv"
+    data.write_text("1\t1\t1\n1\t2\t2\n2\t1\t3\n")  # far shorter than min_seq_len
+    extra = ["--results", str(tmp_path / "r.csv")] if command == "train" else []
+    assert main([command, "--data-format", "tsv", "--dataset", str(data), *extra]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "LifecycleError", "detail": "no users survived the split; nothing to run"}
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_errors_are_one_json_line_on_stderr(capsys):
     assert main(["train", "--lr", "-1", "--data-format", "cluster"]) == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sfrec.harness import (
 )
 from sfrec.layers import GruCell
 from sfrec.metrics import rank_candidates
+from sfrec.slow import SlowModel
 
 
 def tiny_config(**overrides):
@@ -476,6 +478,76 @@ def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, vari
         per_ranking += sum(exposed + min(len(us.fast) + j, max_history_len) for j in range(len(us.test)))
     assert steps == want
     assert sum(steps.values()) < per_ranking
+
+
+# ---------------------------------------------------------------------------
+# evaluation scores each user's cloud candidates in one pass
+
+
+def spy_slow_scoring(patch):
+    """The candidate ids of every ``SlowModel.score_candidates`` call from here on."""
+    calls, score = [], SlowModel.score_candidates
+
+    def spy(model, seq_ids, candidate_ids, neg_memory=None):
+        calls.append(np.array(candidate_ids))
+        return score(model, seq_ids, candidate_ids, neg_memory)
+
+    patch.setattr(SlowModel, "score_candidates", spy)
+    return calls
+
+
+def union_of_test_items_and_draws(run, user):
+    """Sorted ids of ``user``'s test items and every one of their test negatives."""
+    us = run.split.users[user]
+    drawn = [run.sampler.draw(user, "test", j, run.config.n_eval_neg).tolist() for j in range(len(us.test))]
+    return sorted(set(us.test).union(*drawn))
+
+
+def test_the_cloud_scores_each_user_once_per_evaluation(cluster_prepared):
+    run = trained_run(cluster_prepared, variant="f2s")
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_slow_scoring(patch)
+        run.evaluate()
+    assert len(calls) == len(run.users)
+    for ids, user in zip(calls, run.users):
+        assert ids.tolist() == union_of_test_items_and_draws(run, user)
+
+
+@pytest.mark.parametrize("variant", ["independent", "s2f_full"])
+def test_replay_scores_each_user_once_on_the_cloud(cluster_prepared, variant):
+    cfg = tiny_config(variant=variant)
+    out = run_lifecycle(cfg, cluster_prepared, collect_state=True)
+    arrays, exposures = out.states[0]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_slow_scoring(patch)
+        evaluate_from_state(cfg, 0, cluster_prepared, arrays, out.messages[0], exposures)
+    run = _SeedRun(cfg, 0, *cluster_prepared)  # the same sampler seed, so the same test draws
+    assert [ids.tolist() for ids in calls] == [union_of_test_items_and_draws(run, u) for u in run.users]
+
+
+def per_ranking_slow_reference(run):
+    """The result of each cloud ranking, each scored by its own ``score_candidates`` call."""
+    out = []
+    for user in run.users:
+        us = run.split.users[user]
+        slow_score = partial(run.slow.score_candidates, run._window(us.slow), neg_memory=run._memory(user))
+        for j, positive in enumerate(us.test):
+            negs = run.sampler.draw(user, "test", j, run.config.n_eval_neg).tolist()
+            out.append(rank_candidates(slow_score, user, positive, negs))
+    return out
+
+
+@pytest.mark.parametrize(
+    "variant, max_history_len, precision",
+    [(v, m, "float32") for v in ("independent", "f2s", "s2f_full") for m in (3, 30)] + [("s2f_full", 30, "float64")],
+)
+def test_per_user_cloud_pass_ranks_as_per_ranking_scoring(cluster_prepared, variant, max_history_len, precision):
+    # the pass's rows may round apart from a per-ranking call's in the last bits: ranks are compared, not scores
+    run = trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len, precision=precision)
+    reference = per_ranking_slow_reference(run)
+    slow_results, _ = run.evaluate()
+    assert slow_results == reference
+    assert len({r.rank for r in slow_results}) > 1  # the rankings are not all one trivial rank
 
 
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])

@@ -57,14 +57,33 @@ def test_ties_break_by_candidate_id_ascending():
     assert rank_candidates(flat, 0, 5, [2, 3]).rank == 3
 
 
-def test_heavy_ties_among_301_candidates_follow_the_rank_definition():
+def as_list(ids):
+    return list(ids)
+
+
+def as_array(ids):
+    return np.array(ids, dtype=np.int64)
+
+
+def as_sampler_array(ids):
+    """An int64 array that cannot be written, as ``NegativeSampler.draw`` returns."""
+    out = as_array(ids)
+    out.flags.writeable = False
+    return out
+
+
+NEGATIVE_FORMS = [as_list, as_array, as_sampler_array]
+
+
+def check_heavy_ties(form):
+    """Ranks among 301 candidates with ~75 ties per score level, negatives passed as ``form`` makes them."""
     r = rng(11)
     ids = r.permutation(2000)[:301].tolist()
     table = dict(zip(ids, r.integers(0, 4, size=301) / 4.0))  # four score levels: ~75 ties each
     score = lambda cands: [table[c] for c in cands]
     tied = 0
     for p in range(0, 301, 15):
-        positive, negatives = ids[p], ids[:p] + ids[p + 1 :]
+        positive, negatives = ids[p], form(ids[:p] + ids[p + 1 :])
         higher = sum(table[c] > table[positive] for c in negatives)
         tied_lower_id = sum(table[c] == table[positive] and c < positive for c in negatives)
         tied += tied_lower_id
@@ -74,11 +93,48 @@ def test_heavy_ties_among_301_candidates_follow_the_rank_definition():
     assert tied > 100  # the tie-break decided many of these ranks
 
 
+def test_heavy_ties_among_301_candidates_follow_the_rank_definition():
+    check_heavy_ties(as_list)
+
+
+@pytest.mark.parametrize("form", [as_array, as_sampler_array])
+def test_heavy_ties_among_301_array_candidates_follow_the_rank_definition(form):
+    check_heavy_ties(form)
+
+
 def test_duplicate_candidates_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, [5, 6])
     with pytest.raises(ValueError, match="duplicate"):
         rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, [6, 6])
+
+
+@pytest.mark.parametrize("form", [as_array, as_sampler_array])
+def test_duplicate_array_candidates_rejected(form):
+    with pytest.raises(ValueError, match="duplicate"):
+        rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, form([5, 6]))  # the positive among the negatives
+    with pytest.raises(ValueError, match="duplicate"):
+        rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, form([6, 6]))
+
+
+def test_list_and_array_negatives_rank_alike():
+    r = rng(12)
+    ids = r.permutation(400)[:51].tolist()
+    table = dict(zip(ids, r.integers(0, 6, size=51) / 6.0))  # ties, so the id tie-break counts too
+    seen = []
+
+    def score(cands):
+        seen.append(np.array(cands))
+        return np.array([table[int(c)] for c in cands])
+
+    for p in range(0, 51, 5):
+        positive, negatives = ids[p], ids[:p] + ids[p + 1 :]
+        got = [rank_candidates(score, 4, positive, form(negatives)) for form in NEGATIVE_FORMS]
+        assert got[0] == got[1] == got[2]
+        assert type(got[0].rank) is int
+        for cands in seen[-3:]:  # every form hands the scorer the same id array, positive first
+            assert cands.dtype == np.int64
+            np.testing.assert_array_equal(cands, [positive, *negatives])
 
 
 def test_rank_invariant_under_monotone_score_transforms():
