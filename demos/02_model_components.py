@@ -75,7 +75,7 @@ ids = np.arange(50)
 fast.sync_rows(ids, slow.embedding.lookup_np(ids))  # device rows come from the cloud table
 prior = interest  # the device's prior is the downloaded payload itself
 out = fast.forward(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
-print(f"p(click)={out.data.ravel().round(4)} from {len(fast.synced_ids())} synced rows;"
+print(f"p(click)={out.data.ravel().round(4)} from {ids.size} synced rows;"
       " both GRUs ran once for the two candidates")
 # a training segment: two contexts in one graph, the first seeing one click
 # and one exposure, the second both; each GRU still runs once

@@ -7,10 +7,10 @@ turns it into initial states for both GRUs.  Exchange values are their
 ``exchange.SCHEMAS`` payload dicts: the prior ``{"r_n", "r_t"}``, the memory ``{"r2_hat"}``.
 
 The device never trains embeddings: it holds copies of the cloud table rows
-it has been sent (``sync_rows``), and the harness resyncs every held row
-after each cloud refresh, so a held row always equals the cloud's.  Looking
-up a row that was never synced is a hard error, which keeps the simulation
-honest about what is actually on the device.
+it has been sent (``sync_rows``), and each of the harness's device reads
+syncs every row it reads first, so a row read always equals the cloud's.
+Looking up a row that was never synced is a hard error, which keeps the
+simulation honest about what is actually on the device.
 
 Both wirings run through one graph ``forward``, which takes the prior (the
 plain wiring ignores it) and returns the (n, 1) click probabilities: an
@@ -31,8 +31,9 @@ A session carries one user's context from event to event, as a
 session-based GRU carries its hidden state: while the model's ``version``
 and the prior hold, it keeps the init states and steps each GRU over only
 the rows its window gained, and re-encodes a GRU from its init state only
-where its window slid.  Each step is the one a full encode takes, so a
-session scores as ``score_candidates`` on the same windows, bit for bit.
+where its window slid or a sync rewrote one of its window's rows.  Each
+step is the one a full encode takes, so a session scores as
+``score_candidates`` on the same windows, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class FastModel:
         self.interactive = interactive
         self.n_items = n_items
         self._emb = np.zeros((n_items, dim), dtype=dtype)
-        self._synced = np.zeros(n_items, dtype=bool)
-        self._mirror_version = 0
+        self._stamps = np.zeros(n_items, dtype=np.int64)  # the sync that last wrote each row, 0: never synced
+        self.syncs = 0  # the syncs that wrote a row
         self.gru_click = ly.GruCell(dim, dim, rng, name=f"{name}/gru_p", dtype=dtype)
         self.gru_expose = ly.GruCell(dim, dim, rng, name=f"{name}/gru_n", dtype=dtype)
         self.fusion = ly.Mlp([2 * dim, 16, 1], rng, name=f"{name}/fuse", dtype=dtype)
@@ -88,34 +89,30 @@ class FastModel:
 
     @property
     def version(self):
-        """Goes up whenever what the encoders read changes: a write to a
-        parameter (an optimizer step, a gate or checkpoint load) or a sync
-        that changes a held row."""
-        return self._mirror_version + sum([p.version for p in self._versioned])
+        """Goes up whenever a parameter is written: an optimizer step, a gate
+        or checkpoint load.  A sync moves ``syncs`` and row stamps instead."""
+        return sum([p.version for p in self._versioned])
 
     # -- embedding mirror ------------------------------------------------------
 
     def sync_rows(self, ids, rows):
         """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device;
         an id outside the vocabulary is an OutOfVocabularyError, rows of
-        another shape a ShapeError.  Changing a held row bumps ``version``."""
+        another shape a ShapeError.  A sync that finds rows never synced or
+        changed counts in ``syncs`` and stamps those rows with that count."""
         idx = ly.checked_ids(ids, self.n_items)
         rows = np.asarray(rows, dtype=self._emb.dtype)
         if rows.shape != (idx.size, self.dim):
             raise ad.ShapeError(f"sync of {idx.size} ids wants ({idx.size}, {self.dim}) rows, got {rows.shape}")
-        differs = self._emb.take(idx, axis=0) != rows
-        if differs.any():
-            if self._synced[idx[differs.any(axis=1)]].any():
-                self._mirror_version += 1
+        differs, unsynced = self._emb.take(idx, axis=0) != rows, self._stamps[idx] == 0
+        if differs.any() or unsynced.any():  # the per-row reduction only when some row is written
+            self.syncs += 1
             self._emb[idx, :] = rows
-        self._synced[idx] = True
-
-    def synced_ids(self):
-        return np.nonzero(self._synced)[0]
+            self._stamps[idx[differs.any(axis=1) | unsynced]] = self.syncs
 
     def lookup_np(self, ids):
         idx = ly.checked_ids(ids, self.n_items)
-        missing = idx[~self._synced[idx]]
+        missing = idx[self._stamps[idx] == 0]
         if missing.size:
             raise UnsyncedRowError(f"item {missing[0]} was never synced to this device")
         return self._emb[idx, :]
@@ -209,7 +206,9 @@ class DeviceSession:
     model's ``version`` moved or the prior is another object, it first
     rebuilds the prior-derived init states and starts both windows empty;
     then each GRU steps over only the rows its window gained, or re-encodes
-    from its init state where its window slid.  The session holds the
+    from its init state where its window slid or a sync since the last
+    advance stamped one of the rows it kept (the init states read no
+    embedding row, so a sync never rebuilds them).  The session holds the
     encoded context: the GRUs' init states (prior-derived, or zero in the
     plain wiring), kept so a slid window can be re-encoded without
     recomputing the prior, their states ``r_click`` and ``r_expose``, and the
@@ -220,7 +219,7 @@ class DeviceSession:
     def __init__(self, model):
         self.model = model
         self.init_click = self.init_expose = self.r_click = self.r_expose = self.r_t = None
-        self.clicked = self.exposed = self.prior = self.version = None
+        self.clicked = self.exposed = self.prior = self.version = self.syncs = None
 
     def advance(self, clicked, exposed, prior=None):
         """Move the session to the ``clicked`` and ``exposed`` windows under
@@ -239,12 +238,15 @@ class DeviceSession:
         r_expose = self._carry(model.gru_expose, old_exposed, exposed, r_expose, init_expose)
         self.init_click, self.init_expose, self.r_t, self.version = init_click, init_expose, r_t, version
         self.r_click, self.r_expose, self.clicked, self.exposed, self.prior = r_click, r_expose, clicked, exposed, prior
+        self.syncs = model.syncs  # what ``_carry`` checks the kept rows' stamps against next time
 
     def _carry(self, cell, old, new, state, init):
         """``state``, the encoding of the window ``old``, moved to the window ``new``."""
-        if new[: len(old)] != old:  # slid: re-encode from the init state
+        model = self.model
+        stale = old and model.syncs != self.syncs and (model._stamps[old] > self.syncs).any()
+        if stale or new[: len(old)] != old:  # a kept row rewritten, or slid: re-encode from the init state
             state, old = init, []
-        return cell.encode_np(self.model.lookup_np(new[len(old) :]), state) if len(new) > len(old) else state
+        return cell.encode_np(model.lookup_np(new[len(old) :]), state) if len(new) > len(old) else state
 
     def score(self, candidate_ids):
         """Click probabilities for many candidates against the session's context: forward's scoring tail."""

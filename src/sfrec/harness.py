@@ -10,13 +10,13 @@ The cadence is linearized per seed:
    user.
 3. Fast-phase events run in order.  On the first epoch each event also plays
    a serving step: it draws ``pool_size`` never-clicked candidates, syncs
-   their rows and its click window to the device, and logs the top
-   ``expose_k`` of them by the current device model; (interactive runs) the
-   scheduler's ``tick`` returns the round of the upload the event triggers,
-   0 for none.  An upload encodes the steps logged since the last one into
-   the negative memory, ships it through the real wire codec, and triggers
-   a one-user refresh round on the cloud, a resync of every cloud row the
-   device holds, and (bidirectional only) a fresh download.
+   their rows and its click and exposure windows to the device, and logs the
+   top ``expose_k`` of them by the current device model; (interactive runs)
+   the scheduler's ``tick`` returns the round of the upload the event
+   triggers, 0 for none.  An upload syncs and encodes the steps logged since
+   the last one into the negative memory, ships it through the real wire
+   codec, and triggers a one-user refresh round on the cloud and
+   (bidirectional only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context, scoring each user's candidates (the
@@ -28,11 +28,12 @@ Serving and evaluation each make one ``DeviceSession`` per user for that
 user's events.  Each event advances the session to its windows (a full
 encode only when the device model's version or the user's prior changed,
 else each GRU steps over the rows its window gained or, where the window
-slid, re-encodes) and hands ``session.score`` to the exposure simulation or
-the ranking (``_SeedRun.evaluate``).  Each of the device's reads syncs the
-cloud rows it reads first: a serving event its draw and click window, a
-training segment its candidates (its windows' rows serving already synced),
-an evaluation ranking its candidates and both windows.
+slid or a sync rewrote a row of it, re-encodes) and hands ``session.score``
+to the exposure simulation or the ranking (``_SeedRun.evaluate``).  Each of
+the device's reads syncs the cloud rows it reads first, and nothing else
+brings rows to the device: a serving event its draw and both windows, a
+training segment its candidates and both windows, an upload the shown items
+it encodes, an evaluation ranking its candidates and both windows.
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -42,8 +43,8 @@ their summed loss goes through one batched forward and backward (the models'
 closes at the context that fires an Adam step and at the end of the user's
 contexts; on the device side also where a context's click or exposure window
 is not a prefix-extension of the segment's, and before a serving event that
-will upload (its refresh, resync and download change what the next contexts
-see).  Adam steps count examples, so the step schedule is the per-example one
+will upload (its refresh and download change what the next contexts see).
+Adam steps count examples, so the step schedule is the per-example one
 whenever ``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at
 the first context boundary at or past ``batch_size``.  Segmenting changes only
 the order of float summation, not the steps, the negatives or any rng draw.
@@ -385,11 +386,11 @@ class _SeedRun:
         self.counts["downloads"] += 1
 
     def _upload(self, user, round_no):
-        memory = self.memories[user].export(self.fast, self.exposure_log[user])
-        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, memory)
+        log, memory = self.exposure_log[user], self.memories[user]
+        self._sync_device_rows([i for step in log[memory.steps :] for i in step])  # the items the export encodes
+        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, memory.export(self.fast, log))
         self.counts["uploads"] += 1
         self._refresh_slow(user)
-        self._sync_device_rows(self.fast.synced_ids())  # the refresh moved cloud rows the device holds
         if self.fast.interactive:
             self._download(user, round_no)
 
@@ -412,7 +413,7 @@ class _SeedRun:
             candidates += ctx.candidates
             labels += ctx.labels
             prefixes += [(len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
-        self._sync_device_rows(candidates)  # the windows' rows are held: serving synced every click window and draw
+        self._sync_device_rows(candidates + last.clicked + last.exposed)  # the last windows hold every context's rows
         return self.fast.loss(
             last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
         )
@@ -429,7 +430,7 @@ class _SeedRun:
     def _serve_event(self, user, j, session, round_no):
         """Simulate one impression, scored through the user's serving
         ``session``: draw ``pool_size`` never-clicked candidates, sync them and
-        the click window, show the top ``expose_k``, then upload round
+        both windows, show the top ``expose_k``, then upload round
         ``round_no`` unless it is 0."""
         # before any fast click the device shows something for the last slow click
         clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
@@ -437,7 +438,7 @@ class _SeedRun:
         # the pool holds no item the user ever clicks, so no draw can show this event's click
         pool = self.sampler.complement(user)
         drawn = self.serving_rng.choice(pool, size=min(self.config.pool_size, pool.size), replace=False)
-        self._sync_device_rows(np.concatenate([drawn, clicked]))
+        self._sync_device_rows(np.concatenate([drawn, clicked + exposed]))
         session.advance(clicked, exposed, self.priors.get(user))
         self.exposure_log[user].append(simulate_exposures(session.score, drawn, self.config.expose_k))
         if round_no:

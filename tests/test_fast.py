@@ -445,10 +445,24 @@ def test_session_encodes_in_full_after_a_gate_load(cell):
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
 
 
-def test_session_encodes_in_full_after_a_sync_changes_a_row_it_read():
+def test_a_sync_that_changes_an_exposure_row_reencodes_only_gru_expose():
     m, prior, session, counts = counted_session()
     m.sync_rows([EXPOSED[0]], m.lookup_np([EXPOSED[0]]) + 0.01)
-    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"expose": len(EXPOSED)}
+
+
+def test_a_sync_that_changes_a_click_row_reencodes_only_gru_click():
+    m, prior, session, counts = counted_session()
+    m.sync_rows([CLICKS[-1]], m.lookup_np([CLICKS[-1]]) + 0.01)
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"click": len(CLICKS)}
+
+
+def test_a_sync_that_changes_a_row_outside_the_windows_keeps_the_session():
+    m, prior, session, counts = counted_session()
+    before = session.score(CANDS)
+    m.sync_rows([CANDS[-1], 6], m.lookup_np([CANDS[-1], 6]) + 0.01)  # a candidate, and a row nothing reads
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {}
+    assert not np.array_equal(session.score(CANDS), before)  # the candidate's new row is scored
 
 
 def test_a_sync_that_changes_nothing_keeps_the_session():

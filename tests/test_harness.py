@@ -19,7 +19,7 @@ from sfrec import harness
 from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.exchange import MessageKind, StaleRoundError, decode_message, encode_message
-from sfrec.fast import DeviceSession, ExposureMemory
+from sfrec.fast import DeviceSession, ExposureMemory, FastModel, UnsyncedRowError
 from sfrec.harness import (
     LifecycleError,
     RunRecord,
@@ -447,9 +447,9 @@ def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_pr
     for user in users:
         split.users[user].test[2] = split.users[user].fast[0]
     run.fast.sync_rows(firsts, run.slow.embedding.lookup_np(firsts) + 0.01)
-    version = run.fast.version
+    syncs = run.fast.syncs
     assert_evaluation_matches_reference(run)
-    assert run.fast.version > version
+    assert (run.fast._stamps[firsts] > syncs).all()  # evaluation's syncs rewrote every changed row
 
 
 @pytest.mark.parametrize("max_history_len", [3, 7, 30])
@@ -551,20 +551,50 @@ def test_per_user_cloud_pass_ranks_as_per_ranking_scoring(cluster_prepared, vari
 
 
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
-def test_every_row_the_device_holds_equals_the_clouds_after_each_sync(monkeypatch, cluster_prepared, variant):
+def test_every_row_a_device_read_returns_equals_the_clouds_at_that_read(monkeypatch, cluster_prepared, variant):
     # threshold 2: f2s and s2f_full refresh the cloud table twice per user
-    sync, held = _SeedRun._sync_device_rows, []
+    init, lookup, runs, reads = _SeedRun.__init__, FastModel.lookup_np, [], []
 
-    def checked(self, ids):
-        sync(self, ids)
-        ids = self.fast.synced_ids()
-        np.testing.assert_array_equal(self.fast.lookup_np(ids), self.slow.embedding.lookup_np(ids))
-        held.append(ids.size)
+    def spied_init(self, *args):
+        init(self, *args)
+        runs.append(self)
 
-    monkeypatch.setattr(_SeedRun, "_sync_device_rows", checked)
+    def checked(fast, ids):
+        rows = lookup(fast, ids)
+        assert fast is runs[-1].fast
+        np.testing.assert_array_equal(rows, runs[-1].slow.embedding.lookup_np(ids))
+        reads.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(_SeedRun, "__init__", spied_init)
+    monkeypatch.setattr(FastModel, "lookup_np", checked)
     out = run_lifecycle(tiny_config(variant=variant, threshold=2), cluster_prepared)
     assert out.diagnostics[0]["refreshes"] == (0 if variant == "independent" else 2 * len(cluster_prepared[1]))
-    assert held and held[-1] > 0
+    assert len(runs) == 1 and sum(reads) > 0
+
+
+def test_no_sync_copies_a_row_that_no_read_reads_before_the_next_copy(monkeypatch, cluster_prepared):
+    # threshold 2: f2s refreshes the cloud table twice per user, so later syncs copy changed rows
+    sync, lookup, unread, copies = FastModel.sync_rows, FastModel.lookup_np, set(), []
+
+    def spied_sync(fast, ids, rows):
+        before = fast._emb.copy()
+        sync(fast, ids, rows)
+        copied = np.nonzero((fast._emb != before).any(axis=1))[0].tolist()
+        if copied:
+            assert not unread, f"rows {sorted(unread)} were copied to the device and never read"
+            unread.update(copied)
+            copies.append(len(copied))
+
+    def spied_lookup(fast, ids):
+        unread.difference_update(np.ravel(ids).tolist())
+        return lookup(fast, ids)
+
+    monkeypatch.setattr(FastModel, "sync_rows", spied_sync)
+    monkeypatch.setattr(FastModel, "lookup_np", spied_lookup)
+    out = run_lifecycle(tiny_config(variant="f2s", threshold=2), cluster_prepared)
+    assert out.diagnostics[0]["refreshes"] == 2 * len(cluster_prepared[1])
+    assert not unread and len(copies) > len(cluster_prepared[1])
 
 
 @pytest.mark.parametrize("bad", [-1, "vocab"])
@@ -585,13 +615,14 @@ def test_a_device_sync_checks_its_ids_once_before_writing_a_row(monkeypatch, clu
     bad = split.vocab_size if bad == "vocab" else bad
     with pytest.raises(ly.OutOfVocabularyError, match=f"item id {bad} "):
         run._sync_device_rows([5, 9, bad])
-    np.testing.assert_array_equal(run.fast.synced_ids(), [3, 5, 8])
+    with pytest.raises(UnsyncedRowError, match="9"):
+        run.fast.lookup_np([9])
     np.testing.assert_array_equal(run.fast.lookup_np([3, 5, 8]), held)
 
 
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
 def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads(cluster_prepared, variant):
-    # threshold 2: an upload's resync of every held row falls inside some events
+    # threshold 2: an upload, whose sync belongs to it and not to its event, falls inside some events
     split, users = cluster_prepared
     cfg = tiny_config(variant=variant, threshold=2)
     run = _SeedRun(cfg, 0, split, users)
@@ -600,7 +631,7 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
     if variant == "s2f_full":
         for user in users:
             run._download(user, round_no=0)
-    frames, events, segments = [], [], []
+    frames, events, segments, uploads = [], [], [], []
     sync, serve, upload, segment_loss = run._sync_device_rows, run._serve_event, run._upload, run._fast_segment_loss
 
     def spied_sync(ids):
@@ -609,25 +640,28 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
         sync(ids)
 
     def spied_upload(user, round_no):
-        frames.append([])  # the resync after a refresh belongs to the upload
+        shown = [i for step in run.exposure_log[user][run.memories[user].steps :] for i in step]
+        frames.append([])
         upload(user, round_no)
-        frames.pop()
+        uploads.append(frames.pop())
+        assert uploads[-1] == shown  # the items the upload's export encodes, since the last export
 
     def spied_event(user, j, *rest):
         us, pool = split.users[user], run.sampler.complement(user)
         drawn = twin.choice(pool, size=min(cfg.pool_size, pool.size), replace=False)
-        clicked = run._window(us.fast[:j]) or us.slow[-1:]
+        clicked, exposed = run._window(us.fast[:j]) or us.slow[-1:], run._exposed(user)
         frames.append([])
         serve(user, j, *rest)
         events.append(sorted(frames.pop()))
-        assert events[-1] == sorted(drawn.tolist() + clicked)
-        assert len(events[-1]) <= cfg.pool_size + cfg.max_history_len
+        assert events[-1] == sorted(drawn.tolist() + clicked + exposed)
+        assert len(events[-1]) <= cfg.pool_size + 2 * cfg.max_history_len
 
     def spied_loss(user, segment):
         frames.append([])
         loss = segment_loss(user, segment)
         segments.append(sorted(frames.pop()))
-        assert segments[-1] == sorted(c for ctx in segment for c in ctx.candidates)
+        last = segment[-1]
+        assert segments[-1] == sorted([c for ctx in segment for c in ctx.candidates] + last.clicked + last.exposed)
         return loss
 
     run._sync_device_rows, run._upload, run._serve_event, run._fast_segment_loss = (
@@ -635,7 +669,7 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
     )
     run.serve_and_train_fast()
     assert len(events) == sum(len(split.users[u].fast) for u in users)
-    assert segments and run.counts["uploads"] == (0 if variant == "independent" else 2 * len(users))
+    assert segments and run.counts["uploads"] == len(uploads) == (0 if variant == "independent" else 2 * len(users))
 
 
 @pytest.mark.parametrize("expose_k", [0, 4])

@@ -238,7 +238,7 @@ def reference_serve_and_train_fast(run):
                 clicked, exposed = run._fast_contexts(user, j)
                 negs = [int(n) for n in run.sampler.draw(user, "fast", j, run.config.n_train_neg)]
                 candidates, labels = [item] + negs, [1] + [0] * len(negs)
-                run._sync_device_rows(candidates)
+                run._sync_device_rows(candidates + clicked + exposed)
                 with ad.tape() as t:
                     t.backward(run.fast.loss(clicked, exposed, candidates, labels, prior=run.priors.get(user)))
                 pending += len(candidates)
