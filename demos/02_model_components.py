@@ -69,13 +69,12 @@ ignored = np.array_equal(plain.forward([4, 9, 11, 2], [7, 12], neg_memory=memory
                          plain.forward([4, 9, 11, 2], [7, 12]).data)
 print(f"a plain model takes the same call and ignores the memory: {ignored}")
 
-section("device model forward (needs synced embedding rows)")
-fast = FastModel(50, dim, np.random.default_rng(2), interactive=True, head_hidden=(16, 8))
-ids = np.arange(50)
-fast.sync_rows(ids, slow.embedding.lookup_np(ids))  # device rows come from the cloud table
+section("device model forward (each read syncs its rows from the cloud table)")
+fast = FastModel(50, dim, np.random.default_rng(2), interactive=True,
+                 fetch=slow.embedding.lookup_np, head_hidden=(16, 8))  # device rows come from the cloud table
 prior = interest  # the device's prior is the downloaded payload itself
 out = fast.forward(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
-print(f"p(click)={out.data.ravel().round(4)} from {ids.size} synced rows;"
+print(f"p(click)={out.data.ravel().round(4)} from one read of 6 rows, synced as it read them;"
       " both GRUs ran once for the two candidates")
 # a training segment: two contexts in one graph, the first seeing one click
 # and one exposure, the second both; each GRU still runs once

@@ -151,11 +151,10 @@ def _gradcheck_graphs(dim, seed):
         slow = SlowModel(n_items, dim, np.random.default_rng(seed), interactive=interactive, head_hidden=(8, 4))
         fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0], neg_memory=memory)
         graphs.append((f"slow-{wiring}", fn, slow.params()))
+    rows = np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim))
     for interactive in (False, True):
         wiring = "interactive" if interactive else "plain"
-        fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive=interactive, head_hidden=(8, 4))
-        ids = np.arange(n_items)
-        fast.sync_rows(ids, np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim)))
+        fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive, lambda i: rows[i], head_hidden=(8, 4))
         fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
         graphs.append((f"fast-{wiring}", fn, fast.params()))
         # a three-context segment: repeated prefix lengths, and no exposures yet in the first context

@@ -6,11 +6,12 @@ interactive wiring additionally receives the cloud's interest snapshot and
 turns it into initial states for both GRUs.  Exchange values are their
 ``exchange.SCHEMAS`` payload dicts: the prior ``{"r_n", "r_t"}``, the memory ``{"r2_hat"}``.
 
-The device never trains embeddings: it holds copies of the cloud table rows
-it has been sent (``sync_rows``), and each of the harness's device reads
-syncs every row it reads first, so a row read always equals the cloud's.
-Looking up a row that was never synced is a hard error, which keeps the
-simulation honest about what is actually on the device.
+The device never trains embeddings: it holds copies of the cloud table rows,
+and every read (``lookup_np``) first syncs the rows it reads from ``fetch``,
+the model's one source of cloud rows, so a row read always equals the
+cloud's at that read.  Each operation reads once: ``forward`` its windows and
+candidates together, a session's ``advance`` its two whole windows and
+``score`` its candidates, ``ExposureMemory.export`` the items it encodes.
 
 Both wirings run through one graph ``forward``, which takes the prior (the
 plain wiring ignores it) and returns the (n, 1) click probabilities: an
@@ -31,7 +32,7 @@ A session carries one user's context from event to event, as a
 session-based GRU carries its hidden state: while the model's ``version``
 and the prior hold, it keeps the init states and steps each GRU over only
 the rows its window gained, and re-encodes a GRU from its init state only
-where its window slid or a sync rewrote one of its window's rows.  Each
+where its window slid or a read's sync rewrote one of its window's rows.  Each
 step is the one a full encode takes, so a session scores as
 ``score_candidates`` on the same windows, bit for bit.
 """
@@ -47,22 +48,21 @@ __all__ = [
     "FastModel",
     "DeviceSession",
     "ExposureMemory",
-    "UnsyncedRowError",
 ]
 
 
-class UnsyncedRowError(KeyError):
-    pass
-
-
 class FastModel:
-    def __init__(self, n_items, dim, rng, interactive, dtype=np.float64, head_hidden=(64, 32)):
+    """The device model.  ``fetch`` maps an array of checked item ids to the
+    cloud's current (len(ids), dim) rows of them; every read syncs through it."""
+
+    def __init__(self, n_items, dim, rng, interactive, fetch, dtype=np.float64, head_hidden=(64, 32)):
         name = "fast/all"  # every parameter name's prefix
         self.dim = dim
         self.interactive = interactive
         self.n_items = n_items
+        self.fetch = fetch
         self._emb = np.zeros((n_items, dim), dtype=dtype)
-        self._stamps = np.zeros(n_items, dtype=np.int64)  # the sync that last wrote each row, 0: never synced
+        self._stamps = np.zeros(n_items, dtype=np.int64)  # the sync that last changed each row, 0: none
         self.syncs = 0  # the syncs that wrote a row
         self.gru_click = ly.GruCell(dim, dim, rng, name=f"{name}/gru_p", dtype=dtype)
         self.gru_expose = ly.GruCell(dim, dim, rng, name=f"{name}/gru_n", dtype=dtype)
@@ -96,25 +96,25 @@ class FastModel:
     # -- embedding mirror ------------------------------------------------------
 
     def sync_rows(self, ids, rows):
-        """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device;
-        an id outside the vocabulary is an OutOfVocabularyError, rows of
-        another shape a ShapeError.  A sync that finds rows never synced or
-        changed counts in ``syncs`` and stamps those rows with that count."""
+        """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device,
+        as every read does first; an id outside the vocabulary is an
+        OutOfVocabularyError, rows of another shape a ShapeError.  A sync that
+        changes a row counts in ``syncs`` and stamps the rows it changed with the new count."""
         idx = ly.checked_ids(ids, self.n_items)
         rows = np.asarray(rows, dtype=self._emb.dtype)
         if rows.shape != (idx.size, self.dim):
             raise ad.ShapeError(f"sync of {idx.size} ids wants ({idx.size}, {self.dim}) rows, got {rows.shape}")
-        differs, unsynced = self._emb.take(idx, axis=0) != rows, self._stamps[idx] == 0
-        if differs.any() or unsynced.any():  # the per-row reduction only when some row is written
+        differs = self._emb.take(idx, axis=0) != rows
+        if differs.any():  # the per-row reduction only when some row is written
             self.syncs += 1
             self._emb[idx, :] = rows
-            self._stamps[idx[differs.any(axis=1) | unsynced]] = self.syncs
+            self._stamps[idx[differs.any(axis=1)]] = self.syncs
 
     def lookup_np(self, ids):
+        """The rows of ``ids``, synced from ``fetch`` first; an id outside the
+        vocabulary is an OutOfVocabularyError before anything is fetched."""
         idx = ly.checked_ids(ids, self.n_items)
-        missing = idx[self._stamps[idx] == 0]
-        if missing.size:
-            raise UnsyncedRowError(f"item {missing[0]} was never synced to this device")
+        self.sync_rows(idx, self.fetch(idx))
         return self._emb[idx, :]
 
     def lookup(self, ids):
@@ -122,22 +122,22 @@ class FastModel:
 
     # -- forward graphs ----------------------------------------------------------
 
-    def _interest_rows(self, clicked, exposed, n, init_click, init_expose, prefixes):
-        """(n, d) click and exposure states, one row per candidate.
+    def _interest_rows(self, click_rows, expose_rows, n, init_click, init_expose, prefixes):
+        """(n, d) click and exposure states, one row per candidate, from the windows' rows.
 
         Each GRU runs once over its window; a candidate reads the states at
         its ``(clicks, exposures)`` prefix lengths (None: the whole windows).
         """
         if prefixes is None:
-            prefixes = [(len(clicked), len(exposed))] * n
+            prefixes = [(len(click_rows), len(expose_rows))] * n
         if np.shape(prefixes) != (n, 2):
             raise ad.ShapeError(f"fast prefixes want one (clicks, exposures) pair per candidate, ({n}, 2)")
         click_lengths = [int(c) for c, _ in prefixes]
         expose_lengths = [int(e) for _, e in prefixes]
         if min(click_lengths) < 1:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        r_click = ly.gru_encode(self.gru_click, self.lookup(clicked), init_click, click_lengths)
-        r_expose = ly.gru_encode(self.gru_expose, self.lookup(exposed), init_expose, expose_lengths)
+        r_click = ly.gru_encode(self.gru_click, ad.constant(click_rows), init_click, click_lengths)
+        r_expose = ly.gru_encode(self.gru_expose, ad.constant(expose_rows), init_expose, expose_lengths)
         return r_click, r_expose
 
     def _prior_states(self, prior):
@@ -179,8 +179,12 @@ class FastModel:
         starts both GRUs from zero.
         """
         init_click, init_expose, r_t = self._prior_states(prior)
-        r_click, r_expose = self._interest_rows(clicked, exposed, len(candidates), init_click, init_expose, prefixes)
-        return self._score(r_click, r_expose, self.lookup(candidates), r_t)
+        rows = self.lookup_np([*clicked, *exposed, *candidates])  # one read: both windows, then the candidates
+        nc, ne = len(clicked), len(exposed)
+        r_click, r_expose = self._interest_rows(
+            rows[:nc], rows[nc : nc + ne], len(candidates), init_click, init_expose, prefixes
+        )
+        return self._score(r_click, r_expose, ad.constant(rows[nc + ne :]), r_t)
 
     def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
         """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
@@ -202,18 +206,19 @@ class FastModel:
 class DeviceSession:
     """One user's device context, carried from event to event.
 
-    ``advance`` moves it to new click and exposure windows.  Where the
-    model's ``version`` moved or the prior is another object, it first
-    rebuilds the prior-derived init states and starts both windows empty;
-    then each GRU steps over only the rows its window gained, or re-encodes
-    from its init state where its window slid or a sync since the last
-    advance stamped one of the rows it kept (the init states read no
-    embedding row, so a sync never rebuilds them).  The session holds the
-    encoded context: the GRUs' init states (prior-derived, or zero in the
-    plain wiring), kept so a slid window can be re-encoded without
-    recomputing the prior, their states ``r_click`` and ``r_expose``, and the
-    long-term interest row ``r_t`` the interactive head reads (None in the
-    plain wiring).  ``score`` rates candidates against it.
+    ``advance`` reads both whole windows, kept rows too, so a row its read
+    rewrites is stamped before the session looks.  Where the model's
+    ``version`` moved or the prior is another object, it first rebuilds the
+    prior-derived init states and starts both windows empty; then each GRU
+    steps over only the rows its window gained, or re-encodes from its init
+    state where its window slid or a sync since the last advance stamped one
+    of the rows it kept (the init states read no embedding row, so a sync
+    never rebuilds them).  The session holds the encoded context: the GRUs'
+    init states (prior-derived, or zero in the plain wiring), kept so a slid
+    window can be re-encoded without recomputing the prior, their states
+    ``r_click`` and ``r_expose``, and the long-term interest row ``r_t`` the
+    interactive head reads (None in the plain wiring).  ``score`` rates
+    candidates against it.
     """
 
     def __init__(self, model):
@@ -227,6 +232,7 @@ class DeviceSession:
         model, clicked, exposed = self.model, list(clicked), list(exposed)
         if not clicked:
             raise ad.ShapeError("fast click sequences must be non-empty")
+        rows = model.lookup_np(clicked + exposed)
         init_click, init_expose, r_t, version = self.init_click, self.init_expose, self.r_t, model.version
         r_click, r_expose, old_clicked, old_exposed = self.r_click, self.r_expose, self.clicked, self.exposed
         if version != self.version or prior is not self.prior:
@@ -234,19 +240,20 @@ class DeviceSession:
             init_click = r_click = init_click.data
             init_expose = r_expose = init_expose.data
             old_clicked = old_exposed = []
-        r_click = self._carry(model.gru_click, old_clicked, clicked, r_click, init_click)
-        r_expose = self._carry(model.gru_expose, old_exposed, exposed, r_expose, init_expose)
+        nc = len(clicked)
+        r_click = self._carry(model.gru_click, old_clicked, clicked, rows[:nc], r_click, init_click)
+        r_expose = self._carry(model.gru_expose, old_exposed, exposed, rows[nc:], r_expose, init_expose)
         self.init_click, self.init_expose, self.r_t, self.version = init_click, init_expose, r_t, version
         self.r_click, self.r_expose, self.clicked, self.exposed, self.prior = r_click, r_expose, clicked, exposed, prior
         self.syncs = model.syncs  # what ``_carry`` checks the kept rows' stamps against next time
 
-    def _carry(self, cell, old, new, state, init):
-        """``state``, the encoding of the window ``old``, moved to the window ``new``."""
+    def _carry(self, cell, old, new, rows, state, init):
+        """``state``, the encoding of the window ``old``, moved to the window ``new``, whose rows are ``rows``."""
         model = self.model
         stale = old and model.syncs != self.syncs and (model._stamps[old] > self.syncs).any()
         if stale or new[: len(old)] != old:  # a kept row rewritten, or slid: re-encode from the init state
             state, old = init, []
-        return cell.encode_np(model.lookup_np(new[len(old) :]), state) if len(new) > len(old) else state
+        return cell.encode_np(rows[len(old) :], state) if len(new) > len(old) else state
 
     def score(self, candidate_ids):
         """Click probabilities for many candidates against the session's context: forward's scoring tail."""

@@ -9,12 +9,11 @@ The cadence is linearized per seed:
 2. Bidirectional runs download an initial interest snapshot and GRU sync per
    user.
 3. Fast-phase events run in order.  On the first epoch each event also plays
-   a serving step: it draws ``pool_size`` never-clicked candidates, syncs
-   their rows and its click and exposure windows to the device, and logs the
-   top ``expose_k`` of them by the current device model; (interactive runs)
-   the scheduler's ``tick`` returns the round of the upload the event
-   triggers, 0 for none.  An upload syncs and encodes the steps logged since
-   the last one into the negative memory, ships it through the real wire
+   a serving step: it draws ``pool_size`` never-clicked candidates and logs
+   the top ``expose_k`` of them by the current device model; (interactive
+   runs) the scheduler's ``tick`` returns the round of the upload the event
+   triggers, 0 for none.  An upload encodes the steps logged since the last
+   one into the negative memory, ships it through the real wire
    codec, and triggers a one-user refresh round on the cloud and
    (bidirectional only) a fresh download.
 4. Remaining fast epochs retrain on the logged streams with final priors.
@@ -29,11 +28,12 @@ user's events.  Each event advances the session to its windows (a full
 encode only when the device model's version or the user's prior changed,
 else each GRU steps over the rows its window gained or, where the window
 slid or a sync rewrote a row of it, re-encodes) and hands ``session.score``
-to the exposure simulation or the ranking (``_SeedRun.evaluate``).  Each of
-the device's reads syncs the cloud rows it reads first, and nothing else
-brings rows to the device: a serving event its draw and both windows, a
-training segment its candidates and both windows, an upload the shown items
-it encodes, an evaluation ranking its candidates and both windows.
+to the exposure simulation or the ranking (``_SeedRun.evaluate``).  The
+device model fetches what it reads: its ``fetch`` reads the cloud table at
+call time, and each of its reads syncs the rows it reads first (a serving
+event or an evaluation ranking reads both windows, then its candidates; a
+training segment its windows and candidates; an upload the shown items it
+encodes), so the harness itself syncs no row.
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -220,9 +220,12 @@ class _SeedRun:
             vocab, config.dim, _purpose_rng(seed, 0), interactive=slow_interactive,
             dtype=self.dtype, head_hidden=hidden,
         )
+        # the fetch reads table.data at call time, since Adam rebinds it; it closes over
+        # the parameter, not over self, which would make every run a reference cycle
+        table = self.slow.embedding.table
         self.fast = FastModel(
             vocab, config.dim, _purpose_rng(seed, 1), interactive=fast_interactive,
-            dtype=self.dtype, head_hidden=hidden,
+            fetch=lambda idx: table.data[idx], dtype=self.dtype, head_hidden=hidden,
         )
         self.opt_slow = ad.Adam(self.slow.params(), lr=config.lr, l2_weight=config.l2)
         self.opt_fast = ad.Adam(self.fast.params(), lr=config.lr, l2_weight=config.l2)
@@ -246,13 +249,6 @@ class _SeedRun:
     def _memory(self, user):
         """The cloud's latest negative memory of ``user``: zeros before any upload."""
         return self.slow_memory.get(user, np.zeros((1, self.config.dim), dtype=self.dtype))
-
-    def _sync_device_rows(self, ids):
-        """Copy the cloud's rows of ``ids`` to the device.  ``sync_rows`` checks
-        the ids before it writes a row; the clipped gather only keeps an id
-        outside the table from failing (or wrapping) ahead of that check."""
-        ids = np.asarray(ids, dtype=np.intp)
-        self.fast.sync_rows(ids, self.slow.embedding.table.data.take(ids, axis=0, mode="clip"))
 
     def _exposed(self, user, steps=None):
         """The exposure window over ``user``'s first ``steps`` serving steps (None: all of them)."""
@@ -386,9 +382,8 @@ class _SeedRun:
         self.counts["downloads"] += 1
 
     def _upload(self, user, round_no):
-        log, memory = self.exposure_log[user], self.memories[user]
-        self._sync_device_rows([i for step in log[memory.steps :] for i in step])  # the items the export encodes
-        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, memory.export(self.fast, log))
+        payload = self.memories[user].export(self.fast, self.exposure_log[user])
+        self._send(ex.MessageKind.NEGATIVE_MEMORY_UP, user, round_no, payload)
         self.counts["uploads"] += 1
         self._refresh_slow(user)
         if self.fast.interactive:
@@ -413,7 +408,6 @@ class _SeedRun:
             candidates += ctx.candidates
             labels += ctx.labels
             prefixes += [(len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
-        self._sync_device_rows(candidates + last.clicked + last.exposed)  # the last windows hold every context's rows
         return self.fast.loss(
             last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
         )
@@ -429,16 +423,14 @@ class _SeedRun:
 
     def _serve_event(self, user, j, session, round_no):
         """Simulate one impression, scored through the user's serving
-        ``session``: draw ``pool_size`` never-clicked candidates, sync them and
-        both windows, show the top ``expose_k``, then upload round
-        ``round_no`` unless it is 0."""
+        ``session``: draw ``pool_size`` never-clicked candidates, show the top
+        ``expose_k``, then upload round ``round_no`` unless it is 0."""
         # before any fast click the device shows something for the last slow click
         clicked = self._window(self.split.users[user].fast[:j]) or self.split.users[user].slow[-1:]
         exposed = self._exposed(user)
         # the pool holds no item the user ever clicks, so no draw can show this event's click
         pool = self.sampler.complement(user)
         drawn = self.serving_rng.choice(pool, size=min(self.config.pool_size, pool.size), replace=False)
-        self._sync_device_rows(np.concatenate([drawn, clicked + exposed]))
         session.advance(clicked, exposed, self.priors.get(user))
         self.exposure_log[user].append(simulate_exposures(session.score, drawn, self.config.expose_k))
         if round_no:
@@ -481,10 +473,9 @@ class _SeedRun:
         items and all of their test negatives, which every ranking reads its
         scores from.  The device scores through a session made for the user:
         its click state steps once per consumed test item, or is re-encoded
-        where the ``max_history_len`` window slides.  Each ranking first syncs
-        every row it reads (candidates, click and exposure windows) from the
-        cloud table, so a replay rebuilds the device rows from the
-        checkpoint's ``slow/emb``.  The device scores equal
+        where the ``max_history_len`` window slides.  The device's reads sync
+        every row they read from the cloud table, so a replay rebuilds the
+        device rows from the checkpoint's ``slow/emb``.  The device scores equal
         ``score_candidates`` on each ranking's windows, bit for bit.
         """
         slow_results, fast_results = [], []
@@ -497,7 +488,6 @@ class _SeedRun:
             session = DeviceSession(self.fast)
             for j, (positive, negs) in enumerate(zip(us.test, drawn)):
                 clicked = self._window(us.fast + us.test[:j])
-                self._sync_device_rows(np.concatenate([negs, [positive, *clicked, *exposed]]))
                 slow_results.append(rank_candidates(lambda c: scores[np.searchsorted(ids, c)], user, positive, negs))
                 session.advance(clicked, exposed, self.priors.get(user))
                 fast_results.append(rank_candidates(session.score, user, positive, negs))

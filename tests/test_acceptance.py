@@ -98,8 +98,10 @@ def test_acceptance_gradient_suite():
     )
     assert report.passed, f"slow interactive graph failed:\n{report}"
 
-    fast = FastModel(n_items, dim, np.random.default_rng(2), interactive=True, head_hidden=(6, 4))
-    fast.sync_rows(np.arange(n_items), np.random.default_rng(3).normal(scale=0.1, size=(n_items, dim)))
+    table = np.random.default_rng(3).normal(scale=0.1, size=(n_items, dim))
+    fast = FastModel(
+        n_items, dim, np.random.default_rng(2), interactive=True, fetch=lambda idx: table[idx], head_hidden=(6, 4)
+    )
     prior = {"r_n": np.full((1, dim), 0.2), "r_t": np.full((1, dim), -0.1)}
     report = ad.grad_check(
         lambda: fast.loss([1, 5, 3], [2, 7], [4], [1], prior=prior), fast.params(), tolerance=1e-3
@@ -156,11 +158,9 @@ def test_acceptance_metric_oracle_suite():
 
 def test_acceptance_reduction_to_independent_fast():
     dim, n_items = 16, 40
-    interactive = FastModel(n_items, dim, np.random.default_rng(11), interactive=True)
-    plain = FastModel(n_items, dim, np.random.default_rng(11), interactive=False)
     rows = np.random.default_rng(12).normal(scale=0.1, size=(n_items, dim))
-    for model in (interactive, plain):
-        model.sync_rows(np.arange(n_items), rows)
+    interactive = FastModel(n_items, dim, np.random.default_rng(11), interactive=True, fetch=lambda idx: rows[idx])
+    plain = FastModel(n_items, dim, np.random.default_rng(11), interactive=False, fetch=lambda idx: rows[idx])
     for p in (interactive.init_click_w, interactive.init_click_b,
               interactive.init_expose_w, interactive.init_expose_b):
         p.data = np.zeros_like(p.data)
@@ -300,9 +300,10 @@ def test_acceptance_learning_sanity():
         assert slow_hr > 0.9, f"seed {seed}: slow component stuck at training HR@1 = {slow_hr:.3f}"
 
         # the device model rides on cloud-trained embeddings, as deployed
-        fast = FastModel(split.vocab_size, 32, np.random.default_rng(seed + 1), interactive=False, dtype=np.float32)
-        ids = np.arange(split.vocab_size)
-        fast.sync_rows(ids, slow.embedding.lookup_np(ids))
+        fast = FastModel(
+            split.vocab_size, 32, np.random.default_rng(seed + 1), interactive=False,
+            fetch=slow.embedding.lookup_np, dtype=np.float32,
+        )
         opt = ad.Adam(fast.params(), lr=5e-3, l2_weight=1e-4)
         order_rng = np.random.default_rng(seed + 2000)
         fast_hr = 0.0

@@ -22,8 +22,10 @@ def slow_wiring(interactive):
 
 
 def fast_wiring(interactive):
-    m = FastModel(N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, head_hidden=(6, 4))
-    m.sync_rows(np.arange(N_ITEMS), np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM)))
+    table = np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM))
+    m = FastModel(
+        N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, fetch=lambda idx: table[idx], head_hidden=(6, 4)
+    )
     r = np.random.default_rng(5)
     kwargs = {"prior": {"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))}} if interactive else {}
     return m, lambda cands, labels: m.loss([1, 5, 3], [8, 6], cands, labels, **kwargs)

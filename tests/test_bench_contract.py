@@ -42,3 +42,20 @@ def test_every_traced_name_resolves(spans):
 def test_every_timed_phase_is_a_harness_method(spans):
     for phase in (*spans.BoundaryTimer.PHASES, "_serve_event"):
         assert callable(harness._SeedRun.__dict__.get(phase)), phase
+
+
+def test_every_counted_argument_names_a_parameter_of_the_function_it_wraps(spans):
+    # a traced run binds the call's arguments by name: a renamed parameter
+    # would fail there and nowhere else
+    count_arg = spans._count_arg("key", "arg").__code__  # the code every _count_arg counter shares
+    counted, unnamed = [], []
+    for owner, attr, label, counter in spans.TRACED:
+        if counter is None or counter.__code__ is not count_arg:
+            continue
+        arg = inspect.getclosurevars(counter).nonlocals["arg"]
+        function = owner.__dict__[attr] if inspect.isclass(owner) else getattr(owner, attr)
+        counted.append(label)
+        if arg not in inspect.signature(function).parameters:
+            unnamed.append(f"{label}: {arg!r}")
+    assert counted, "no _count_arg counter found"
+    assert not unnamed, f"benchmark counters name parameters the library no longer has: {unnamed}"

@@ -307,8 +307,8 @@ def test_arbitrary_bytes_never_crash_outside_wire_errors(data):
 
 
 def _memory_export():
-    device = FastModel(12, 4, rng(63), interactive=False)
-    device.sync_rows(np.arange(12), rng(64).normal(size=(12, 4)))
+    table = rng(64).normal(size=(12, 4))
+    device = FastModel(12, 4, rng(63), interactive=False, fetch=lambda idx: table[idx])
     return ExposureMemory(4).export(device, [[1, 5, 9]])
 
 

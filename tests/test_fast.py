@@ -6,7 +6,7 @@ import pytest
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
-from sfrec.fast import DeviceSession, ExposureMemory, FastModel, UnsyncedRowError
+from sfrec.fast import DeviceSession, ExposureMemory, FastModel
 from sfrec.slow import SlowModel
 
 
@@ -14,11 +14,14 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_model(seed=0, interactive=False, n_items=12, dim=4, synced=True):
-    m = FastModel(n_items, dim, rng(seed), interactive=interactive)
-    if synced:
-        m.sync_rows(np.arange(n_items), rng(seed + 9000).uniform(-0.05, 0.05, size=(n_items, dim)))
-    return m
+def cloud_rows(seed, n_items=12, dim=4):
+    return rng(seed + 9000).uniform(-0.05, 0.05, size=(n_items, dim))
+
+
+def make_model(seed=0, interactive=False, n_items=12, dim=4, table=None):
+    """A device model whose fetch reads ``table`` (default: ``cloud_rows(seed)``) at call time."""
+    table = cloud_rows(seed, n_items, dim) if table is None else table
+    return FastModel(n_items, dim, rng(seed), interactive=interactive, fetch=lambda idx: table[idx])
 
 
 def session_at(m, clicked, exposed, prior=None):
@@ -67,19 +70,10 @@ def prior_of(m, seed):
 # embedding mirror discipline
 
 
-def test_lookup_of_unsynced_row_is_rejected():
-    m = make_model(0, synced=False)
-    m.sync_rows([1, 2], np.ones((2, 4)))
-    m.lookup_np([1, 2])
-    with pytest.raises(UnsyncedRowError, match="3"):
-        m.lookup_np([1, 3])
-
-
 def test_synced_rows_mirror_cloud_table_bit_exactly():
     cloud = SlowModel(10, 4, rng(1), interactive=False)
-    device = FastModel(10, 4, rng(2), interactive=False)
+    device = FastModel(10, 4, rng(2), interactive=False, fetch=cloud.embedding.lookup_np)
     ids = [0, 3, 7]
-    device.sync_rows(ids, cloud.embedding.lookup_np(ids))
     np.testing.assert_array_equal(device.lookup_np(ids), cloud.embedding.lookup_np(ids))
 
 
@@ -304,7 +298,7 @@ def test_exposure_accumulation_is_associative_across_200_random_splits():
 def test_fast_has_fewer_trainable_parameters_than_slow():
     # default experiment dims: 32-dim embeddings, ML-1M-sized vocabulary
     slow = SlowModel(3706, 32, rng(20), interactive=True)
-    fast = FastModel(3706, 32, rng(21), interactive=True)
+    fast = FastModel(3706, 32, rng(21), interactive=True, fetch=slow.embedding.lookup_np)
     assert sum(p.data.size for p in fast.params()) < sum(p.data.size for p in slow.params())
 
 
@@ -331,8 +325,8 @@ def test_batched_scores_match_graph_forward_interactive():
 @pytest.mark.parametrize("interactive", [False, True])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_carried_click_state_equals_full_reencode_bit_exactly(interactive, dtype):
-    m = FastModel(12, 4, rng(30), interactive=interactive, dtype=dtype)
-    m.sync_rows(np.arange(12), rng(31).uniform(-0.05, 0.05, size=(12, 4)))
+    table = rng(31).uniform(-0.05, 0.05, size=(12, 4))
+    m = FastModel(12, 4, rng(30), interactive=interactive, fetch=lambda idx: table[idx], dtype=dtype)
     prior = prior_of(m, 32) if interactive else None
     clicks, exposed, cands = [3, 0, 7, 7, 11, 2], [8, 9, 1], [1, 4, 5, 10]
     session = DeviceSession(m)
@@ -355,21 +349,31 @@ def test_reencode_rejects_an_empty_click_window():
         session.advance([], [3])
 
 
+class FetchError(Exception):
+    pass
+
+
 @pytest.mark.parametrize("interactive", [False, True])
 def test_a_failed_advance_leaves_the_session_scoring_as_before(interactive):
-    m = make_model(34, interactive=interactive, synced=False)
-    m.sync_rows(np.arange(10), rng(35).uniform(-0.05, 0.05, size=(10, 4)))  # items 10 and 11 never synced
+    table = cloud_rows(34)
+
+    def fetch(idx):
+        if 11 in idx:
+            raise FetchError("item 11 cannot be fetched")
+        return table[idx]
+
+    m = FastModel(12, 4, rng(34), interactive=interactive, fetch=fetch)
     prior = prior_of(m, 36) if interactive else None
     session = session_at(m, [3, 0, 7], [8, 9], prior)
     before = session.score([1, 4, 5])
     failing = [
-        ([3, 0, 7, 11], [8, 9], prior),  # the click step fails
-        ([3, 0, 7, 2], [8, 9, 10], prior),  # the click step succeeds, the exposure step fails
+        ([3, 0, 7, 11], [8, 9], prior),  # the click window gains the row that fails
+        ([3, 0, 7, 2], [8, 9, 11], prior),  # the exposure window gains it
         ([0, 7, 11], [8], prior),  # both windows slid
-        ([3, 0, 7], [8, 9, 10], prior_of(m, 37) if interactive else None),  # new init states, then a failure
+        ([3, 0, 7], [8, 9, 11], prior_of(m, 37) if interactive else None),  # new init states, then a failure
     ]
     for clicked, exposed, new_prior in failing:
-        with pytest.raises(UnsyncedRowError):
+        with pytest.raises(FetchError):
             session.advance(clicked, exposed, new_prior)
         assert np.array_equal(session.score([1, 4, 5]), before)
     session.advance([3, 0, 7, 2], [8, 9], prior)
@@ -382,11 +386,11 @@ def test_a_failed_advance_leaves_the_session_scoring_as_before(interactive):
 CLICKS, EXPOSED, CANDS = [3, 0, 7], [8, 9, 1], [1, 4, 5, 10]
 
 
-def counted_session(seed=40):
-    """An interactive model, a prior, and a session advanced once over
-    CLICKS and EXPOSED; the Counter records each GRU's encoded rows and
-    each rebuild of the prior-derived init states from here on."""
-    m = make_model(seed, interactive=True)
+def counted_session(seed=40, table=None):
+    """An interactive model fetching from ``table``, a prior, and a session
+    advanced once over CLICKS and EXPOSED; the Counter records each GRU's
+    encoded rows and each rebuild of the prior-derived init states from here on."""
+    m = make_model(seed, interactive=True, table=table)
     prior = prior_of(m, seed + 1)
     session = DeviceSession(m)
     session.advance(CLICKS, EXPOSED, prior)
@@ -445,29 +449,35 @@ def test_session_encodes_in_full_after_a_gate_load(cell):
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
 
 
+# the cloud rows changed below are synced by the next advance's read of its windows
+
+
 def test_a_sync_that_changes_an_exposure_row_reencodes_only_gru_expose():
-    m, prior, session, counts = counted_session()
-    m.sync_rows([EXPOSED[0]], m.lookup_np([EXPOSED[0]]) + 0.01)
+    table = cloud_rows(40)
+    m, prior, session, counts = counted_session(table=table)
+    table[EXPOSED[0]] += 0.01
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"expose": len(EXPOSED)}
 
 
 def test_a_sync_that_changes_a_click_row_reencodes_only_gru_click():
-    m, prior, session, counts = counted_session()
-    m.sync_rows([CLICKS[-1]], m.lookup_np([CLICKS[-1]]) + 0.01)
+    table = cloud_rows(40)
+    m, prior, session, counts = counted_session(table=table)
+    table[CLICKS[-1]] += 0.01
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"click": len(CLICKS)}
 
 
 def test_a_sync_that_changes_a_row_outside_the_windows_keeps_the_session():
-    m, prior, session, counts = counted_session()
+    table = cloud_rows(40)
+    m, prior, session, counts = counted_session(table=table)
     before = session.score(CANDS)
-    m.sync_rows([CANDS[-1], 6], m.lookup_np([CANDS[-1], 6]) + 0.01)  # a candidate, and a row nothing reads
+    table[[CANDS[-1], 6]] += 0.01  # a candidate, and a row nothing reads
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {}
     assert not np.array_equal(session.score(CANDS), before)  # the candidate's new row is scored
 
 
 def test_a_sync_that_changes_nothing_keeps_the_session():
     m, prior, session, counts = counted_session()
-    m.sync_rows(np.arange(12), m.lookup_np(np.arange(12)))
+    m.lookup_np(np.arange(12))  # a read that syncs every row and changes none
     assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}
 
 

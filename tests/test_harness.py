@@ -19,7 +19,7 @@ from sfrec import harness
 from sfrec import layers as ly
 from sfrec.config import ExperimentConfig
 from sfrec.exchange import MessageKind, StaleRoundError, decode_message, encode_message
-from sfrec.fast import DeviceSession, ExposureMemory, FastModel, UnsyncedRowError
+from sfrec.fast import DeviceSession, ExposureMemory, FastModel
 from sfrec.harness import (
     LifecycleError,
     RunRecord,
@@ -394,8 +394,8 @@ def trained_run(cluster_prepared, **overrides):
 def per_ranking_reference(run):
     """(result, scores) per fast ranking, each running ``forward`` through score_candidates.
 
-    Rows sync before each ranking as in evaluation, so a device row made to
-    differ from the cloud's is mended where evaluation mends it.
+    ``forward``'s read syncs the rows it reads, as evaluation's reads do, so a
+    device row made to differ from the cloud's is mended where evaluation mends it.
     """
     out = []
     for user in run.users:
@@ -404,7 +404,6 @@ def per_ranking_reference(run):
         for j, positive in enumerate(us.test):
             negs = [int(n) for n in run.sampler.draw(user, "test", j, run.config.n_eval_neg)]
             clicked = run._window(us.fast + us.test[:j])
-            run._sync_device_rows(negs + [positive] + clicked + exposed)
             scores = run.fast.score_candidates(clicked, exposed, [positive, *negs], prior=run.priors.get(user))
             out.append((rank_candidates(lambda ids: scores, user, positive, negs), scores))
     return out
@@ -438,15 +437,15 @@ def test_per_user_evaluation_equals_per_ranking_reencode(cluster_prepared, varia
 
 
 def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_prepared):
-    # device rows made to differ from the cloud's: each user's first fast click,
-    # which is also their third test item, so the sync before a ranking that
-    # reads it changes a row of its window
+    # cloud rows changed after the device last read them: each user's first
+    # fast click, which is also their third test item, so the sync of a
+    # ranking's read that reads it changes a row of its window
     split, users = copy.deepcopy(cluster_prepared)
     run = trained_run((split, users), variant="independent")
     firsts = sorted({split.users[u].fast[0] for u in users})
     for user in users:
         split.users[user].test[2] = split.users[user].fast[0]
-    run.fast.sync_rows(firsts, run.slow.embedding.lookup_np(firsts) + 0.01)
+    run.slow.embedding.table.data[firsts] += 0.01
     syncs = run.fast.syncs
     assert_evaluation_matches_reference(run)
     assert (run.fast._stamps[firsts] > syncs).all()  # evaluation's syncs rewrote every changed row
@@ -587,8 +586,9 @@ def test_no_sync_copies_a_row_that_no_read_reads_before_the_next_copy(monkeypatc
             copies.append(len(copied))
 
     def spied_lookup(fast, ids):
+        rows = lookup(fast, ids)  # its own sync runs inside the read
         unread.difference_update(np.ravel(ids).tolist())
-        return lookup(fast, ids)
+        return rows
 
     monkeypatch.setattr(FastModel, "sync_rows", spied_sync)
     monkeypatch.setattr(FastModel, "lookup_np", spied_lookup)
@@ -598,31 +598,34 @@ def test_no_sync_copies_a_row_that_no_read_reads_before_the_next_copy(monkeypatc
 
 
 @pytest.mark.parametrize("bad", [-1, "vocab"])
-def test_a_device_sync_checks_its_ids_once_before_writing_a_row(monkeypatch, cluster_prepared, bad):
+def test_an_out_of_vocabulary_read_fetches_and_writes_nothing(cluster_prepared, bad):
     split, users = cluster_prepared
     run = _SeedRun(tiny_config(), 0, split, users)
-    checks, checked_ids = [], ly.checked_ids
-
-    def counted(ids, vocab_size):
-        checks.append(len(ids))
-        return checked_ids(ids, vocab_size)
-
-    monkeypatch.setattr(ly, "checked_ids", counted)
-    run._sync_device_rows([3, 5, 8])
-    assert checks == [3]
-    held = run.fast.lookup_np([3, 5, 8])
+    fast, fetched, fetch = run.fast, [], run.fast.fetch
+    fast.lookup_np([3, 5, 8])
+    fast.fetch = lambda idx: fetched.append(idx) or fetch(idx)
     run.slow.embedding.table.data[[5, 9]] += 0.01  # a resync of 5 or a first sync of 9 would write a row
     bad = split.vocab_size if bad == "vocab" else bad
-    with pytest.raises(ly.OutOfVocabularyError, match=f"item id {bad} "):
-        run._sync_device_rows([5, 9, bad])
-    with pytest.raises(UnsyncedRowError, match="9"):
-        run.fast.lookup_np([9])
-    np.testing.assert_array_equal(run.fast.lookup_np([3, 5, 8]), held)
+    reads = {
+        "lookup_np": lambda: fast.lookup_np([5, 9, bad]),
+        "forward": lambda: fast.score_candidates([5], [9], [3, bad]),
+        "advance": lambda: DeviceSession(fast).advance([5, 9], [bad]),
+        "score": lambda: DeviceSession(fast).score([5, 9, bad]),
+        "export": lambda: ExposureMemory(fast.dim).export(fast, [[5, 9, bad]]),
+    }
+    held, stamps, syncs = fast._emb.copy(), fast._stamps.copy(), fast.syncs
+    for name, read in reads.items():
+        with pytest.raises(ly.OutOfVocabularyError, match=f"item id {bad} "):
+            read()
+        assert not fetched, name
+        np.testing.assert_array_equal(fast._emb, held)
+        np.testing.assert_array_equal(fast._stamps, stamps)
+        assert fast.syncs == syncs
 
 
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
 def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads(cluster_prepared, variant):
-    # threshold 2: an upload, whose sync belongs to it and not to its event, falls inside some events
+    # threshold 2: an upload, whose read belongs to it and not to its event, falls inside some events
     split, users = cluster_prepared
     cfg = tiny_config(variant=variant, threshold=2)
     run = _SeedRun(cfg, 0, split, users)
@@ -632,12 +635,12 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
         for user in users:
             run._download(user, round_no=0)
     frames, events, segments, uploads = [], [], [], []
-    sync, serve, upload, segment_loss = run._sync_device_rows, run._serve_event, run._upload, run._fast_segment_loss
+    fetch, serve, upload, segment_loss = run.fast.fetch, run._serve_event, run._upload, run._fast_segment_loss
 
-    def spied_sync(ids):
+    def spied_fetch(idx):
         if frames:
-            frames[-1] += [int(i) for i in ids]
-        sync(ids)
+            frames[-1] += [int(i) for i in idx]
+        return fetch(idx)
 
     def spied_upload(user, round_no):
         shown = [i for step in run.exposure_log[user][run.memories[user].steps :] for i in step]
@@ -664,8 +667,8 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
         assert segments[-1] == sorted([c for ctx in segment for c in ctx.candidates] + last.clicked + last.exposed)
         return loss
 
-    run._sync_device_rows, run._upload, run._serve_event, run._fast_segment_loss = (
-        spied_sync, spied_upload, spied_event, spied_loss
+    run.fast.fetch, run._upload, run._serve_event, run._fast_segment_loss = (
+        spied_fetch, spied_upload, spied_event, spied_loss
     )
     run.serve_and_train_fast()
     assert len(events) == sum(len(split.users[u].fast) for u in users)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -617,7 +619,8 @@ def test_fusion_gradients():
 
 
 def test_head_has_exactly_three_affine_layers():
-    for model in (SlowModel, FastModel):
+    fetch = SlowModel(12, 4, rng(39), interactive=False).embedding.lookup_np
+    for model in (SlowModel, partial(FastModel, fetch=fetch)):
         for interactive in (False, True):
             head = model(12, 4, rng(40), interactive=interactive).head
             assert len(head.weights) == 3

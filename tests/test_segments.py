@@ -45,8 +45,10 @@ def slow_wiring(interactive):
 
 def fast_wiring(interactive):
     """A fast model, the loss of FAST_CONTEXTS as one segment, and one loss per context."""
-    m = FastModel(N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, head_hidden=(6, 4))
-    m.sync_rows(np.arange(N_ITEMS), np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM)))
+    table = np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM))
+    m = FastModel(
+        N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, fetch=lambda idx: table[idx], head_hidden=(6, 4)
+    )
     r = np.random.default_rng(5)
     kwargs = {"prior": {"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))}} if interactive else {}
     candidates, labels, prefixes = [], [], []
@@ -238,7 +240,6 @@ def reference_serve_and_train_fast(run):
                 clicked, exposed = run._fast_contexts(user, j)
                 negs = [int(n) for n in run.sampler.draw(user, "fast", j, run.config.n_train_neg)]
                 candidates, labels = [item] + negs, [1] + [0] * len(negs)
-                run._sync_device_rows(candidates + clicked + exposed)
                 with ad.tape() as t:
                     t.backward(run.fast.loss(clicked, exposed, candidates, labels, prior=run.priors.get(user)))
                 pending += len(candidates)
