@@ -30,10 +30,12 @@ the downloaded prior, and ``score`` runs the scoring tail (fusion, feature
 concat, head) for any number of candidates against the session's state.
 A session carries one user's context from event to event, as a
 session-based GRU carries its hidden state: while the model's ``version``
-and the prior hold, it keeps the init states and steps each GRU over only
-the rows its window gained, and re-encodes a GRU from its init state only
-where its window slid or a read's sync rewrote one of its window's rows.  Each
-step is the one a full encode takes, so a session scores as
+and the prior hold, it keeps the init states and, since a GRU state depends
+only on the bytes of the rows it folded, keeps the rows each state encodes.
+A GRU whose kept rows are, byte for byte, the head of its new window's rows
+steps over only the rows the window gained; any other GRU (its window slid
+or shrank, or a read rewrote a kept row) re-encodes from its init state.
+Each step is the one a full encode takes, so a session scores as
 ``score_candidates`` on the same windows, bit for bit.
 """
 
@@ -62,8 +64,6 @@ class FastModel:
         self.n_items = n_items
         self.fetch = fetch
         self._emb = np.zeros((n_items, dim), dtype=dtype)
-        self._stamps = np.zeros(n_items, dtype=np.int64)  # the sync that last changed each row, 0: none
-        self.syncs = 0  # the syncs that wrote a row
         self.gru_click = ly.GruCell(dim, dim, rng, name=f"{name}/gru_p", dtype=dtype)
         self.gru_expose = ly.GruCell(dim, dim, rng, name=f"{name}/gru_n", dtype=dtype)
         self.fusion = ly.Mlp([2 * dim, 16, 1], rng, name=f"{name}/fuse", dtype=dtype)
@@ -90,7 +90,8 @@ class FastModel:
     @property
     def version(self):
         """Goes up whenever a parameter is written: an optimizer step, a gate
-        or checkpoint load.  A sync moves ``syncs`` and row stamps instead."""
+        or checkpoint load.  A sync writes rows and leaves it alone: a session
+        compares the rows it reads instead."""
         return sum([p.version for p in self._versioned])
 
     # -- embedding mirror ------------------------------------------------------
@@ -98,27 +99,19 @@ class FastModel:
     def sync_rows(self, ids, rows):
         """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device,
         as every read does first; an id outside the vocabulary is an
-        OutOfVocabularyError, rows of another shape a ShapeError.  A sync that
-        changes a row counts in ``syncs`` and stamps the rows it changed with the new count."""
+        OutOfVocabularyError, rows of another shape a ShapeError."""
         idx = ly.checked_ids(ids, self.n_items)
         rows = np.asarray(rows, dtype=self._emb.dtype)
         if rows.shape != (idx.size, self.dim):
             raise ad.ShapeError(f"sync of {idx.size} ids wants ({idx.size}, {self.dim}) rows, got {rows.shape}")
-        differs = self._emb.take(idx, axis=0) != rows
-        if differs.any():  # the per-row reduction only when some row is written
-            self.syncs += 1
-            self._emb[idx, :] = rows
-            self._stamps[idx[differs.any(axis=1)]] = self.syncs
+        self._emb[idx, :] = rows
 
     def lookup_np(self, ids):
-        """The rows of ``ids``, synced from ``fetch`` first; an id outside the
-        vocabulary is an OutOfVocabularyError before anything is fetched."""
+        """A fresh array of the rows of ``ids``, synced from ``fetch`` first; an
+        id outside the vocabulary is an OutOfVocabularyError before anything is fetched."""
         idx = ly.checked_ids(ids, self.n_items)
         self.sync_rows(idx, self.fetch(idx))
         return self._emb[idx, :]
-
-    def lookup(self, ids):
-        return ad.constant(self.lookup_np(ids))
 
     # -- forward graphs ----------------------------------------------------------
 
@@ -206,61 +199,61 @@ class FastModel:
 class DeviceSession:
     """One user's device context, carried from event to event.
 
-    ``advance`` reads both whole windows, kept rows too, so a row its read
-    rewrites is stamped before the session looks.  Where the model's
+    ``advance`` reads both whole windows, kept rows too.  Where the model's
     ``version`` moved or the prior is another object, it first rebuilds the
-    prior-derived init states and starts both windows empty; then each GRU
-    steps over only the rows its window gained, or re-encodes from its init
-    state where its window slid or a sync since the last advance stamped one
-    of the rows it kept (the init states read no embedding row, so a sync
-    never rebuilds them).  The session holds the encoded context: the GRUs'
-    init states (prior-derived, or zero in the plain wiring), kept so a slid
-    window can be re-encoded without recomputing the prior, their states
-    ``r_click`` and ``r_expose``, and the long-term interest row ``r_t`` the
-    interactive head reads (None in the plain wiring).  ``score`` rates
-    candidates against it.
+    prior-derived init states and drops the kept rows; then each GRU whose
+    kept rows (``click_rows``, ``expose_rows``: what its state encodes) are,
+    byte for byte, the head of its window's rows steps over only the rows
+    past them, and any other re-encodes from its init state (which reads no
+    embedding row).  The session holds the encoded context: the GRUs' init
+    states (prior-derived, or zero in the plain wiring), their states
+    ``r_click`` and ``r_expose`` with the rows they encode, and the
+    long-term interest row ``r_t`` the interactive head reads (None in the
+    plain wiring).  ``score`` rates candidates against it.
     """
 
     def __init__(self, model):
         self.model = model
         self.init_click = self.init_expose = self.r_click = self.r_expose = self.r_t = None
-        self.clicked = self.exposed = self.prior = self.version = self.syncs = None
+        self.click_rows = self.expose_rows = self.prior = self.version = None
 
     def advance(self, clicked, exposed, prior=None):
         """Move the session to the ``clicked`` and ``exposed`` windows under
         ``prior``; an advance that raises leaves the session as it was."""
-        model, clicked, exposed = self.model, list(clicked), list(exposed)
-        if not clicked:
+        model, nc = self.model, len(clicked)
+        if not nc:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        rows = model.lookup_np(clicked + exposed)
+        rows = model.lookup_np([*clicked, *exposed])  # a fresh array, so its slices can be kept
+        click_rows, expose_rows = rows[:nc], rows[nc:]
         init_click, init_expose, r_t, version = self.init_click, self.init_expose, self.r_t, model.version
-        r_click, r_expose, old_clicked, old_exposed = self.r_click, self.r_expose, self.clicked, self.exposed
+        r_click, r_expose, old_click, old_expose = self.r_click, self.r_expose, self.click_rows, self.expose_rows
         if version != self.version or prior is not self.prior:
             init_click, init_expose, r_t = model._prior_states(prior)
             init_click = r_click = init_click.data
             init_expose = r_expose = init_expose.data
-            old_clicked = old_exposed = []
-        nc = len(clicked)
-        r_click = self._carry(model.gru_click, old_clicked, clicked, rows[:nc], r_click, init_click)
-        r_expose = self._carry(model.gru_expose, old_exposed, exposed, rows[nc:], r_expose, init_expose)
+            old_click = old_expose = rows[:0]
+        r_click = _carry(model.gru_click, old_click, click_rows, r_click, init_click)
+        r_expose = _carry(model.gru_expose, old_expose, expose_rows, r_expose, init_expose)
         self.init_click, self.init_expose, self.r_t, self.version = init_click, init_expose, r_t, version
-        self.r_click, self.r_expose, self.clicked, self.exposed, self.prior = r_click, r_expose, clicked, exposed, prior
-        self.syncs = model.syncs  # what ``_carry`` checks the kept rows' stamps against next time
-
-    def _carry(self, cell, old, new, rows, state, init):
-        """``state``, the encoding of the window ``old``, moved to the window ``new``, whose rows are ``rows``."""
-        model = self.model
-        stale = old and model.syncs != self.syncs and (model._stamps[old] > self.syncs).any()
-        if stale or new[: len(old)] != old:  # a kept row rewritten, or slid: re-encode from the init state
-            state, old = init, []
-        return cell.encode_np(rows[len(old) :], state) if len(new) > len(old) else state
+        self.r_click, self.r_expose, self.click_rows, self.expose_rows = r_click, r_expose, click_rows, expose_rows
+        self.prior = prior
 
     def score(self, candidate_ids):
         """Click probabilities for many candidates against the session's context: forward's scoring tail."""
         model = self.model
-        targets = model.lookup(candidate_ids)
+        targets = ad.constant(model.lookup_np(candidate_ids))
         r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (self.r_click, self.r_expose))
         return model._score(r_click, r_expose, targets, self.r_t).data[:, 0]
+
+
+def _carry(cell, old_rows, new_rows, state, init):
+    """``state``, the encoding of ``old_rows``, moved to ``new_rows``: stepped over
+    the rows past ``old_rows`` where those are bit for bit the head of ``new_rows``
+    (equal bytes, equal inputs, so the state a full encode reaches), else re-encoded from ``init``."""
+    kept = len(old_rows)
+    if new_rows[:kept].tobytes() != old_rows.tobytes():  # slid, shrank, or a kept row rewritten
+        state, kept = init, 0
+    return cell.encode_np(new_rows[kept:], state) if len(new_rows) > kept else state
 
 
 class ExposureMemory:

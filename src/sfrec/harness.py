@@ -26,8 +26,8 @@ The cadence is linearized per seed:
 Serving and evaluation each make one ``DeviceSession`` per user for that
 user's events.  Each event advances the session to its windows (a full
 encode only when the device model's version or the user's prior changed,
-else each GRU steps over the rows its window gained or, where the window
-slid or a sync rewrote a row of it, re-encodes) and hands ``session.score``
+else each GRU steps over the rows its window gained or, where its rows are
+not those it encoded plus new ones, re-encodes) and hands ``session.score``
 to the exposure simulation or the ranking (``_SeedRun.evaluate``).  The
 device model fetches what it reads: its ``fetch`` reads the cloud table at
 call time, and each of its reads syncs the rows it reads first (a serving
@@ -64,6 +64,7 @@ and timing capture can be turned off to make result files byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass, field
@@ -138,6 +139,11 @@ def _purpose_rng(seed, purpose):
 
 def _purpose_int(seed, purpose):
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)).generate_state(1)[0])
+
+
+def _rows_of(table, idx):
+    """The device's fetch: rows of the cloud ``table`` as they are at the call (Adam rebinds ``data``)."""
+    return table.data[idx]
 
 
 class _Segments:
@@ -220,12 +226,11 @@ class _SeedRun:
             vocab, config.dim, _purpose_rng(seed, 0), interactive=slow_interactive,
             dtype=self.dtype, head_hidden=hidden,
         )
-        # the fetch reads table.data at call time, since Adam rebinds it; it closes over
-        # the parameter, not over self, which would make every run a reference cycle
-        table = self.slow.embedding.table
+        # a partial over the parameter, not over self (a reference cycle per run) and
+        # not a lambda (which deepcopy shares, so a copied run would read this table)
         self.fast = FastModel(
             vocab, config.dim, _purpose_rng(seed, 1), interactive=fast_interactive,
-            fetch=lambda idx: table.data[idx], dtype=self.dtype, head_hidden=hidden,
+            fetch=functools.partial(_rows_of, self.slow.embedding.table), dtype=self.dtype, head_hidden=hidden,
         )
         self.opt_slow = ad.Adam(self.slow.params(), lr=config.lr, l2_weight=config.l2)
         self.opt_fast = ad.Adam(self.fast.params(), lr=config.lr, l2_weight=config.l2)

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfrec import autodiff as ad
 from sfrec import layers as ly
@@ -481,6 +483,16 @@ def test_a_sync_that_changes_nothing_keeps_the_session():
     assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}
 
 
+def test_a_row_changed_and_restored_between_two_advances_keeps_the_session():
+    table = cloud_rows(40)
+    m, prior, session, counts = counted_session(table=table)
+    held = table[EXPOSED[0]].copy()
+    table[EXPOSED[0]] += 0.01
+    m.lookup_np([EXPOSED[0]])  # a read between the advances syncs the changed row
+    table[EXPOSED[0]] = held
+    assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {}
+
+
 def test_session_encodes_in_full_for_a_new_prior():
     m, prior, session, counts = counted_session()
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior_of(m, 43)) == FULL
@@ -491,6 +503,59 @@ def test_session_reencodes_only_the_gru_whose_window_slid():
     slid = CLICKS[1:] + [11]
     assert advance_checked(session, counts, slid, EXPOSED + [2], prior) == {"click": len(slid), "expose": 1}
     assert advance_checked(session, counts, slid, EXPOSED[1:], prior) == {"expose": len(EXPOSED) - 1}
+
+
+ITEMS = st.integers(0, 11)
+WINDOWS = st.sampled_from(["click", "expose"])
+SESSION_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("grow"), WINDOWS, ITEMS),
+        st.tuples(st.just("slide"), WINDOWS, ITEMS),
+        st.tuples(st.just("shrink"), WINDOWS, st.booleans()),
+        st.tuples(st.just("rewrite"), ITEMS),
+        st.tuples(st.just("restore"), ITEMS),
+        st.tuples(st.just("read"), ITEMS),
+        st.tuples(st.just("adam")),
+        st.tuples(st.just("prior"), st.integers(0, 2)),
+        st.tuples(st.just("advance")),
+    ),
+    max_size=25,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), interactive=st.booleans(), ops=SESSION_OPS)
+def test_a_carried_session_scores_as_score_candidates_after_any_advances(dtype, interactive, ops):
+    """Windows that grow, slide or shrink, cloud rows rewritten, restored or
+    read between advances, Adam steps and prior swaps: after each advance the
+    session scores as ``score_candidates`` on the same windows, bit for bit."""
+    original = cloud_rows(50)
+    table = original.copy()
+    m = FastModel(12, 4, rng(50), interactive=interactive, fetch=lambda idx: table[idx], dtype=dtype)
+    priors = [prior_of(m, 51 + k) if interactive else None for k in range(3)]
+    opt = ad.Adam(m.params(), lr=1e-2)
+    windows, prior, session = {"click": list(CLICKS), "expose": list(EXPOSED)}, priors[0], DeviceSession(m)
+    for op, *args in [*ops, ("advance",)]:
+        if op == "advance":
+            session.advance(windows["click"], windows["expose"], prior)
+            want = m.score_candidates(windows["click"], windows["expose"], CANDS, prior)
+            assert np.array_equal(session.score(CANDS), want)
+        elif op in ("grow", "slide"):
+            windows[args[0]] = windows[args[0]][op == "slide" :] + [args[1]]
+        elif op == "shrink" and len(windows[args[0]]) > (args[0] == "click"):
+            windows[args[0]].pop(0 if args[1] else -1)
+        elif op == "rewrite":
+            table[args[0]] += 0.01
+        elif op == "restore":
+            table[args[0]] = original[args[0]]
+        elif op == "read":
+            m.lookup_np([args[0]])
+        elif op == "adam":
+            with ad.tape() as t:
+                t.backward(m.loss(windows["click"], windows["expose"], CANDS, [1, 0, 0, 0], prior))
+            opt.step()
+        elif op == "prior":
+            prior = priors[args[0]]
 
 
 @pytest.mark.parametrize("bad", [-1, 12])

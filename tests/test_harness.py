@@ -6,8 +6,10 @@ whole file stays fast; learning quality is covered elsewhere.
 
 import copy
 import dataclasses
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -445,10 +447,20 @@ def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_pr
     firsts = sorted({split.users[u].fast[0] for u in users})
     for user in users:
         split.users[user].test[2] = split.users[user].fast[0]
-    run.slow.embedding.table.data[firsts] += 0.01
-    syncs = run.fast.syncs
+    table = run.slow.embedding.table
+    stale = {row.tobytes() for row in table.data[firsts]}
+    table.data[firsts] += 0.01
+    encoded, encode = [], run.fast.gru_click.encode_np
+
+    def spied_encode(seq, init):
+        encoded.extend(row.tobytes() for row in seq)
+        return encode(seq, init)
+
+    run.fast.gru_click.encode_np = spied_encode
     assert_evaluation_matches_reference(run)
-    assert (run.fast._stamps[firsts] > syncs).all()  # evaluation's syncs rewrote every changed row
+    # the click GRU encoded every changed row as the cloud now holds it, and never the row it replaced
+    assert {row.tobytes() for row in table.data[firsts]} <= set(encoded)
+    assert not stale & set(encoded)
 
 
 @pytest.mark.parametrize("max_history_len", [3, 7, 30])
@@ -597,6 +609,27 @@ def test_no_sync_copies_a_row_that_no_read_reads_before_the_next_copy(monkeypatc
     assert not unread and len(copies) > len(cluster_prepared[1])
 
 
+def test_a_copied_run_fetches_from_its_own_cloud_table(cluster_prepared):
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(), 0, split, users)
+    held = run.slow.embedding.table.data[3].copy()
+    twin = copy.deepcopy(run)
+    twin.slow.embedding.table.data[3] += 0.01
+    np.testing.assert_array_equal(twin.fast.lookup_np([3])[0], twin.slow.embedding.table.data[3])
+    np.testing.assert_array_equal(run.fast.lookup_np([3])[0], held)
+    np.testing.assert_array_equal(run.slow.embedding.table.data[3], held)
+
+
+def test_a_run_is_freed_without_the_cycle_collector(cluster_prepared):
+    split, users = cluster_prepared
+    gc.disable()
+    try:
+        run = weakref.ref(_SeedRun(tiny_config(), 0, split, users))
+        assert run() is None  # reference counting alone freed it: the run makes no reference cycle
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("bad", [-1, "vocab"])
 def test_an_out_of_vocabulary_read_fetches_and_writes_nothing(cluster_prepared, bad):
     split, users = cluster_prepared
@@ -613,14 +646,12 @@ def test_an_out_of_vocabulary_read_fetches_and_writes_nothing(cluster_prepared, 
         "score": lambda: DeviceSession(fast).score([5, 9, bad]),
         "export": lambda: ExposureMemory(fast.dim).export(fast, [[5, 9, bad]]),
     }
-    held, stamps, syncs = fast._emb.copy(), fast._stamps.copy(), fast.syncs
+    held = fast._emb.copy()
     for name, read in reads.items():
         with pytest.raises(ly.OutOfVocabularyError, match=f"item id {bad} "):
             read()
         assert not fetched, name
         np.testing.assert_array_equal(fast._emb, held)
-        np.testing.assert_array_equal(fast._stamps, stamps)
-        assert fast.syncs == syncs
 
 
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
