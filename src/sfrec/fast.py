@@ -10,8 +10,10 @@ The device never trains embeddings: it holds copies of the cloud table rows,
 and every read (``lookup_np``) first syncs the rows it reads from ``fetch``,
 the model's one source of cloud rows, so a row read always equals the
 cloud's at that read.  Each operation reads once: ``forward`` its windows and
-candidates together, a session's ``advance`` its two whole windows and
-``score`` its candidates, ``ExposureMemory.export`` the items it encodes.
+candidates together, a session's ``advance`` its two whole windows,
+``encode_contexts`` every window it encodes, ``score_states`` (so a
+session's ``score``) its candidates, ``ExposureMemory.export`` the items it
+encodes.
 
 Both wirings run through one graph ``forward``, which takes the prior (the
 plain wiring ignores it) and returns the (n, 1) click probabilities: an
@@ -22,21 +24,28 @@ windows only grow) through one graph, each GRU running once over the longest
 windows as one tape node and every candidate reading the states at its own
 context's prefixes.  ``score_candidates`` is ``forward`` with no tape open.
 
-Serving and evaluation score through a :class:`DeviceSession`, which runs
-the two parts of ``forward`` apart: ``advance`` (the prior-derived init
-states, then both GRUs, running the training node's kernel on plain arrays)
-moves the session to a click window, an exposure window and (interactive)
-the downloaded prior, and ``score`` runs the scoring tail (fusion, feature
-concat, head) for any number of candidates against the session's state.
-A session carries one user's context from event to event, as a
-session-based GRU carries its hidden state: while the model's ``version``
-and the prior hold, it keeps the init states and, since a GRU state depends
-only on the bytes of the rows it folded, keeps the rows each state encodes.
-A GRU whose kept rows are, byte for byte, the head of its new window's rows
-steps over only the rows the window gained; any other GRU (its window slid
-or shrank, or a read rewrote a kept row) re-encodes from its init state.
-Each step is the one a full encode takes, so a session scores as
-``score_candidates`` on the same windows, bit for bit.
+Serving and evaluation run the two parts of ``forward`` apart: an encode
+(the prior-derived init states, then both GRUs, running the training node's
+kernel on plain arrays) and ``score_states``, the scoring tail (fusion,
+feature concat, head) for any number of candidates against encoded states.
+Evaluation, where no context depends on another, encodes all its contexts
+at once with ``encode_contexts``: each GRU folds every window of one length
+as one stack, as GRU4Rec's session-parallel mini-batches do.  An n-row
+product rounds differently from a one-row one, so those states, and a tail
+over many contexts' rows, match ``score_candidates`` to the last bits only.
+
+Serving goes event by event through a :class:`DeviceSession`, whose
+``advance`` moves it to a click window, an exposure window and
+(interactive) the downloaded prior, and whose ``score`` runs the tail
+against the session's state.  A session carries one user's context from
+event to event, as a session-based GRU carries its hidden state: while the
+model's ``version`` and the prior hold, it keeps the init states and, since
+a GRU state depends only on the bytes of the rows it folded, keeps the rows
+each state encodes.  A GRU whose kept rows are, byte for byte, the head of
+its new window's rows steps over only the rows the window gained; any other
+GRU (its window slid or shrank, or a read rewrote a kept row) re-encodes
+from its init state.  Each step is the one a full encode takes, so a
+session scores as ``score_candidates`` on the same windows, bit for bit.
 """
 
 from __future__ import annotations
@@ -195,6 +204,40 @@ class FastModel:
         """Click probabilities for many candidates against one device context: ``forward`` with no tape open."""
         return self.forward(clicked, exposed, candidate_ids, prior).data[:, 0]
 
+    def score_states(self, r_click, r_expose, candidate_ids, r_t=None):
+        """Click probabilities for many candidates against encoded contexts: ``forward``'s
+        scoring tail after one read of the candidates.  ``r_click`` and ``r_expose`` each hold
+        one state row per candidate or one ``(1, d)`` row that every candidate reads; ``r_t`` is
+        the ``(1, d)`` long-term row the interactive head reads (None in the plain wiring)."""
+        targets = self.lookup_np(candidate_ids)
+        n = targets.shape[0]
+        r_click, r_expose = (ad.constant(r if len(r) == n else r.repeat(n, axis=0)) for r in (r_click, r_expose))
+        return self._score(r_click, r_expose, ad.constant(targets), r_t).data[:, 0]
+
+    def encode_contexts(self, contexts):
+        """Both GRUs' states for many device contexts at once, with no tape open.
+
+        ``contexts`` holds ``(click windows, exposed, prior)`` triples: a list of
+        non-empty click windows that share one exposure window and prior.  One
+        read fetches every window's rows, each prior yields its init states
+        once, and each GRU folds all its windows of one length in one
+        ``encode_np`` call (an empty window's state is its init row).  Returns
+        the ``(m, d)`` click states, one per click window in order, the
+        ``(len(contexts), d)`` exposure states, and each context's ``r_t``.
+        """
+        click_windows = [window for clicks, _, _ in contexts for window in clicks]
+        if not all(map(len, click_windows)):
+            raise ad.ShapeError("fast click sequences must be non-empty")
+        inits = [self._prior_states(prior) for _, _, prior in contexts]
+        owners = np.repeat(np.arange(len(contexts)), [len(clicks) for clicks, _, _ in contexts])
+        expose_windows = [exposed for _, exposed, _ in contexts]
+        rows = self.lookup_np([i for window in expose_windows + click_windows for i in window])
+        ne = sum(map(len, expose_windows))
+        init_click, init_expose = (np.concatenate([init[k].data for init in inits]) for k in (0, 1))
+        r_expose = _fold_windows(self.gru_expose, rows[:ne], list(map(len, expose_windows)), init_expose)
+        r_click = _fold_windows(self.gru_click, rows[ne:], list(map(len, click_windows)), init_click[owners])
+        return r_click, r_expose, [r_t for _, _, r_t in inits]
+
 
 class DeviceSession:
     """One user's device context, carried from event to event.
@@ -240,10 +283,20 @@ class DeviceSession:
 
     def score(self, candidate_ids):
         """Click probabilities for many candidates against the session's context: forward's scoring tail."""
-        model = self.model
-        targets = ad.constant(model.lookup_np(candidate_ids))
-        r_click, r_expose = (ad.constant(r.repeat(targets.shape[0], axis=0)) for r in (self.r_click, self.r_expose))
-        return model._score(r_click, r_expose, targets, self.r_t).data[:, 0]
+        return self.model.score_states(self.r_click, self.r_expose, candidate_ids, self.r_t)
+
+
+def _fold_windows(cell, rows, lengths, init):
+    """The state of ``cell`` after each window, from its row of ``init``: ``rows``
+    holds the windows back to back, ``lengths`` rows each.  One ``encode_np``
+    call per distinct non-zero length; an empty window's state is its init row."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    states = init.copy()
+    for length in np.unique(lengths[lengths > 0]):
+        which = np.flatnonzero(lengths == length)
+        states[which] = cell.encode_np(rows[starts[which, None] + np.arange(length)], init[which])
+    return states
 
 
 def _carry(cell, old_rows, new_rows, state, init):

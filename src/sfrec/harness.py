@@ -20,18 +20,23 @@ The cadence is linearized per seed:
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context, scoring each user's candidates (the
    test items plus every ranking's negatives) in one pass; the device
-   context grows with each consumed test item, and each ranking scores its
-   own candidates.
+   context grows with each consumed test item.  No user's device context
+   depends on another's, so the device encodes every ranking's context at
+   once and scores each user's rankings in one scoring-tail call.
 
-Serving and evaluation each make one ``DeviceSession`` per user for that
-user's events.  Each event advances the session to its windows (a full
-encode only when the device model's version or the user's prior changed,
-else each GRU steps over the rows its window gained or, where its rows are
-not those it encoded plus new ones, re-encodes) and hands ``session.score``
-to the exposure simulation or the ranking (``_SeedRun.evaluate``).  The
-device model fetches what it reads: its ``fetch`` reads the cloud table at
-call time, and each of its reads syncs the rows it reads first (a serving
-event or an evaluation ranking reads both windows, then its candidates; a
+Serving makes one ``DeviceSession`` per user for that user's events.  Each
+event advances the session to its windows (a full encode only when the
+device model's version or the user's prior changed, else each GRU steps
+over the rows its window gained or, where its rows are not those it encoded
+plus new ones, re-encodes) and hands ``session.score`` to the exposure
+simulation.  Evaluation makes no session: ``FastModel.encode_contexts``
+reads every window once, derives each user's init states once and folds
+each GRU over all windows of one length in one ``encode_np`` call, and
+``FastModel.score_states``, the tail a session's ``score`` runs too, rates
+a user's stacked candidates.  The device model fetches what it reads: its
+``fetch`` reads the cloud table at call time, and each of its reads syncs
+the rows it reads first (a serving event reads both windows, then its
+candidates; evaluation all its windows, then each user's candidates; a
 training segment its windows and candidates; an upload the shown items it
 encodes), so the harness itself syncs no row.
 
@@ -476,26 +481,40 @@ class _SeedRun:
         every ranking, so the cloud scores each user once: one
         ``score_candidates`` pass over the sorted union of the user's test
         items and all of their test negatives, which every ranking reads its
-        scores from.  The device scores through a session made for the user:
-        its click state steps once per consumed test item, or is re-encoded
-        where the ``max_history_len`` window slides.  The device's reads sync
-        every row they read from the cloud table, so a replay rebuilds the
-        device rows from the checkpoint's ``slow/emb``.  The device scores equal
-        ``score_candidates`` on each ranking's windows, bit for bit.
+        scores from.  No device context depends on another user's, so the
+        device encodes every ranking's context at once
+        (``FastModel.encode_contexts``: one read of all windows, one
+        ``encode_np`` call per GRU and window length), then scores each
+        user's rankings in one scoring-tail call over their stacked
+        candidates, which each ranking reads its slice of.  The device's reads
+        sync every row they read from the cloud table, so a replay rebuilds
+        the device rows from the checkpoint's ``slow/emb``.  A batched product
+        rounds differently from a one-row one, so device scores match
+        ``score_candidates`` on each ranking's windows to the last bits, and
+        a replay, which batches the same users alike, matches exactly.
         """
-        slow_results, fast_results = [], []
+        slow_results, fast_results, draws, contexts = [], [], [], []
         for user in self.users:
             us = self.split.users[user]
             drawn = [self.sampler.draw(user, "test", j, self.config.n_eval_neg) for j in range(len(us.test))]
             ids = np.unique(np.concatenate([us.test, *drawn]))
             scores = self.slow.score_candidates(self._window(us.slow), ids, neg_memory=self._memory(user))
-            exposed = self._exposed(user)
-            session = DeviceSession(self.fast)
-            for j, (positive, negs) in enumerate(zip(us.test, drawn)):
-                clicked = self._window(us.fast + us.test[:j])
+            for positive, negs in zip(us.test, drawn):
                 slow_results.append(rank_candidates(lambda c: scores[np.searchsorted(ids, c)], user, positive, negs))
-                session.advance(clicked, exposed, self.priors.get(user))
-                fast_results.append(rank_candidates(session.score, user, positive, negs))
+            clicks = [self._window(us.fast + us.test[:j]) for j in range(len(us.test))]
+            draws.append(drawn)
+            contexts.append((clicks, self._exposed(user), self.priors.get(user)))
+        r_click, r_expose, r_ts = self.fast.encode_contexts(contexts)
+        first = 0
+        for user, drawn, r_e, r_t in zip(self.users, draws, r_expose, r_ts):
+            positives = self.split.users[user].test
+            candidates = [np.concatenate(([positive], negs)) for positive, negs in zip(positives, drawn)]
+            sizes = [c.size for c in candidates]
+            rows = np.repeat(r_click[first : first + len(candidates)], sizes, axis=0)
+            first += len(candidates)
+            scores = self.fast.score_states(rows, r_e[None], np.concatenate(candidates), r_t)
+            for positive, negs, own in zip(positives, drawn, np.split(scores, np.cumsum(sizes)[:-1])):
+                fast_results.append(rank_candidates(lambda c: own, user, positive, negs))
         return slow_results, fast_results
 
     def aggregate(self, results, component, dataset_tag, wall):

@@ -20,9 +20,10 @@ repeat the float operations of the composed graphs they replaced, bit for
 bit.  Run on constants with no tape open, every graph function records
 nothing, which makes it the scoring path as well.  The GRU's one kernel
 takes one step per input row (``GruCell.encode_np`` runs it on plain
-arrays), so a caller can carry a hidden state forward a click at a time and
-reach the same bits as encoding the whole sequence at once (the device
-model's ``DeviceSession`` does this).
+arrays, over one sequence or a stack of equal-length windows), so a caller
+can carry a hidden state forward a click at a time and reach the same bits
+as encoding the whole sequence at once (the device model's
+``DeviceSession`` does this).
 """
 
 from __future__ import annotations
@@ -201,10 +202,19 @@ class GruCell:
         """One GRU step over ``n`` rows (x (n, in), h (n, hidden)): the sequence node with T = 1."""
         return self._node(x, h, x.data[None], [1])
 
-    def encode_np(self, seq, init):
-        """The state after folding the rows of ``seq`` from ``init``, on plain arrays.
-        Encoding ``a + b`` equals encoding ``b`` from the state ``a`` ends in, bit for bit."""
-        return self._fold(seq[:, None, :], init)[0][-1].copy()  # not a view that keeps every state alive
+    def encode_np(self, seqs, init):
+        """The ``(n, hidden)`` states after folding each window of ``seqs``, an ``(n, T, in)``
+        stack of equal-length windows, from its row of the ``(n, hidden)`` ``init``, on plain
+        arrays; a ``(T, in)`` sequence is the case n = 1.  For one sequence, encoding ``a + b``
+        equals encoding ``b`` from the state ``a`` ends in, bit for bit; a window stacked with
+        others can differ from its own encode in the last bits, as an n-row product rounds
+        differently from a one-row one."""
+        seqs = seqs[None] if seqs.ndim == 2 else seqs
+        if seqs.ndim != 3 or seqs.shape[2] != self.in_dim or init.shape != (seqs.shape[0], self.hidden_dim):
+            raise ad.ShapeError(
+                f"gru wants (n,T,{self.in_dim}) windows and (n,{self.hidden_dim}) init rows, got {seqs.shape}, {init.shape}"
+            )
+        return self._fold(seqs.transpose(1, 0, 2), init)[0][-1].copy()  # not a view that keeps every state alive
 
 
 def gru_encode(cell, seq, init, lengths=None):

@@ -30,7 +30,8 @@ def rank_candidates(score_fn, user, positive, negatives):
     whole set).  Returns a RankingResult with the positive's 1-based rank.
     """
     candidates = np.concatenate(([positive], np.asarray(negatives, dtype=np.int64)))
-    if np.unique(candidates).size != candidates.size:
+    ordered = np.sort(candidates)
+    if np.any(ordered[1:] == ordered[:-1]):  # sorted, a duplicate pair sits side by side
         raise ValueError("candidate set contains duplicates")
     scores = np.asarray(score_fn(candidates), dtype=float)
     pos_score = scores[0]

@@ -351,6 +351,30 @@ def test_reencode_rejects_an_empty_click_window():
         session.advance([], [3])
 
 
+@pytest.mark.parametrize("interactive", [False, True])
+def test_encode_contexts_reads_once_and_encodes_as_a_session_per_window(interactive):
+    m = make_model(35, interactive=interactive)
+    # three click lengths, a length shared across contexts, and an empty exposure window
+    contexts = [
+        ([[3, 0, 7], [3, 0, 7, 2], [1]], [8, 9, 1], prior_of(m, 36)),
+        ([[5, 6], [4, 11, 2]], [], prior_of(m, 37)),
+    ]
+    reads, fetch = [], m.fetch
+    m.fetch = lambda idx: reads.append(idx.size) or fetch(idx)
+    r_click, r_expose, r_ts = m.encode_contexts(contexts)
+    m.fetch = fetch
+    assert reads == [3 + 0 + 3 + 4 + 1 + 2 + 3]
+    windows = [(window, exposed, prior) for clicks, exposed, prior in contexts for window in clicks]
+    owners = [0, 0, 0, 1, 1]
+    for k, (window, exposed, prior) in enumerate(windows):
+        session = session_at(m, window, exposed, prior)
+        np.testing.assert_allclose(r_click[k : k + 1], session.r_click, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r_expose[owners[k]][None], session.r_expose, rtol=0, atol=1e-12)
+        np.testing.assert_equal(r_ts[owners[k]], session.r_t)  # None in the plain wiring
+    with pytest.raises(ad.ShapeError, match="non-empty"):
+        m.encode_contexts([([[1], []], [2], prior_of(m, 36))])
+
+
 class FetchError(Exception):
     pass
 

@@ -15,6 +15,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfrec import autodiff as ad
 from sfrec import harness
@@ -377,7 +379,7 @@ def test_saved_state_reproduces_training_time_evaluation(cluster_prepared):
 
 
 # ---------------------------------------------------------------------------
-# evaluation encodes each user's device context once
+# evaluation encodes every device context at once, and scores each user's rankings in one tail
 
 
 def trained_run(cluster_prepared, **overrides):
@@ -411,24 +413,31 @@ def per_ranking_reference(run):
     return out
 
 
+# a batched product rounds differently from a one-row one: evaluation's device
+# scores stay this close to the per-ranking reference, and its ranks equal it
+SCORE_BOUND = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+
 def assert_evaluation_matches_reference(run):
-    """Fast rankings and every score array of ``run.evaluate()`` equal the
-    per-ranking reference, run on a copy of ``run`` as it stood before."""
+    """Fast rankings of ``run.evaluate()`` equal the per-ranking reference,
+    run on a copy of ``run`` as it stood before, and every score lies within
+    ``SCORE_BOUND`` of it; each user's rankings score in one tail call."""
     reference = per_ranking_reference(copy.deepcopy(run))
     scored = []
-    score = DeviceSession.score
+    score = FastModel.score_states
 
-    def spy(session, ids):
-        scored.append(score(session, ids))
+    def spy(model, *args):
+        scored.append(score(model, *args))
         return scored[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DeviceSession, "score", spy)
+        patch.setattr(FastModel, "score_states", spy)
         _, fast_results = run.evaluate()
     assert fast_results == [result for result, _ in reference]
-    assert len(scored) == len(reference)
-    for got, (_, want) in zip(scored, reference):
-        assert np.array_equal(got, want)
+    assert len(scored) == len(run.users)
+    got, want = np.concatenate(scored), np.concatenate([scores for _, scores in reference])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= SCORE_BOUND[want.dtype]
 
 
 @pytest.mark.parametrize("max_history_len", [3, 7, 30])
@@ -440,8 +449,8 @@ def test_per_user_evaluation_equals_per_ranking_reencode(cluster_prepared, varia
 
 def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_prepared):
     # cloud rows changed after the device last read them: each user's first
-    # fast click, which is also their third test item, so the sync of a
-    # ranking's read that reads it changes a row of its window
+    # fast click, which is also their third test item, so the sync of the
+    # read of evaluation's windows changes a row of some click windows
     split, users = copy.deepcopy(cluster_prepared)
     run = trained_run((split, users), variant="independent")
     firsts = sorted({split.users[u].fast[0] for u in users})
@@ -452,9 +461,9 @@ def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_pr
     table.data[firsts] += 0.01
     encoded, encode = [], run.fast.gru_click.encode_np
 
-    def spied_encode(seq, init):
-        encoded.extend(row.tobytes() for row in seq)
-        return encode(seq, init)
+    def spied_encode(seqs, init):
+        encoded.extend(row.tobytes() for row in seqs.reshape(-1, seqs.shape[-1]))
+        return encode(seqs, init)
 
     run.fast.gru_click.encode_np = spied_encode
     assert_evaluation_matches_reference(run)
@@ -463,32 +472,80 @@ def test_evaluation_reencodes_clicks_whose_device_rows_a_sync_changed(cluster_pr
     assert not stale & set(encoded)
 
 
-@pytest.mark.parametrize("max_history_len", [3, 7, 30])
-@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
-def test_evaluation_steps_each_gru_once_per_consumed_item(cluster_prepared, variant, max_history_len):
-    run = trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len)
-    steps = Counter()
-    for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
-
-        def counted(seq, init, encode=cell.encode_np, name=name):
-            steps[name] += seq.shape[0]
-            return encode(seq, init)
-
-        cell.encode_np = counted
-    run.evaluate()
-    want = Counter()
-    per_ranking = 0
+def per_ranking_slow_reference(run):
+    """Each cloud ranking, scored alone through ``score_candidates``."""
+    out = []
     for user in run.users:
         us = run.split.users[user]
-        exposed = len(run._window([i for step in run.exposure_log[user] for i in step]))
-        want["expose"] += exposed
-        want["click"] += min(len(us.fast), max_history_len)
-        for j in range(1, len(us.test)):
-            slides = len(us.fast) + j > max_history_len
-            want["click"] += max_history_len if slides else 1  # a re-encode of the full window, or one step
-        per_ranking += sum(exposed + min(len(us.fast) + j, max_history_len) for j in range(len(us.test)))
-    assert steps == want
-    assert sum(steps.values()) < per_ranking
+        history = run._window(us.slow)
+        for j, positive in enumerate(us.test):
+            negs = [int(n) for n in run.sampler.draw(user, "test", j, run.config.n_eval_neg)]
+            scores = run.slow.score_candidates(history, [positive, *negs], neg_memory=run._memory(user))
+            out.append(rank_candidates(lambda ids: scores, user, positive, negs))
+    return out
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    variant=st.sampled_from(["independent", "f2s", "s2f_full"]),
+    max_history_len=st.integers(2, 30),
+    expose_k=st.integers(0, 4),
+    precision=st.sampled_from(["float32", "float64"]),
+)
+def test_evaluation_ranks_equal_the_per_ranking_reference(
+    cluster_prepared, variant, max_history_len, expose_k, precision
+):
+    run = trained_run(
+        cluster_prepared, variant=variant, max_history_len=max_history_len, expose_k=expose_k, precision=precision
+    )
+    slow_want = per_ranking_slow_reference(copy.deepcopy(run))
+    fast_want = [result for result, _ in per_ranking_reference(copy.deepcopy(run))]
+    assert run.evaluate() == (slow_want, fast_want)
+
+
+@pytest.fixture(scope="module")
+def cluster_prepared_40():
+    return prepare_data(tiny_config(max_users=40))
+
+
+def evaluation_encode_calls(run):
+    """Each device GRU's ``encode_np`` calls in ``run.evaluate()``, which must make no ``DeviceSession``."""
+    calls = Counter()
+    for name, cell in (("click", run.fast.gru_click), ("expose", run.fast.gru_expose)):
+
+        def counted(seqs, init, encode=cell.encode_np, name=name):
+            calls[name] += 1
+            return encode(seqs, init)
+
+        cell.encode_np = counted
+
+    def no_session(*args):
+        raise AssertionError("evaluation made a DeviceSession")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeviceSession, "__init__", no_session)
+        run.evaluate()
+    return calls
+
+
+@pytest.mark.parametrize("max_history_len", [3, 7, 30])
+@pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
+def test_evaluation_steps_each_gru_once_per_consumed_item(
+    cluster_prepared, cluster_prepared_40, variant, max_history_len
+):
+    # each GRU folds all of evaluation's windows of one length in one call, however many users there are
+    run = trained_run(cluster_prepared, variant=variant, max_history_len=max_history_len)
+    lengths = {"click": set(), "expose": set()}
+    for user in run.users:
+        us = run.split.users[user]
+        lengths["expose"].add(len(run._window([i for step in run.exposure_log[user] for i in step])))
+        lengths["click"].update(len(run._window(us.fast + us.test[:j])) for j in range(len(us.test)))
+    calls = evaluation_encode_calls(run)
+    for name, seen in lengths.items():
+        assert 1 <= calls[name] <= len(seen - {0})
+    run_40 = trained_run(cluster_prepared_40, variant=variant, max_history_len=max_history_len, max_users=40)
+    assert len(run_40.users) == 40
+    assert evaluation_encode_calls(run_40) == calls
 
 
 # ---------------------------------------------------------------------------

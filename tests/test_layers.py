@@ -228,6 +228,24 @@ def test_gru_node_prefix_states_equal_encode_np_and_folded_steps_bit_for_bit(dty
             h = cell.step(ad.constant(seq[k : k + 1]), h)
 
 
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_encode_np_folds_a_stack_of_windows_as_each_window_alone(dtype, atol):
+    r = rng(62)
+    cell = ly.GruCell(6, 5, r, dtype=dtype)
+    seqs = r.normal(size=(4, 3, 6)).astype(dtype)
+    init = r.normal(size=(4, 5)).astype(dtype)
+    stacked = cell.encode_np(seqs, init)
+    assert stacked.shape == (4, 5) and stacked.dtype == dtype
+    for i in range(4):
+        alone = cell.encode_np(seqs[i], init[i : i + 1])
+        np.testing.assert_array_equal(cell.encode_np(seqs[i : i + 1], init[i : i + 1]), alone)  # n = 1
+        np.testing.assert_allclose(stacked[i : i + 1], alone, rtol=0, atol=atol)
+    np.testing.assert_array_equal(cell.encode_np(seqs[:, :0], init), init)  # empty windows keep their init rows
+    for bad_seqs, bad_init in ((seqs, init[:3]), (seqs[..., :5], init), (seqs[0, 0], init[:1])):
+        with pytest.raises(ad.ShapeError, match="gru wants"):
+            cell.encode_np(bad_seqs, bad_init)
+
+
 def test_gru_node_gradients_with_repeated_and_zero_prefix_lengths():
     r = rng(61)
     cell = ly.GruCell(3, 4, r)

@@ -117,6 +117,18 @@ def test_duplicate_array_candidates_rejected(form):
         rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, form([6, 6]))
 
 
+@pytest.mark.parametrize("form", [list, as_array, as_sampler_array])
+def test_duplicate_candidates_apart_in_the_input_rejected(form):
+    scored = []
+    negatives = [9, 2, 14, 7, 3, 11, 2, 8]  # the pair of 2s has five ids between them, and 3 and 8 sort between
+    with pytest.raises(ValueError, match="duplicate"):
+        rank_candidates(lambda ids: scored.append(ids) or [0.0] * len(ids), 0, 5, form(negatives))
+    with pytest.raises(ValueError, match="duplicate"):
+        rank_candidates(lambda ids: scored.append(ids) or [0.0] * len(ids), 0, 4, form([9, 4, 1, 6, 12]))
+    assert not scored  # refused before any scoring
+    assert rank_candidates(lambda ids: [0.0] * len(ids), 0, 5, form([9, 2, 14, 7])).rank == 2
+
+
 def test_list_and_array_negatives_rank_alike():
     r = rng(12)
     ids = r.permutation(400)[:51].tolist()
