@@ -197,15 +197,23 @@ def phase_split(interactions, min_len=20):
     return split
 
 
-class NegativeSampler:
-    """Deterministic per-position negative draws.
+_KEY_BLOCK = 1 << 20  # random keys a table fill holds at once (8 MB): long histories fill in blocks of rows
 
-    Each (user, phase, position) gets its own generator derived from the base
-    seed, so any draw is reproducible regardless of the order requests arrive
-    in.  Negatives are uniform over items the user never clicked, distinct
-    within one draw.  Training draws are memoised per ``(user, phase, index,
-    n)``, since training redraws the same slow positions in every epoch and
-    refresh; a test draw, made once per evaluation, is not kept.
+
+class NegativeSampler:
+    """Deterministic whole-table negative draws.
+
+    Each ``(user, phase, n)`` gets its own generator derived from the base
+    seed, which fills the whole ``(positions, n)`` table at once: row j holds
+    the ``n`` negatives of the phase's j-th position, the items with the ``n``
+    smallest of one row of uniform random keys over the items the user never
+    clicked, in key order (Efraimidis & Spirakis' random keys).  So negatives
+    are uniform over the unseen items and distinct within a row, and any
+    draw is reproducible regardless of the order requests arrive in.  The
+    generator fills keys row by row, so a table drawn with more rows (a
+    position past the phase) starts with the same rows.  Training tables are
+    memoised, since training redraws the same slow positions in every epoch
+    and refresh; a test table, drawn once per evaluation, is not kept.
     """
 
     _PHASES = {"slow": 0, "fast": 1, "test": 2}
@@ -215,7 +223,7 @@ class NegativeSampler:
         self.n_items = n_items
         self.seed = seed
         self._complements = {}
-        self._draws = {}
+        self._tables = {}
 
     def complement(self, user):
         """All item ids the user never clicked, ascending."""
@@ -228,42 +236,39 @@ class NegativeSampler:
             self._complements[user] = cached
         return cached
 
-    def _rng(self, user, phase, index):
-        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self._PHASES[phase], user, index))
-        return np.random.default_rng(key)
+    def table(self, user, phase, n, rows=0):
+        """The read-only ``(positions, n)`` table of ``user``'s ``phase``
+        negatives, row j for position j, with at least ``rows`` rows."""
+        rows = max(rows, len(getattr(self.split.users[user], phase)))
+        table = self._tables.get((user, phase, n))
+        if table is None or len(table) < rows:
+            table = self._draw_table(user, phase, n, rows)
+            if phase != "test":
+                self._tables[user, phase, n] = table
+        return table
 
     def draw(self, user, phase, index, n):
         """``n`` distinct negatives for ``user``'s ``index``-th ``phase`` position, as a read-only array."""
         if index < 0:
             raise ValueError(f"negative position index {index}")
-        if phase == "test":
-            row = self._fresh(user, phase, index, n)
-        else:
-            table = self._draws.get((user, phase, n))
-            if table is None or index >= len(table) or (n and table[index, 0] < 0):
-                table = self._fill(user, phase, index, n, table)
-            row = table[index]
-        row.flags.writeable = False
-        return row
+        return self.table(user, phase, n, rows=index + 1)[index]
 
-    def _fresh(self, user, phase, index, n):
-        """A new draw from the position's own generator."""
+    def _draw_table(self, user, phase, n, rows):
+        """A new ``(rows, n)`` table from the key's own generator; its random
+        keys, at most ``_KEY_BLOCK`` at a time, live only here."""
         pool = self.complement(user)
         if n > pool.size:
             raise ValueError(f"user {user}: asked for {n} negatives, only {pool.size} unseen items")
-        return self._rng(user, phase, index).choice(pool, size=n, replace=False)
-
-    def _fill(self, user, phase, index, n, table):
-        """Draw row ``index`` into the memo's ``(positions, n)`` table for
-        ``(user, phase, n)``, where -1 marks rows not drawn yet."""
-        drawn = self._fresh(user, phase, index, n)
-        if table is None or index >= len(table):
-            rows = max(index + 1, len(getattr(self.split.users[user], phase)))
-            grown = np.full((rows, n), -1, dtype=np.int64)
-            if table is not None:
-                grown[: len(table)] = table
-            self._draws[user, phase, n] = table = grown
-        table[index] = drawn
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(self._PHASES[phase], user, n)))
+        table = np.empty((rows, n), dtype=np.int64)
+        step = max(1, _KEY_BLOCK // pool.size)
+        for start in range(0, rows, step):  # keys come row by row, so blocks of rows draw what one block would
+            keys = rng.random((min(step, rows - start), pool.size))
+            picked = np.argpartition(keys, max(n - 1, 0), axis=1)[:, :n]
+            # in key order: the keys (distinct almost surely) fix it whatever order the partition leaves
+            picked = np.take_along_axis(picked, np.take_along_axis(keys, picked, axis=1).argsort(axis=1), axis=1)
+            table[start : start + len(keys)] = pool[picked]
+        table.flags.writeable = False
         return table
 
 

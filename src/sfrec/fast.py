@@ -29,10 +29,11 @@ Serving and evaluation run the two parts of ``forward`` apart: an encode
 kernel on plain arrays) and ``score_states``, the scoring tail (fusion,
 feature concat, head) for any number of candidates against encoded states.
 Evaluation, where no context depends on another, encodes all its contexts
-at once with ``encode_contexts``: each GRU folds every window of one length
-as one stack, as GRU4Rec's session-parallel mini-batches do.  An n-row
-product rounds differently from a one-row one, so those states, and a tail
-over many contexts' rows, match ``score_candidates`` to the last bits only.
+at once with ``encode_contexts``: every prior's init states come from one
+stacked projection, and each GRU folds every window of one length as one
+stack, as GRU4Rec's session-parallel mini-batches do.  An n-row product
+rounds differently from a one-row one, so those states, and a tail over many
+contexts' rows, match ``score_candidates`` to the last bits only.
 
 Serving goes event by event through a :class:`DeviceSession`, whose
 ``advance`` moves it to a click window, an exposure window and
@@ -146,15 +147,24 @@ class FastModel:
         """Both GRUs' (1, d) init states, projected from the blended pair of the
         ``INTEREST_DOWN`` payload ``prior``, and the (1, d) ``r_t`` the head reads; a missing
         prior or a missing or misshapen row is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
-        dtype = self._emb.dtype
         if not self.interactive:
-            zero = ad.constant(np.zeros((1, self.dim), dtype=dtype))
+            zero = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
             return zero, zero, None
+        r_n, r_t = self._prior_rows(prior)
+        return (*self._init_states(r_n, r_t), r_t)
+
+    def _prior_rows(self, prior):
+        """The checked (1, d) ``r_n`` and ``r_t`` rows of the interactive wiring's ``prior``."""
         if prior is None:
             raise ad.ShapeError("the interactive device model needs a prior (r_n, r_t), got None")
+        dtype = self._emb.dtype
         r_n, r_t = np.asarray(prior.get("r_n"), dtype=dtype), np.asarray(prior.get("r_t"), dtype=dtype)
         if r_n.shape != (1, self.dim) or r_t.shape != (1, self.dim):
             raise ad.ShapeError(f"prior vectors must be (1,{self.dim}), got {r_n.shape} and {r_t.shape}")
+        return r_n, r_t
+
+    def _init_states(self, r_n, r_t):
+        """Both GRUs' (m, d) init states from m stacked ``r_n`` and ``r_t`` rows, row by row."""
         rn_c, rt_c = ad.constant(r_n), ad.constant(r_t)
         alpha = ad.sigmoid(ad.add(ad.matmul(ad.concat([rn_c, rt_c], axis=1), self.prior_gate_w), self.prior_gate_b))
         blended_prior = ad.add(
@@ -162,7 +172,7 @@ class FastModel:
         )
         init_click = ad.relu(ad.add(ad.matmul(blended_prior, self.init_click_w), self.init_click_b))
         init_expose = ad.relu(ad.add(ad.matmul(blended_prior, self.init_expose_w), self.init_expose_b))
-        return init_click, init_expose, r_t
+        return init_click, init_expose
 
     def _score(self, r_click, r_expose, targets, r_t):
         """The scoring tail, fusion and head: (n, 1) probabilities from (n, d) click
@@ -219,24 +229,30 @@ class FastModel:
 
         ``contexts`` holds ``(click windows, exposed, prior)`` triples: a list of
         non-empty click windows that share one exposure window and prior.  One
-        read fetches every window's rows, each prior yields its init states
-        once, and each GRU folds all its windows of one length in one
-        ``encode_np`` call (an empty window's state is its init row).  Returns
-        the ``(m, d)`` click states, one per click window in order, the
-        ``(len(contexts), d)`` exposure states, and each context's ``r_t``.
+        read fetches every window's rows, one pass over the stacked priors
+        derives every context's init states, and each GRU folds all its
+        windows of one length in one ``encode_np`` call (an empty window's
+        state is its init row).  Returns the ``(m, d)`` click states, one per
+        click window in order, the ``(len(contexts), d)`` exposure states, and
+        each context's ``r_t``.
         """
         click_windows = [window for clicks, _, _ in contexts for window in clicks]
         if not all(map(len, click_windows)):
             raise ad.ShapeError("fast click sequences must be non-empty")
-        inits = [self._prior_states(prior) for _, _, prior in contexts]
+        if self.interactive:
+            r_n, r_t = (np.concatenate(rows) for rows in zip(*[self._prior_rows(prior) for _, _, prior in contexts]))
+            init_click, init_expose = (state.data for state in self._init_states(r_n, r_t))
+            r_ts = list(r_t[:, None])
+        else:
+            init_click = init_expose = np.zeros((len(contexts), self.dim), dtype=self._emb.dtype)
+            r_ts = [None] * len(contexts)
         owners = np.repeat(np.arange(len(contexts)), [len(clicks) for clicks, _, _ in contexts])
         expose_windows = [exposed for _, exposed, _ in contexts]
         rows = self.lookup_np([i for window in expose_windows + click_windows for i in window])
         ne = sum(map(len, expose_windows))
-        init_click, init_expose = (np.concatenate([init[k].data for init in inits]) for k in (0, 1))
         r_expose = _fold_windows(self.gru_expose, rows[:ne], list(map(len, expose_windows)), init_expose)
         r_click = _fold_windows(self.gru_click, rows[ne:], list(map(len, click_windows)), init_click[owners])
-        return r_click, r_expose, [r_t for _, _, r_t in inits]
+        return r_click, r_expose, r_ts
 
 
 class DeviceSession:

@@ -19,10 +19,11 @@ The cadence is linearized per seed:
 4. Remaining fast epochs retrain on the logged streams with final priors.
 5. Both components are frozen and evaluated: the cloud ranks all five test
    items from the slow-phase context, scoring each user's candidates (the
-   test items plus every ranking's negatives) in one pass; the device
+   test items plus their table of negatives) in one pass; the device
    context grows with each consumed test item.  No user's device context
    depends on another's, so the device encodes every ranking's context at
-   once and scores each user's rankings in one scoring-tail call.
+   once and scores each user's rankings in one scoring-tail call.  Each
+   component ranks a user's test items in one ``rank_candidates`` call.
 
 Serving makes one ``DeviceSession`` per user for that user's events.  Each
 event advances the session to its windows (a full encode only when the
@@ -477,44 +478,45 @@ class _SeedRun:
     def evaluate(self):
         """Rank each user's test items with both frozen models.
 
+        Each user's test negatives are one ``(test items, n_eval_neg)``
+        table, drawn once per evaluation and not kept, and each component
+        ranks a user's test items in one ``rank_candidates`` call over it.
         The cloud context is the slow-phase window (and negative memory) for
         every ranking, so the cloud scores each user once: one
         ``score_candidates`` pass over the sorted union of the user's test
-        items and all of their test negatives, which every ranking reads its
+        items and their negatives table, which every ranking reads its
         scores from.  No device context depends on another user's, so the
         device encodes every ranking's context at once
         (``FastModel.encode_contexts``: one read of all windows, one
-        ``encode_np`` call per GRU and window length), then scores each
-        user's rankings in one scoring-tail call over their stacked
-        candidates, which each ranking reads its slice of.  The device's reads
-        sync every row they read from the cloud table, so a replay rebuilds
-        the device rows from the checkpoint's ``slow/emb``.  A batched product
-        rounds differently from a one-row one, so device scores match
-        ``score_candidates`` on each ranking's windows to the last bits, and
-        a replay, which batches the same users alike, matches exactly.
+        projection of all priors, one ``encode_np`` call per GRU and window
+        length), then scores each user's rankings in one scoring-tail call
+        over their ``(test items, 1 + n_eval_neg)`` candidate table.  The
+        device's reads sync every row they read from the cloud table, so a
+        replay rebuilds the device rows from the checkpoint's ``slow/emb``.
+        A batched product rounds differently from a one-row one, so device
+        scores match ``score_candidates`` on each ranking's windows to the
+        last bits, and a replay, which batches the same users alike, matches
+        exactly.
         """
-        slow_results, fast_results, draws, contexts = [], [], [], []
+        slow_results, fast_results, tables, contexts = [], [], [], []
         for user in self.users:
             us = self.split.users[user]
-            drawn = [self.sampler.draw(user, "test", j, self.config.n_eval_neg) for j in range(len(us.test))]
-            ids = np.unique(np.concatenate([us.test, *drawn]))
+            negatives = self.sampler.table(user, "test", self.config.n_eval_neg)
+            ids = np.unique(np.concatenate([us.test, negatives.ravel()]))
             scores = self.slow.score_candidates(self._window(us.slow), ids, neg_memory=self._memory(user))
-            for positive, negs in zip(us.test, drawn):
-                slow_results.append(rank_candidates(lambda c: scores[np.searchsorted(ids, c)], user, positive, negs))
+            slow_results += rank_candidates(lambda c: scores[np.searchsorted(ids, c)], user, us.test, negatives)
             clicks = [self._window(us.fast + us.test[:j]) for j in range(len(us.test))]
-            draws.append(drawn)
+            tables.append(negatives)
             contexts.append((clicks, self._exposed(user), self.priors.get(user)))
         r_click, r_expose, r_ts = self.fast.encode_contexts(contexts)
         first = 0
-        for user, drawn, r_e, r_t in zip(self.users, draws, r_expose, r_ts):
+        for user, negatives, r_e, r_t in zip(self.users, tables, r_expose, r_ts):
             positives = self.split.users[user].test
-            candidates = [np.concatenate(([positive], negs)) for positive, negs in zip(positives, drawn)]
-            sizes = [c.size for c in candidates]
-            rows = np.repeat(r_click[first : first + len(candidates)], sizes, axis=0)
+            candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1)
+            rows = np.repeat(r_click[first : first + len(candidates)], candidates.shape[1], axis=0)
             first += len(candidates)
-            scores = self.fast.score_states(rows, r_e[None], np.concatenate(candidates), r_t)
-            for positive, negs, own in zip(positives, drawn, np.split(scores, np.cumsum(sizes)[:-1])):
-                fast_results.append(rank_candidates(lambda c: own, user, positive, negs))
+            scores = self.fast.score_states(rows, r_e[None], candidates.ravel(), r_t).reshape(candidates.shape)
+            fast_results += rank_candidates(lambda c: scores, user, positives, negatives)
         return slow_results, fast_results
 
     def aggregate(self, results, component, dataset_tag, wall):

@@ -9,11 +9,14 @@ results CSV is written here as ``<name>.csv``; ``manifest.json`` holds every
 config's argv, the SHA-256 of each state file it wrote, and the numpy and
 BLAS versions that produced them.  Regenerate only for a change that moves
 bits on purpose (a new float summation order, say), and name the files that
-moved; the comparison is byte for byte and never a tolerance.
+moved; the comparison is byte for byte and never a tolerance.  For each
+config the script prints every results row that moved (old -> new) and every
+state file whose hash moved, ready to quote.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import sys
@@ -77,15 +80,40 @@ def train(argv, workdir):
     return results, state
 
 
+def csv_rows(path):
+    """A results file's rows by everything but their value and wall time; none for a missing file."""
+    if not path.exists():
+        return {}
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
+    return {(*row[:5], row[6]): ",".join(row) for row in rows}
+
+
+def moved(name, old_csv, new_csv, old_state, new_state):
+    """Lines naming each results row and state file of config ``name`` that moved."""
+    lines = [
+        f"  {old_csv.get(key, '(none)')} -> {new_csv.get(key, '(none)')}"
+        for key in sorted(old_csv.keys() | new_csv.keys())
+        if old_csv.get(key) != new_csv.get(key)
+    ]
+    states = sorted(f for f in old_state.keys() | new_state.keys() if old_state.get(f) != new_state.get(f))
+    head = f"{name}: {len(lines)} of {len(new_csv)} rows moved"
+    return [head + (f"; state moved: {', '.join(states)}" if states else "; no state file moved"), *lines]
+
+
 def regenerate():
+    manifest_path = GOLDEN / "manifest.json"
+    old = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else {}
     manifest = {**versions(), "base": BASE, "seeds": list(SEEDS), "configs": {}}
     for name, argv in CONFIGS.items():
+        golden_csv = GOLDEN / f"{name}.csv"
+        old_csv = csv_rows(golden_csv)
         with tempfile.TemporaryDirectory() as tmp:
             results, state = train(argv, tmp)
-            (GOLDEN / f"{name}.csv").write_bytes(results.read_bytes())
+            golden_csv.write_bytes(results.read_bytes())
             manifest["configs"][name] = {"argv": argv, "state": sha256_files(state)}
-        print(f"{name}: wrote {name}.csv")
-    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        old_state = old.get("configs", {}).get(name, {}).get("state", {})
+        print("\n".join(moved(name, old_csv, csv_rows(golden_csv), old_state, manifest["configs"][name]["state"])))
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(f"wrote manifest.json ({manifest['numpy']}, {manifest['blas']})")
 
 

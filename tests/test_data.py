@@ -284,6 +284,84 @@ def test_draws_do_not_depend_on_the_order_of_requests():
         np.testing.assert_array_equal(backward.draw(*key), drawn[key])
 
 
+def test_table_rows_are_uniform_over_the_unseen_items():
+    split = cluster_split(seed=9)
+    user = sorted(split.users)[1]
+    sampler = dt.NegativeSampler(split, 100, seed=17)
+    pool = sampler.complement(user)
+    table = sampler.table(user, "slow", 3, rows=20_000)
+    assert table.shape == (20_000, 3)
+    # chi-square over the 75 unseen items (74 degrees of freedom, SD about 12), for every draw and
+    # for each row's first, as key order makes it a uniform draw of one
+    for drawn in (table, table[:, 0]):
+        counts = np.bincount(np.searchsorted(pool, drawn.ravel()), minlength=pool.size)
+        expected = drawn.size / pool.size
+        assert ((counts - expected) ** 2 / expected).sum() < 74 + 6 * 12.2
+
+
+def test_table_rows_are_distinct_and_never_clicked():
+    split = cluster_split(seed=9)
+    sampler = dt.NegativeSampler(split, 100, seed=18)
+    for user in sorted(split.users)[:20]:
+        clicked = set(split.users[user].all_items())
+        for phase, n in (("slow", 1), ("fast", 7), ("test", 50)):
+            table = sampler.table(user, phase, n)
+            assert table.shape == (len(getattr(split.users[user], phase)), n)
+            assert all(len(set(row)) == n for row in table.tolist())
+            assert not clicked.intersection(table.ravel().tolist())
+
+
+def test_a_grown_table_keeps_its_first_rows():
+    split = cluster_split(seed=9)
+    user = sorted(split.users)[4]
+    sampler = dt.NegativeSampler(split, 100, seed=19)
+    first = sampler.table(user, "fast", 4).copy()
+    assert len(first) == 5
+    sampler.draw(user, "fast", 7, 4)  # a position past the 5-item phase grows the table
+    grown = sampler.table(user, "fast", 4)
+    assert len(grown) == 8
+    np.testing.assert_array_equal(grown[:5], first)
+
+
+@pytest.mark.parametrize("block", [1, 75, 150, 1_000])
+def test_a_table_filled_in_blocks_of_rows_draws_what_one_block_would(monkeypatch, block):
+    split = cluster_split(seed=9)
+    user = sorted(split.users)[4]
+    whole = dt.NegativeSampler(split, 100, seed=22).table(user, "slow", 3, rows=40)
+    monkeypatch.setattr(dt, "_KEY_BLOCK", block)  # 75 unseen items: a row, a row, two rows, 13 rows at a time
+    np.testing.assert_array_equal(dt.NegativeSampler(split, 100, seed=22).table(user, "slow", 3, rows=40), whole)
+
+
+def test_a_table_can_take_every_unseen_item_or_none():
+    split = cluster_split(seed=9)
+    user = sorted(split.users)[5]
+    sampler = dt.NegativeSampler(split, 100, seed=20)
+    pool = sampler.complement(user)
+    whole = sampler.table(user, "test", pool.size)
+    assert whole.shape == (5, pool.size)
+    for row in whole:
+        np.testing.assert_array_equal(np.sort(row), pool)
+    assert len({tuple(row) for row in whole.tolist()}) == 5  # each row its own order
+    for phase in ("slow", "test"):
+        empty = sampler.table(user, phase, 0)
+        assert empty.shape == (len(getattr(split.users[user], phase)), 0) and empty.dtype == np.int64
+        assert sampler.draw(user, phase, 2, 0).shape == (0,)
+
+
+def test_test_tables_are_drawn_anew_and_not_kept():
+    split = cluster_split(seed=9)
+    user = sorted(split.users)[6]
+    sampler = dt.NegativeSampler(split, 100, seed=21)
+    first = sampler.table(user, "test", 10)
+    again = sampler.table(user, "test", 10)
+    assert first is not again
+    np.testing.assert_array_equal(first, again)
+    np.testing.assert_array_equal(sampler.draw(user, "test", 3, 10), first[3])
+    assert not first.flags.writeable
+    sampler.table(user, "slow", 10)
+    assert [key for key in sampler._tables] == [(user, "slow", 10)]
+
+
 def test_sampler_rejects_oversized_draws():
     split = cluster_split(seed=8)
     sampler = dt.NegativeSampler(split, 100, seed=16)

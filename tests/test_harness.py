@@ -783,13 +783,17 @@ def test_every_serving_step_shows_at_most_expose_k_never_clicked_items(cluster_p
 def test_evaluation_keeps_no_test_negatives(cluster_prepared):
     run = trained_run(cluster_prepared, variant="independent")
     run.evaluate()
-    assert not [key for key in run.sampler._draws if key[1] == "test"]
+    n = run.config.n_eval_neg
+    assert not [key for key in run.sampler._tables if key[1] == "test"]
     for user in run.users:
-        pool = run.sampler.complement(user)
-        for j in range(len(run.split.users[user].test)):
-            key = np.random.SeedSequence(entropy=run.sampler.seed, spawn_key=(2, user, j))
-            want = np.random.default_rng(key).choice(pool, size=run.config.n_eval_neg, replace=False)
-            np.testing.assert_array_equal(run.sampler.draw(user, "test", j, run.config.n_eval_neg), want)
+        # one generator per (user, test, n): per row, the unseen items with the n smallest keys, in key order
+        pool, tests = run.sampler.complement(user), len(run.split.users[user].test)
+        key = np.random.SeedSequence(entropy=run.sampler.seed, spawn_key=(2, user, n))
+        keys = np.random.default_rng(key).random((tests, pool.size))
+        want = pool[np.argsort(keys, axis=1)[:, :n]]
+        np.testing.assert_array_equal(run.sampler.table(user, "test", n), want)
+        for j in range(tests):
+            np.testing.assert_array_equal(run.sampler.draw(user, "test", j, n), want[j])
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +966,11 @@ def test_f2s_replay_scores_every_ranking_as_live(monkeypatch, cluster_prepared):
     live, scores[:] = list(scores), []
     arrays, exposures = out.states[0]
     evaluate_from_state(cfg, 0, cluster_prepared, arrays, out.messages[0], exposures)
-    assert len(scores) == len(live) == 2 * sum(len(cluster_prepared[0].users[u].test) for u in cluster_prepared[1])
-    for i, (got, want) in enumerate(zip(scores, live)):
+    # each call ranks one user's test items on one component, a score row per ranking
+    assert len(scores) == len(live) == 2 * len(cluster_prepared[1])
+    rows = np.concatenate(scores), np.concatenate(live)
+    assert len(rows[0]) == len(rows[1]) == 2 * sum(len(cluster_prepared[0].users[u].test) for u in cluster_prepared[1])
+    for i, (got, want) in enumerate(zip(*rows)):
         assert np.array_equal(got, want), f"ranking {i}"
 
 

@@ -164,6 +164,63 @@ def test_rank_invariant_under_monotone_score_transforms():
     assert len(set(ranks.values())) == 1
 
 
+def test_scores_of_another_shape_are_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        rank_candidates(lambda ids: [0.5], 0, 1, [2, 3])  # one score for three candidates
+    with pytest.raises(ValueError, match="shape"):
+        rank_candidates(lambda ids: np.zeros((len(ids), 1)), 0, 1, [2, 3])
+    with pytest.raises(ValueError, match="shape"):  # a table's scores must come back as a table
+        rank_candidates(lambda ids: np.zeros(ids.size), 0, [1, 4], [[2, 3], [5, 6]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        rank_candidates(lambda ids: [bad, 0.1, 0.2], 0, 1, [2, 3])  # a NaN positive would rank first
+    with pytest.raises(ValueError, match="non-finite"):
+        rank_candidates(lambda ids: np.where(ids == 6, bad, 0.5), 0, [1, 4], [[2, 3], [5, 6]])
+
+
+@pytest.mark.parametrize("negatives", [[[2, 3]], [[2, 3], [5, 6], [7, 8]], [2, 3, 5, 6]])
+def test_a_table_needs_one_row_per_positive(negatives):
+    scored = []
+    with pytest.raises(ValueError, match=r"2 positives want a \(2, n\) negatives table"):
+        rank_candidates(lambda ids: scored.append(ids) or np.zeros(ids.shape), 0, [1, 4], negatives)
+    assert not scored
+
+
+def test_a_table_with_a_duplicate_in_one_row_is_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        rank_candidates(lambda ids: np.zeros(ids.shape), 0, [1, 4], [[2, 3], [5, 4]])
+    # the same id in two rows is no duplicate: each row is its own candidate set
+    assert [r.rank for r in rank_candidates(lambda ids: np.zeros(ids.shape), 0, [1, 4], [[2, 3], [2, 3]])] == [1, 3]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, 6),
+    n=st.integers(0, 8),
+    data=st.data(),
+)
+def test_a_table_ranks_as_k_single_calls(k, n, data):
+    rows = [data.draw(st.lists(st.integers(0, 40), min_size=1 + n, max_size=1 + n, unique=True)) for _ in range(k)]
+    # four score levels: many ties, which the id tie-break decides
+    scores = np.array([data.draw(st.lists(st.integers(0, 3), min_size=1 + n, max_size=1 + n)) for _ in range(k)]) / 4
+    candidates = np.array(rows, dtype=np.int64).reshape(k, 1 + n)
+    positives, negatives = candidates[:, 0].tolist(), candidates[:, 1:]
+    asked = []
+
+    def table_scores(ids):
+        asked.append(ids)
+        return scores.reshape(k, 1 + n)
+
+    batched = rank_candidates(table_scores, 9, positives, negatives)
+    single = [rank_candidates(lambda ids, i=i: scores[i], 9, p, negs) for i, (p, negs) in enumerate(zip(positives, negatives))]
+    assert batched == single
+    assert len(asked) == 1
+    np.testing.assert_array_equal(asked[0], candidates)
+
+
 # ---------------------------------------------------------------------------
 # spot values
 
