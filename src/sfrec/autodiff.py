@@ -58,7 +58,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
-    "checkpoint_array",
     "load_params",
 ]
 
@@ -88,9 +87,9 @@ class Tensor:
     so a cache of values computed from it can tell when it went stale.
     """
 
-    __slots__ = ("data", "grad", "track", "name", "decay", "sparse_decay", "version", "_backward")
+    __slots__ = ("data", "grad", "track", "name", "decay", "version", "_backward")
 
-    def __init__(self, data, *, param=False, name=None, decay=False, sparse_decay=False, dtype=None):
+    def __init__(self, data, *, param=False, name=None, decay=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -105,7 +104,6 @@ class Tensor:
         self.track = param
         self.name = name
         self.decay = decay
-        self.sparse_decay = sparse_decay
         self.version = 0
         self._backward = None
 
@@ -173,8 +171,8 @@ def constant(data, dtype=None):
     return Tensor(data, dtype=dtype)
 
 
-def parameter(data, name, *, decay=False, sparse_decay=False, dtype=None):
-    return Tensor(data, param=True, name=name, decay=decay, sparse_decay=sparse_decay, dtype=dtype)
+def parameter(data, name, *, decay=False, dtype=None):
+    return Tensor(data, param=True, name=name, decay=decay, dtype=dtype)
 
 
 def _wrap(data):
@@ -183,7 +181,7 @@ def _wrap(data):
     out = object.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.track = out.decay = out.sparse_decay = False
+    out.track = out.decay = False
     out.name = None
     out._backward = None
     return out
@@ -399,19 +397,21 @@ class DetachedParameterError(RuntimeError):
 class Adam:
     """Adam with the L2 term folded into the gradient before the moment update.
 
-    Decay covers parameters flagged ``decay=True``; embedding-style parameters
-    flagged ``sparse_decay=True`` are decayed only on rows touched by the
-    current gradient.  Biases are created without either flag.
+    One decay rule: an entry of a ``decay=True`` parameter takes the L2 term
+    in a step only where its own (scaled) gradient is nonzero.  An entry the
+    data does not train (an embedding row no example read, the recurrence of a
+    GRU fed zeros, a dead ReLU unit's weights) keeps its value; Adam normalises
+    an L2 term standing alone, which would step it toward zero by about ``lr``
+    every step.  Biases are created without the flag.
 
     The optimizer owns one contiguous buffer for its parameters (all of one
-    dtype), laid out as the ``decay`` parameters, then the ``sparse_decay``
-    ones, then the rest.  Construction copies each parameter into its slot and
-    rebinds its ``data`` to a view of that slot.  A step gathers the gradients
-    into one reused flat buffer and updates it with whole-vector ufuncs that
-    repeat a per-parameter update's element-wise operations, so every bit
-    matches one.  Load new values in place (``p.data[...] = values``): a
-    parameter whose ``data`` was rebound raises :class:`DetachedParameterError`
-    at the next step.
+    dtype), laid out as the ``decay`` parameters, then the rest.  Construction
+    copies each parameter into its slot and rebinds its ``data`` to a view of
+    that slot.  A step gathers the gradients into one reused flat buffer and
+    updates it with whole-vector ufuncs that repeat a per-parameter update's
+    element-wise operations, so every bit matches one.  Load new values in
+    place (``p.data[...] = values``): a parameter whose ``data`` was rebound
+    raises :class:`DetachedParameterError` at the next step.
     """
 
     def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8, l2_weight=1e-4):
@@ -430,29 +430,23 @@ class Adam:
         self.l2_weight = l2_weight
         self.step_count = 0
 
-        def kind(p):  # 0: dense decay, 1: row decay, 2: none; row decay wins when both are set
-            return 1 if p.sparse_decay else 0 if p.decay else 2
-
         total = sum(p.data.size for p in self.params)
         self._flat = np.empty(total, dtype=dtype)
         self._grad = np.empty(total, dtype=dtype)
         self._m = np.zeros(total, dtype=dtype)
         self._v = np.zeros(total, dtype=dtype)
         self._tmp = np.empty(total, dtype=dtype)
-        self._n_decay = sum(p.data.size for p in self.params if kind(p) == 0)
-        self._sparse = []  # (gradient, data, scratch) (rows, dim) views of each row-decayed slot
+        self._n_decay = sum(p.data.size for p in self.params if p.decay)
         self._views = [None] * len(self.params)
         self._grads = [None] * len(self.params)
         lo = 0
-        for i in sorted(range(len(self.params)), key=lambda i: kind(self.params[i])):
+        for i in sorted(range(len(self.params)), key=lambda i: not self.params[i].decay):
             p = self.params[i]
             hi = lo + p.data.size
             view = self._flat[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = self._views[i] = view
             self._grads[i] = self._grad[lo:hi].reshape(view.shape)
-            if kind(p) == 1:
-                self._sparse.append((self._grads[i], view, self._tmp[lo:hi].reshape(view.shape)))
             lo = hi
 
     def zero_grad(self):
@@ -488,11 +482,8 @@ class Adam:
         tmp = self._tmp
         if self.l2_weight:
             d = self._n_decay
-            g[:d] += np.multiply(flat[:d], self.l2_weight, out=tmp[:d])
-            for rows, data, decay in self._sparse:
-                np.multiply(data, self.l2_weight, out=decay)
-                decay *= np.any(rows != 0.0, axis=1, keepdims=True)
-                rows += decay
+            np.multiply(flat[:d], self.l2_weight, out=tmp[:d])
+            np.add(g[:d], tmp[:d], out=g[:d], where=g[:d] != 0)
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - self.beta2
         v *= self.beta2
@@ -732,14 +723,6 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint: {err}") from None
 
 
-def checkpoint_array(arrays, name):
-    """``arrays[name]``; a checkpoint without that tensor raises :class:`CheckpointError`."""
-    try:
-        return arrays[name]
-    except KeyError:
-        raise CheckpointError(f"checkpoint has no tensor {name!r}") from None
-
-
 def load_params(params, arrays):
     """Copy each same-named checkpoint array into its parameter's data, in place.
 
@@ -747,7 +730,9 @@ def load_params(params, arrays):
     from the parameter's raises :class:`ShapeError`, both naming the tensor.
     """
     for p in params:
-        src = np.asarray(checkpoint_array(arrays, p.name))
+        if p.name not in arrays:
+            raise CheckpointError(f"checkpoint has no tensor {p.name!r}")
+        src = np.asarray(arrays[p.name])
         if src.shape != p.data.shape:
             raise ShapeError(f"{p.name}: cannot load {src.shape} into {p.data.shape}")
         p.data[...] = src

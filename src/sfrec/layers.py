@@ -68,14 +68,14 @@ def checked_ids(ids, vocab_size):
 class EmbeddingTable:
     """Trainable (vocab, dim) lookup table.
 
-    Rows start at seeded uniform(-0.05, 0.05).  L2 decay applies only to rows
-    with a gradient in the current step, so untouched users' items never
-    drift.
+    Rows start at seeded uniform(-0.05, 0.05).  The table is decayed by
+    Adam's one rule, which decays only entries with a gradient in the current
+    step, so the rows of items no example read never drift.
     """
 
     def __init__(self, vocab_size, dim, rng, name="emb", dtype=np.float64):
         data = rng.uniform(-0.05, 0.05, size=(vocab_size, dim)).astype(dtype)
-        self.table = ad.parameter(data, name, sparse_decay=True)
+        self.table = ad.parameter(data, name, decay=True)
         self.vocab_size = vocab_size
         self.dim = dim
 

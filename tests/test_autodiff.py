@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfrec import autodiff as ad
-from sfrec.layers import GruCell
+from sfrec.layers import GruCell, Mlp
 
 
 def central_diff(loss_fn, arr, h=1e-5):
@@ -438,12 +438,17 @@ def test_adam_matches_reference_over_steps():
 
 
 def test_adam_l2_lives_in_gradient_not_as_decoupled_decay():
-    # With zero raw gradient the L2 term drives Adam's moments, so the first
-    # step is ~lr * sign(theta).  Decoupled decay would move by lr*l2*theta.
+    # With zero raw gradient a decayed entry takes no L2 term and keeps its
+    # value; decoupled decay would still move it by lr*l2*theta.
     p = ad.parameter([[1.0]], "w", decay=True)
     opt = ad.Adam([p], lr=0.1, l2_weight=1e-4)
     opt.step()
-    assert p.item() == pytest.approx(1.0 - 0.1 * (1e-4 / (1e-4 + 1e-8)), rel=1e-9)
+    assert p.item() == 1.0
+    # A raw gradient of -l2*theta cancels the L2 term inside the gradient, so
+    # the step is zero; decoupled decay would step by about lr.
+    p.accumulate(np.array([[-1e-4]]))
+    opt.step()
+    assert p.item() == 1.0
 
 
 def test_adam_skips_decay_on_unflagged_params():
@@ -453,14 +458,48 @@ def test_adam_skips_decay_on_unflagged_params():
     assert p.item() == 1.0
 
 
-def test_adam_sparse_decay_touches_only_rows_with_gradient():
-    table = ad.parameter(np.ones((4, 2)), "emb", sparse_decay=True)
+def test_adam_decay_touches_only_table_rows_with_gradient():
+    table = ad.parameter(np.ones((4, 2)), "emb", decay=True)
     opt = ad.Adam([table], lr=0.1, l2_weight=1e-2)
     with ad.tape() as t:
         t.backward(ad.sum_all(ad.gather_rows(table, [1])))
     opt.step()
     moved = np.any(table.data != 1.0, axis=1)
     np.testing.assert_array_equal(moved, [False, True, False, False])
+
+
+def test_an_entry_that_never_has_a_gradient_keeps_its_value_bit_for_bit():
+    # the moments of the trained rows never reach the idle one, however many steps
+    r = rng(8)
+    w = ad.parameter(r.normal(size=(3, 4)), "w", decay=True, dtype=np.float32)
+    start = w.data.copy()
+    x = ad.constant(r.normal(size=(5, 2)).astype(np.float32))
+    opt = ad.Adam([w], lr=5e-3, l2_weight=1e-2)
+    for _ in range(300):
+        with ad.tape() as t:
+            trained = ad.gather_rows(w, [0, 1])  # row 2 never reaches the loss
+            t.backward(ad.sum_all(ad.sigmoid(ad.matmul(x, trained))))
+        opt.step(scale=0.5)
+        opt.zero_grad()
+    np.testing.assert_array_equal(w.data[2], start[2])
+    assert np.all(w.data[:2] != start[:2])
+
+
+def test_a_dead_relu_units_weights_keep_their_values():
+    mlp = Mlp([4, 3, 1], rng(9), name="mlp")
+    mlp.biases[0].data[0, 1] = -100.0  # unit 1 never fires on inputs in [-1, 1]
+    w0_start, w1_start = mlp.weights[0].data.copy(), mlp.weights[1].data.copy()
+    x = ad.constant(rng(10).uniform(-1.0, 1.0, size=(8, 4)))
+    opt = ad.Adam(mlp.params(), lr=5e-3, l2_weight=1e-2)
+    for _ in range(200):
+        with ad.tape() as t:
+            t.backward(ad.sum_all(ad.sigmoid(mlp.apply(x))))
+        opt.step()
+        opt.zero_grad()
+    w0, w1 = mlp.weights[0].data, mlp.weights[1].data
+    np.testing.assert_array_equal(w0[:, 1], w0_start[:, 1])  # incoming
+    np.testing.assert_array_equal(w1[1], w1_start[1])  # outgoing: the unit's activation is 0
+    assert np.all(w0[:, [0, 2]] != w0_start[:, [0, 2]])
 
 
 def test_adam_zero_lr_is_identity():
@@ -523,12 +562,8 @@ class LoopAdam:
         for p in self.params:
             g = p.grad
             g = np.zeros_like(p.data) if g is None else scale * g
-            if self.l2_weight:
-                if p.sparse_decay:
-                    touched = np.any(g != 0.0, axis=1, keepdims=True)
-                    g = g + self.l2_weight * p.data * touched
-                elif p.decay:
-                    g = g + self.l2_weight * p.data
+            if self.l2_weight and p.decay:
+                g = g + self.l2_weight * p.data * (g != 0.0)
             m = self._m[p.name]
             v = self._v[p.name]
             m *= self.beta1
@@ -539,10 +574,10 @@ class LoopAdam:
 
 
 def adam_case(dtype):
-    """A row-decayed table, decayed weights, an undecayed bias, a weight with no gradient."""
+    """A decayed table read by rows, decayed weights, an undecayed bias, a weight with no gradient."""
     r = rng(3)
     return [
-        ad.parameter(r.normal(size=(6, 3)), "emb", sparse_decay=True, dtype=dtype),
+        ad.parameter(r.normal(size=(6, 3)), "emb", decay=True, dtype=dtype),
         ad.parameter(r.normal(size=(3, 4)), "w", decay=True, dtype=dtype),
         ad.parameter(r.normal(size=(1, 4)), "b", dtype=dtype),
         ad.parameter(r.normal(size=(4, 2)), "w_idle", decay=True, dtype=dtype),
@@ -567,6 +602,9 @@ def test_fused_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
             g = r.normal(size=fp.shape).astype(dtype)
             if fp.name == "emb":
                 g[[i for i in range(6) if i not in touched_rows]] = 0.0
+                g[:, 2] = 0.0  # entries of read rows that never get a gradient
+            if fp.name == "w":
+                g[0, 0] = 0.0  # an entry of a trained weight that never gets a gradient
             fp.accumulate(g)
             lp.accumulate(g)
         scale = 1.0 / (step + 2)
@@ -577,8 +615,11 @@ def test_fused_adam_matches_the_per_parameter_loop_bit_for_bit(dtype):
             np.testing.assert_array_equal(fp.data, lp.data, err_msg=f"{fp.name} after step {step + 1}")
     emb = fused_params[0].data
     np.testing.assert_array_equal(emb[4:], start["emb"][4:])
-    assert not np.array_equal(emb[:4], start["emb"][:4])
-    assert not np.array_equal(fused_params[3].data, start["w_idle"])  # decay alone still moves it
+    assert np.all(emb[:4, :2] != start["emb"][:4, :2])
+    np.testing.assert_array_equal(emb[:, 2], start["emb"][:, 2])
+    np.testing.assert_array_equal(fused_params[3].data, start["w_idle"])  # decay alone does not move it
+    moved = fused_params[1].data != start["w"]
+    assert not moved[0, 0] and moved.sum() == moved.size - 1
     assert fused.step_count == loop.step_count == 6
 
 
@@ -622,8 +663,10 @@ def test_loads_keep_parameters_in_their_slots(tmp_path):
     for p, slot, q in zip(params, slots, source.params()):
         assert p.data is slot
         np.testing.assert_array_equal(p.data, q.data)
+    for p in params:
+        p.accumulate(np.ones(p.shape, dtype=np.float32))
     opt.step()
-    assert all(not np.array_equal(p.data, q.data) for p, q in zip(params, source.params()) if p.name.split("/")[1][0] != "b")
+    assert all(not np.array_equal(p.data, q.data) for p, q in zip(params, source.params()))
 
 
 def test_training_is_deterministic():

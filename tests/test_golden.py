@@ -10,6 +10,7 @@ compares with a tolerance.
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,16 @@ def test_golden_versions_match_this_environment():
                 f"golden files were generated with {key} {MANIFEST[key]!r}, this environment has {here[key]!r}; "
                 "rerun tests/golden/regenerate.py on a commit known to be right"
             )
+
+
+def test_ci_pins_the_numpy_the_golden_files_were_generated_with():
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    pins = re.findall(r"numpy==([^\s\"']+)", workflow)
+    assert pins, "tier1.yml installs no pinned numpy"
+    assert set(pins) == {MANIFEST["numpy"]}, (
+        f"tier1.yml pins numpy {sorted(set(pins))} but the golden files were generated with {MANIFEST['numpy']}; "
+        "a pin bump reruns tests/golden/regenerate.py under the new numpy"
+    )
 
 
 def test_golden_configs_are_the_regenerated_ones():

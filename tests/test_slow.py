@@ -188,6 +188,26 @@ def test_one_adam_step_decreases_single_example_loss():
         assert after < before, f"seed {seed}: {before} -> {after}"
 
 
+def test_training_on_a_zero_memory_keeps_the_idle_gru_gates_and_no_weight_collapses():
+    # Before any upload the negative memory is all zeros, so no gradient reaches
+    # gru_n's recurrences or its reset gate's input weights: decay alone must not
+    # erase them, nor any dead unit's weights elsewhere.
+    m = SlowModel(12, 4, rng(11), interactive=True, dtype=np.float32)
+    start = {p.name: p.data.copy() for p in m.params()}
+    opt = ad.Adam(m.params(), lr=5e-3, l2_weight=1e-4)
+    r, memory = rng(12), np.zeros((1, 4), dtype=np.float32)
+    for _ in range(800):
+        with ad.tape() as t:
+            t.backward(m.loss(r.integers(0, 12, size=5), r.integers(0, 12, size=4), [1, 0, 0, 0], memory))
+        opt.step()
+        opt.zero_grad()
+    for gate in (m.gru_n.u_z, m.gru_n.u_r, m.gru_n.u_h, m.gru_n.w_r):
+        np.testing.assert_array_equal(gate.data, start[gate.name], err_msg=gate.name)
+    for p in m.params():
+        collapsed = (np.abs(p.data) < 1e-20) & (np.abs(start[p.name]) >= 1e-20)
+        assert not collapsed.any(), f"{p.name}: {np.count_nonzero(collapsed)} entries fell below 1e-20"
+
+
 # ---------------------------------------------------------------------------
 # interest export
 
