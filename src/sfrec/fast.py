@@ -6,14 +6,14 @@ interactive wiring additionally receives the cloud's interest snapshot and
 turns it into initial states for both GRUs.  Exchange values are their
 ``exchange.SCHEMAS`` payload dicts: the prior ``{"r_n", "r_t"}``, the memory ``{"r2_hat"}``.
 
-The device never trains embeddings: it holds copies of the cloud table rows,
-and every read (``lookup_np``) first syncs the rows it reads from ``fetch``,
-the model's one source of cloud rows, so a row read always equals the
-cloud's at that read.  Each operation reads once: ``forward`` its windows and
-candidates together, a session's ``advance`` its two whole windows,
-``encode_contexts`` every window it encodes, ``score_states`` (so a
-session's ``score``) its candidates, ``ExposureMemory.export`` the items it
-encodes.
+The device never trains embeddings and holds none: every read
+(``lookup_np``) fetches the rows it reads from ``fetch``, the model's one
+source of cloud rows, and returns them as a fresh array, so a row read
+always equals the cloud's at that read and a caller may keep it.  Each
+operation reads once: ``forward`` its windows and candidates together, a
+session's ``advance`` its two whole windows, ``encode_contexts`` every
+window it encodes, ``score_states`` (so a session's ``score``) its
+candidates, ``ExposureMemory.export`` the items it encodes.
 
 Both wirings run through one graph ``forward``, which takes the prior (the
 plain wiring ignores it) and returns the (n, 1) click probabilities: an
@@ -65,7 +65,8 @@ __all__ = [
 
 class FastModel:
     """The device model.  ``fetch`` maps an array of checked item ids to the
-    cloud's current (len(ids), dim) rows of them; every read syncs through it."""
+    cloud's current (len(ids), dim) rows of them; every read fetches through
+    it, and the model keeps no row."""
 
     def __init__(self, n_items, dim, rng, interactive, fetch, dtype=np.float64, head_hidden=(64, 32)):
         name = "fast/all"  # every parameter name's prefix
@@ -73,7 +74,7 @@ class FastModel:
         self.interactive = interactive
         self.n_items = n_items
         self.fetch = fetch
-        self._emb = np.zeros((n_items, dim), dtype=dtype)
+        self.dtype = dtype
         self.gru_click = ly.GruCell(dim, dim, rng, name=f"{name}/gru_p", dtype=dtype)
         self.gru_expose = ly.GruCell(dim, dim, rng, name=f"{name}/gru_n", dtype=dtype)
         self.fusion = ly.Mlp([2 * dim, 16, 1], rng, name=f"{name}/fuse", dtype=dtype)
@@ -100,28 +101,25 @@ class FastModel:
     @property
     def version(self):
         """Goes up whenever a parameter is written: an optimizer step, a gate
-        or checkpoint load.  A sync writes rows and leaves it alone: a session
+        or checkpoint load.  A read fetches rows and leaves it alone: a session
         compares the rows it reads instead."""
         return sum([p.version for p in self._versioned])
 
-    # -- embedding mirror ------------------------------------------------------
+    # -- cloud rows --------------------------------------------------------------
 
     def sync_rows(self, ids, rows):
-        """Copy cloud ``rows`` (one (len(ids), dim) row per id) into the device,
-        as every read does first; an id outside the vocabulary is an
-        OutOfVocabularyError, rows of another shape a ShapeError."""
-        idx = ly.checked_ids(ids, self.n_items)
-        rows = np.asarray(rows, dtype=self._emb.dtype)
-        if rows.shape != (idx.size, self.dim):
-            raise ad.ShapeError(f"sync of {idx.size} ids wants ({idx.size}, {self.dim}) rows, got {rows.shape}")
-        self._emb[idx, :] = rows
+        """A fresh array of the fetched cloud ``rows`` of ``ids``, one (len(ids), dim)
+        row per id, which a caller may keep; rows of another shape are a ShapeError."""
+        rows = np.array(rows, dtype=self.dtype)  # a copy: never a view of the table or of fetch's buffer
+        if rows.shape != (len(ids), self.dim):
+            raise ad.ShapeError(f"sync of {len(ids)} ids wants ({len(ids)}, {self.dim}) rows, got {rows.shape}")
+        return rows
 
     def lookup_np(self, ids):
-        """A fresh array of the rows of ``ids``, synced from ``fetch`` first; an
-        id outside the vocabulary is an OutOfVocabularyError before anything is fetched."""
+        """A fresh array of the cloud's current rows of ``ids``, fetched through ``fetch``;
+        an id outside the vocabulary is an OutOfVocabularyError before anything is fetched."""
         idx = ly.checked_ids(ids, self.n_items)
-        self.sync_rows(idx, self.fetch(idx))
-        return self._emb[idx, :]
+        return self.sync_rows(idx, self.fetch(idx))
 
     # -- forward graphs ----------------------------------------------------------
 
@@ -148,7 +146,7 @@ class FastModel:
         ``INTEREST_DOWN`` payload ``prior``, and the (1, d) ``r_t`` the head reads; a missing
         prior or a missing or misshapen row is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
         if not self.interactive:
-            zero = ad.constant(np.zeros((1, self.dim), dtype=self._emb.dtype))
+            zero = ad.constant(np.zeros((1, self.dim), dtype=self.dtype))
             return zero, zero, None
         r_n, r_t = self._prior_rows(prior)
         return (*self._init_states(r_n, r_t), r_t)
@@ -157,8 +155,7 @@ class FastModel:
         """The checked (1, d) ``r_n`` and ``r_t`` rows of the interactive wiring's ``prior``."""
         if prior is None:
             raise ad.ShapeError("the interactive device model needs a prior (r_n, r_t), got None")
-        dtype = self._emb.dtype
-        r_n, r_t = np.asarray(prior.get("r_n"), dtype=dtype), np.asarray(prior.get("r_t"), dtype=dtype)
+        r_n, r_t = (np.asarray(prior.get(key), dtype=self.dtype) for key in ("r_n", "r_t"))
         if r_n.shape != (1, self.dim) or r_t.shape != (1, self.dim):
             raise ad.ShapeError(f"prior vectors must be (1,{self.dim}), got {r_n.shape} and {r_t.shape}")
         return r_n, r_t
@@ -244,7 +241,7 @@ class FastModel:
             init_click, init_expose = (state.data for state in self._init_states(r_n, r_t))
             r_ts = list(r_t[:, None])
         else:
-            init_click = init_expose = np.zeros((len(contexts), self.dim), dtype=self._emb.dtype)
+            init_click = init_expose = np.zeros((len(contexts), self.dim), dtype=self.dtype)
             r_ts = [None] * len(contexts)
         owners = np.repeat(np.arange(len(contexts)), [len(clicks) for clicks, _, _ in contexts])
         expose_windows = [exposed for _, exposed, _ in contexts]

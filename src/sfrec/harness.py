@@ -34,12 +34,12 @@ simulation.  Evaluation makes no session: ``FastModel.encode_contexts``
 reads every window once, derives each user's init states once and folds
 each GRU over all windows of one length in one ``encode_np`` call, and
 ``FastModel.score_states``, the tail a session's ``score`` runs too, rates
-a user's stacked candidates.  The device model fetches what it reads: its
-``fetch`` reads the cloud table at call time, and each of its reads syncs
-the rows it reads first (a serving event reads both windows, then its
+a user's stacked candidates.  The device model holds no rows: its
+``fetch`` reads the cloud table at call time, and each of its reads returns
+the rows it fetches (a serving event reads both windows, then its
 candidates; evaluation all its windows, then each user's candidates; a
 training segment its windows and candidates; an upload the shown items it
-encodes), so the harness itself syncs no row.
+encodes), so the harness itself sends the device no row.
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
@@ -491,8 +491,8 @@ class _SeedRun:
         projection of all priors, one ``encode_np`` call per GRU and window
         length), then scores each user's rankings in one scoring-tail call
         over their ``(test items, 1 + n_eval_neg)`` candidate table.  The
-        device's reads sync every row they read from the cloud table, so a
-        replay rebuilds the device rows from the checkpoint's ``slow/emb``.
+        device's reads fetch every row they read from the cloud table, so a
+        replay reads the device's rows from the checkpoint's ``slow/emb``.
         A batched product rounds differently from a one-row one, so device
         scores match ``score_candidates`` on each ranking's windows to the
         last bits, and a replay, which batches the same users alike, matches

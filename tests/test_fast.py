@@ -69,7 +69,7 @@ def prior_of(m, seed):
 
 
 # ---------------------------------------------------------------------------
-# embedding mirror discipline
+# reading the cloud's rows
 
 
 def test_synced_rows_mirror_cloud_table_bit_exactly():
@@ -79,13 +79,16 @@ def test_synced_rows_mirror_cloud_table_bit_exactly():
     np.testing.assert_array_equal(device.lookup_np(ids), cloud.embedding.lookup_np(ids))
 
 
-@pytest.mark.parametrize("bad", [-1, 12])
-def test_sync_rejects_an_id_outside_the_vocabulary(bad):
-    m = make_model(3)  # vocabulary of 12, every row synced
-    before = m.lookup_np(np.arange(12))
-    with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
-        m.sync_rows([bad], np.ones((1, 4)))
-    np.testing.assert_array_equal(m.lookup_np(np.arange(12)), before)
+def test_a_read_checks_its_ids_once(monkeypatch):
+    m, calls = make_model(3), []
+
+    def spied(ids, vocab_size, check=ly.checked_ids):
+        calls.append(vocab_size)
+        return check(ids, vocab_size)
+
+    monkeypatch.setattr(ly, "checked_ids", spied)
+    m.lookup_np([1, 4, 4, 9])
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 4), (2, 4, 1), (8,)])
@@ -475,7 +478,7 @@ def test_session_encodes_in_full_after_a_gate_load(cell):
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == FULL
 
 
-# the cloud rows changed below are synced by the next advance's read of its windows
+# the cloud rows changed below are fetched by the next advance's read of its windows
 
 
 def test_a_sync_that_changes_an_exposure_row_reencodes_only_gru_expose():
@@ -503,7 +506,7 @@ def test_a_sync_that_changes_a_row_outside_the_windows_keeps_the_session():
 
 def test_a_sync_that_changes_nothing_keeps_the_session():
     m, prior, session, counts = counted_session()
-    m.lookup_np(np.arange(12))  # a read that syncs every row and changes none
+    m.lookup_np(np.arange(12))  # a read of every row, which changes none
     assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}
 
 
@@ -512,9 +515,26 @@ def test_a_row_changed_and_restored_between_two_advances_keeps_the_session():
     m, prior, session, counts = counted_session(table=table)
     held = table[EXPOSED[0]].copy()
     table[EXPOSED[0]] += 0.01
-    m.lookup_np([EXPOSED[0]])  # a read between the advances syncs the changed row
+    m.lookup_np([EXPOSED[0]])  # a read between the advances fetches the changed row
     table[EXPOSED[0]] = held
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {}
+
+
+def test_a_session_keeps_no_view_of_a_buffer_that_fetch_reuses():
+    # fetch hands out a view of one buffer it overwrites on every call: a read
+    # must copy, or the rows a session keeps change under it with the next read
+    table, buffer = cloud_rows(40), np.empty((12, 4))
+
+    def fetch(idx):
+        buffer[: len(idx)] = table[idx]
+        return buffer[: len(idx)]
+
+    m = FastModel(12, 4, rng(40), interactive=False, fetch=fetch)
+    session = session_at(m, CLICKS, EXPOSED)
+    session.score(CANDS)
+    table[CLICKS[-1]] += 0.01  # a kept click row changes in the cloud
+    session.advance(CLICKS, EXPOSED)
+    assert np.array_equal(session.score(CANDS), m.score_candidates(CLICKS, EXPOSED, CANDS))
 
 
 def test_session_encodes_in_full_for_a_new_prior():
@@ -584,7 +604,7 @@ def test_a_carried_session_scores_as_score_candidates_after_any_advances(dtype, 
 
 @pytest.mark.parametrize("bad", [-1, 12])
 def test_scoring_rejects_out_of_vocabulary_ids(bad):
-    m = make_model(27)  # vocabulary of 12, every row synced
+    m = make_model(27)  # vocabulary of 12
     with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
         m.score_candidates([1, 2], [3], [4, bad])
     with pytest.raises(ly.OutOfVocabularyError, match=str(bad)):
