@@ -76,10 +76,13 @@ prior = interest  # the device's prior is the downloaded payload itself
 out = fast.forward(clicked=[4, 9], exposed=[13, 30], candidates=[7, 12], prior=prior)
 print(f"p(click)={out.data.ravel().round(4)} from one read of 6 rows, synced as it read them;"
       " both GRUs ran once for the two candidates")
-# a training segment: two contexts in one graph, the first seeing one click
-# and one exposure, the second both; each GRU still runs once
-seg = fast.forward([4, 9], [13, 30], [7, 12], prior=prior, prefixes=[(1, 1), (2, 2)])
-print(f"as a segment of two contexts: p(click)={seg.data.ravel().round(4)};"
+# a training segment: three contexts of two users in one graph, one row per
+# user; the first context sees one click and one exposure of the first user's
+# windows, the second both, the third the second user's; each GRU still runs
+# once, over both users' windows as one stack
+seg = fast.forward([[4, 9], [3]], [[13, 30], [8]], [7, 12, 20], prior=[prior, prior],
+                   prefixes=[(0, 1, 1), (0, 2, 2), (1, 1, 1)])
+print(f"as a segment of three contexts over two users: p(click)={seg.data.ravel().round(4)};"
       f" the first candidate read the states after 1 click and 1 exposure")
 
 section("checkpoint round trip")

@@ -141,9 +141,12 @@ def _gradcheck_graphs(dim, seed):
     n_items = 12
     rng = np.random.default_rng(seed)
     clicked, exposed = [1, 5, 3], [2, 7]
-    segment = [(1, 0), (1, 0), (2, 1), (2, 1), (3, 2), (3, 2)]
+    # two users' rows: the first's windows above, the second's shorter ones
+    rows = ([clicked, [8, 0]], [exposed, [10]])
+    segment = [(0, 1, 0), (0, 1, 0), (0, 2, 1), (1, 1, 1), (0, 3, 2), (1, 2, 0)]
     memory = rng.normal(scale=0.1, size=(1, dim))
-    prior = {"r_n": rng.normal(scale=0.1, size=(1, dim)), "r_t": rng.normal(scale=0.1, size=(1, dim))}
+    priors = [{"r_n": rng.normal(scale=0.1, size=(1, dim)), "r_t": rng.normal(scale=0.1, size=(1, dim))} for _ in range(2)]
+    prior = priors[0]
 
     graphs = []
     for interactive in (False, True):
@@ -151,14 +154,15 @@ def _gradcheck_graphs(dim, seed):
         slow = SlowModel(n_items, dim, np.random.default_rng(seed), interactive=interactive, head_hidden=(8, 4))
         fn = lambda m=slow: m.loss([1, 5, 3, 2], [4, 7], [1, 0], neg_memory=memory)
         graphs.append((f"slow-{wiring}", fn, slow.params()))
-    rows = np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim))
+    table = np.random.default_rng(seed + 2).normal(scale=0.1, size=(n_items, dim))
     for interactive in (False, True):
         wiring = "interactive" if interactive else "plain"
-        fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive, lambda i: rows[i], head_hidden=(8, 4))
+        fast = FastModel(n_items, dim, np.random.default_rng(seed + 1), interactive, lambda i: table[i], head_hidden=(8, 4))
         fn = lambda m=fast: m.loss(clicked, exposed, [4, 9], [1, 0], prior=prior)
         graphs.append((f"fast-{wiring}", fn, fast.params()))
-        # a three-context segment: repeated prefix lengths, and no exposures yet in the first context
-        fn = lambda m=fast: m.loss(clicked, exposed, [4, 9, 6, 10, 8, 11], [1, 0] * 3, prior=prior, prefixes=segment)
+        # a segment of five contexts over two users' stacked windows: repeated prefix
+        # lengths, and no exposures yet in some contexts
+        fn = lambda m=fast: m.loss(*rows, [4, 9, 6, 11, 2, 6], [1, 0, 1, 0, 1, 1], prior=priors, prefixes=segment)
         graphs.append((f"fast-segment-{wiring}", fn, fast.params()))
     return graphs
 

@@ -229,8 +229,9 @@ class NegativeSampler:
         """All item ids the user never clicked, ascending."""
         cached = self._complements.get(user)
         if cached is None:
-            clicked = np.fromiter(self.split.users[user].all_items(), dtype=np.int64)
-            cached = np.setdiff1d(np.arange(self.n_items, dtype=np.int64), clicked)
+            unseen = np.ones(self.n_items, dtype=bool)
+            unseen[np.fromiter(self.split.users[user].all_items(), dtype=np.int64)] = False
+            cached = np.flatnonzero(unseen).astype(np.int64, copy=False)
             if cached.size == 0:
                 raise ValueError(f"user {user} has clicked every item; cannot sample negatives")
             self._complements[user] = cached

@@ -17,12 +17,15 @@ candidates, ``ExposureMemory.export`` the items it encodes.
 
 Both wirings run through one graph ``forward``, which takes the prior (the
 plain wiring ignores it) and returns the (n, 1) click probabilities: an
-encoder, the init states then both GRUs, feeds the scoring tail.  It takes a
-candidate list and, optionally, a ``(clicks, exposures)`` prefix length per
-candidate: training runs a segment (one user's consecutive contexts, whose
-windows only grow) through one graph, each GRU running once over the longest
-windows as one tape node and every candidate reading the states at its own
-context's prefixes.  ``score_candidates`` is ``forward`` with no tape open.
+encoder, the init states then both GRUs, feeds the scoring tail.  It takes
+one context's windows and prior, or a segment's: one entry per row (a user
+whose consecutive contexts' windows only grow) and a ``(row, clicks,
+exposures)`` read per candidate.  ``loss(clicked, exposed, candidates,
+labels, prior, prefixes)`` runs a training segment of one user or several
+through one graph: each GRU folds the rows' longest windows once, as one
+tape node over a zero-padded ``(T, n, d)`` stack, every candidate reads the
+states at its own row's prefixes, and the head reads its row's ``r_t``.
+``score_candidates`` is ``forward`` with no tape open.
 
 Serving and evaluation run the two parts of ``forward`` apart: an encode
 (the prior-derived init states, then both GRUs, running the training node's
@@ -123,32 +126,43 @@ class FastModel:
 
     # -- forward graphs ----------------------------------------------------------
 
-    def _interest_rows(self, click_rows, expose_rows, n, init_click, init_expose, prefixes):
+    def _interest_rows(self, clicked, exposed, click_rows, expose_rows, init_click, init_expose, reads):
         """(n, d) click and exposure states, one row per candidate, from the windows' rows.
 
-        Each GRU runs once over its window; a candidate reads the states at
-        its ``(clicks, exposures)`` prefix lengths (None: the whole windows).
+        Each GRU runs once, as one tape node, over its windows as one padded
+        stack (``click_rows`` and ``expose_rows`` hold them back to back); a
+        candidate reads its row's states at its ``reads`` triple's ``(row,
+        clicks, exposures)`` prefix lengths.
         """
-        if prefixes is None:
-            prefixes = [(len(click_rows), len(expose_rows))] * n
-        if np.shape(prefixes) != (n, 2):
-            raise ad.ShapeError(f"fast prefixes want one (clicks, exposures) pair per candidate, ({n}, 2)")
-        click_lengths = [int(c) for c, _ in prefixes]
-        expose_lengths = [int(e) for _, e in prefixes]
-        if min(click_lengths) < 1:
+        if reads.ndim != 2 or reads.shape[1] != 3 or not len(reads):
+            raise ad.ShapeError(f"fast prefixes want one (row, clicks, exposures) triple per candidate, got {reads.shape}")
+        owners, clicks, exposures = reads.T
+        click_lengths, expose_lengths = (np.array([len(w) for w in windows], dtype=np.intp) for windows in (clicked, exposed))
+        if owners.min() < 0 or owners.max() >= len(clicked):
+            raise ad.ShapeError(f"fast prefixes name rows outside the segment's {len(clicked)}")
+        if clicks.min() < 1:
             raise ad.ShapeError("fast click sequences must be non-empty")
-        r_click = ly.gru_encode(self.gru_click, ad.constant(click_rows), init_click, click_lengths)
-        r_expose = ly.gru_encode(self.gru_expose, ad.constant(expose_rows), init_expose, expose_lengths)
+        if np.any(clicks > click_lengths[owners]) or exposures.min() < 0 or np.any(exposures > expose_lengths[owners]):
+            raise ad.ShapeError("fast prefixes must lie within their row's click and exposure windows")
+        r_click = ly.gru_encode(
+            self.gru_click, ad.constant(_stack(click_rows, click_lengths)), init_click, np.stack([owners, clicks], 1)
+        )
+        r_expose = ly.gru_encode(
+            self.gru_expose, ad.constant(_stack(expose_rows, expose_lengths)), init_expose, np.stack([owners, exposures], 1)
+        )
         return r_click, r_expose
 
-    def _prior_states(self, prior):
-        """Both GRUs' (1, d) init states, projected from the blended pair of the
-        ``INTEREST_DOWN`` payload ``prior``, and the (1, d) ``r_t`` the head reads; a missing
-        prior or a missing or misshapen row is a ShapeError.  Plain wiring: zero states, no ``r_t``."""
+    def _prior_states(self, priors, m):
+        """Both GRUs' (m, d) init states, one row per ``INTEREST_DOWN`` payload of ``priors``,
+        projected from its blended pair, and the (m, d) ``r_t`` rows the head reads; a
+        missing prior or a missing or misshapen row is a ShapeError.  Plain wiring: zero
+        states, no ``r_t``, and ``priors`` unread."""
         if not self.interactive:
-            zero = ad.constant(np.zeros((1, self.dim), dtype=self.dtype))
+            zero = ad.constant(np.zeros((m, self.dim), dtype=self.dtype))
             return zero, zero, None
-        r_n, r_t = self._prior_rows(prior)
+        if priors is None or len(priors) != m:
+            raise ad.ShapeError(f"the interactive device model needs one prior (r_n, r_t) for each of its {m} rows")
+        r_n, r_t = (np.concatenate(rows) for rows in zip(*map(self._prior_rows, priors)))
         return (*self._init_states(r_n, r_t), r_t)
 
     def _prior_rows(self, prior):
@@ -173,35 +187,49 @@ class FastModel:
 
     def _score(self, r_click, r_expose, targets, r_t):
         """The scoring tail, fusion and head: (n, 1) probabilities from (n, d) click
-        and exposure rows and targets (plus the shared (1, d) ``r_t``, interactive)."""
+        and exposure rows and targets (plus, interactive, the (n, d) ``r_t`` rows)."""
         feats = [ly.target_aware_fusion(r_click, r_expose, targets, self.fusion), targets]
         if self.interactive:
-            feats.insert(1, ad.constant(r_t.repeat(targets.shape[0], axis=0)))
+            feats.insert(1, ad.constant(r_t))
         return ly.predict_head(self.head, ad.concat(feats, axis=1))
 
     def forward(self, clicked, exposed, candidates, prior=None, prefixes=None):
         """(n, 1) click probabilities, one row per candidate.
 
-        The interactive wiring starts both GRUs from states derived from
-        ``prior``, whose (1, d) ``r_n`` and ``r_t`` all candidates share, and
-        its head also reads ``r_t``; the plain wiring ignores ``prior`` and
-        starts both GRUs from zero.
+        One context (``prefixes`` None): ``clicked`` and ``exposed`` are its
+        windows and ``prior`` its ``INTEREST_DOWN`` payload, and every
+        candidate sees both whole windows.  A segment: ``clicked``,
+        ``exposed`` and ``prior`` hold one entry per row (one user's windows
+        and prior), and ``prefixes`` holds each candidate's ``(row, clicks,
+        exposures)``, the prefix lengths of its row's windows it reads.  The
+        interactive wiring starts a row's GRUs from states derived from its
+        prior, whose ``r_t`` the row's candidates' head also reads; the plain
+        wiring ignores ``prior`` and starts both GRUs from zero.
         """
-        init_click, init_expose, r_t = self._prior_states(prior)
-        rows = self.lookup_np([*clicked, *exposed, *candidates])  # one read: both windows, then the candidates
-        nc, ne = len(clicked), len(exposed)
+        if prefixes is None:
+            clicked, exposed, prior = [clicked], [exposed], [prior]
+            prefixes = [(0, len(clicked[0]), len(exposed[0]))] * len(candidates)
+        if len(exposed) != len(clicked):
+            raise ad.ShapeError(f"a segment wants one exposure window per click window, got {len(exposed)} for {len(clicked)}")
+        init_click, init_expose, r_t = self._prior_states(prior, len(clicked))
+        clicks, exposures = ([i for window in windows for i in window] for windows in (clicked, exposed))
+        rows = self.lookup_np([*clicks, *exposures, *candidates])  # one read: every window, then the candidates
+        nc, ne = len(clicks), len(exposures)
+        reads = np.asarray(prefixes, dtype=np.intp)
         r_click, r_expose = self._interest_rows(
-            rows[:nc], rows[nc : nc + ne], len(candidates), init_click, init_expose, prefixes
+            clicked, exposed, rows[:nc], rows[nc : nc + ne], init_click, init_expose, reads
         )
-        return self._score(r_click, r_expose, ad.constant(rows[nc + ne :]), r_t)
+        return self._score(r_click, r_expose, ad.constant(rows[nc + ne :]), None if r_t is None else r_t[reads[:, 0]])
 
     def loss(self, clicked, exposed, candidates, labels, prior=None, prefixes=None):
         """Summed (1,1) cross-entropy of one segment's candidates against their 0/1 labels.
 
-        A segment is a run of contexts whose click and exposure windows are
-        prefixes of ``clicked`` and ``exposed``; ``prefixes`` holds each
-        candidate's ``(clicks, exposures)`` lengths (None: one context, every
-        candidate sees both whole windows).  The plain wiring ignores ``prior``.
+        A segment is a run of contexts, of one user or of several, that see
+        the same parameters and rows; a user's contexts' windows are prefixes
+        of its row's ``clicked`` and ``exposed`` windows.  ``prefixes`` holds
+        each candidate's ``(row, clicks, exposures)`` (None: one context,
+        every candidate sees both whole windows), as for ``forward``.  The
+        plain wiring ignores ``prior``.
         """
         return ad.binary_cross_entropy(self.forward(clicked, exposed, candidates, prior, prefixes), labels)
 
@@ -219,7 +247,7 @@ class FastModel:
         targets = self.lookup_np(candidate_ids)
         n = targets.shape[0]
         r_click, r_expose = (ad.constant(r if len(r) == n else r.repeat(n, axis=0)) for r in (r_click, r_expose))
-        return self._score(r_click, r_expose, ad.constant(targets), r_t).data[:, 0]
+        return self._score(r_click, r_expose, ad.constant(targets), None if r_t is None else r_t.repeat(n, axis=0)).data[:, 0]
 
     def encode_contexts(self, contexts):
         """Both GRUs' states for many device contexts at once, with no tape open.
@@ -236,13 +264,9 @@ class FastModel:
         click_windows = [window for clicks, _, _ in contexts for window in clicks]
         if not all(map(len, click_windows)):
             raise ad.ShapeError("fast click sequences must be non-empty")
-        if self.interactive:
-            r_n, r_t = (np.concatenate(rows) for rows in zip(*[self._prior_rows(prior) for _, _, prior in contexts]))
-            init_click, init_expose = (state.data for state in self._init_states(r_n, r_t))
-            r_ts = list(r_t[:, None])
-        else:
-            init_click = init_expose = np.zeros((len(contexts), self.dim), dtype=self.dtype)
-            r_ts = [None] * len(contexts)
+        init_click, init_expose, r_t = self._prior_states([prior for _, _, prior in contexts], len(contexts))
+        init_click, init_expose = init_click.data, init_expose.data
+        r_ts = [None] * len(contexts) if r_t is None else list(r_t[:, None])
         owners = np.repeat(np.arange(len(contexts)), [len(clicks) for clicks, _, _ in contexts])
         expose_windows = [exposed for _, exposed, _ in contexts]
         rows = self.lookup_np([i for window in expose_windows + click_windows for i in window])
@@ -284,7 +308,7 @@ class DeviceSession:
         init_click, init_expose, r_t, version = self.init_click, self.init_expose, self.r_t, model.version
         r_click, r_expose, old_click, old_expose = self.r_click, self.r_expose, self.click_rows, self.expose_rows
         if version != self.version or prior is not self.prior:
-            init_click, init_expose, r_t = model._prior_states(prior)
+            init_click, init_expose, r_t = model._prior_states([prior], 1)
             init_click = r_click = init_click.data
             init_expose = r_expose = init_expose.data
             old_click = old_expose = rows[:0]
@@ -297,6 +321,20 @@ class DeviceSession:
     def score(self, candidate_ids):
         """Click probabilities for many candidates against the session's context: forward's scoring tail."""
         return self.model.score_states(self.r_click, self.r_expose, candidate_ids, self.r_t)
+
+
+def _stack(rows, lengths):
+    """``rows``, windows of ``lengths`` rows back to back, as the ``(T * m, d)`` padded
+    stack ``ly.gru_encode`` folds: T blocks of one row per window, zero rows past a
+    window's end.  One window is its own stack."""
+    if len(lengths) == 1:
+        return rows
+    stack = np.zeros((lengths.max(), len(lengths), rows.shape[1]), dtype=rows.dtype)
+    start = 0
+    for row, length in enumerate(lengths):
+        stack[:length, row] = rows[start : start + length]
+        start += length
+    return stack.reshape(-1, rows.shape[1])
 
 
 def _fold_windows(cell, rows, lengths, init):

@@ -43,13 +43,18 @@ encodes), so the harness itself sends the device no row.
 
 A training context is a click position with its positive and
 ``n_train_neg`` negatives.  Training builds one tape per segment: a run of
-one user's consecutive contexts that see the same parameters and inputs, so
-their summed loss goes through one batched forward and backward (the models'
-``loss`` take a segment; a single context is a segment of one).  A segment
-closes at the context that fires an Adam step and at the end of the user's
-contexts; on the device side also where a context's click or exposure window
-is not a prefix-extension of the segment's, and before a serving event that
-will upload (its refresh and download change what the next contexts see).
+consecutive contexts, of one user or of several, that see the same
+parameters and cloud rows, so their summed loss goes through one batched
+forward and backward (the models' ``loss`` take a segment; a single context
+is a segment of one).  A segment closes at the context that fires an Adam
+step and stays open from one user to the next; on the device side it also
+closes where a context's click or exposure window is not a prefix-extension
+of its user's last ones, and before a serving event that will upload (its
+refresh and download change what the next contexts see).  The cloud
+concatenates a segment's users' histories, each candidate with its own
+window and negative-memory row; the device stacks each user's windows as
+one row of both GRUs' padded stacks, each candidate reading its row's
+states at its own prefix lengths.
 Adam steps count examples, so the step schedule is the per-example one
 whenever ``1 + n_train_neg`` divides ``batch_size``; otherwise a step fires at
 the first context boundary at or past ``batch_size``.  Segmenting changes only
@@ -72,6 +77,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -153,42 +159,43 @@ def _rows_of(table, idx):
 
 
 class _Segments:
-    """One training phase's open segment (one user's pending contexts) and
-    its examples since the last Adam step: ``add`` closes the segment and
-    steps once ``batch_size`` examples are pending."""
+    """One training phase's open segment, its pending ``(user, context)``
+    entries (consecutive contexts of one user or of several), and its
+    examples since the last Adam step: ``add`` steps, closing the segment
+    first, once ``batch_size`` examples are pending."""
 
     def __init__(self, opt, segment_loss, phase, batch_size):
         self.opt = opt
         self.segment_loss = segment_loss
         self.phase = phase
         self.batch_size = batch_size
-        self.user = None
         self.pending = []
         self.examples = 0
 
     def add(self, user, ctx):
-        self.user = user
-        self.pending.append(ctx)
+        self.pending.append((user, ctx))
         self.examples += len(ctx.candidates)
         if self.examples >= self.batch_size:
-            self.close()
             self.step()
 
     def close(self):
-        """Forward and backward the pending contexts on one tape.  A
-        non-finite loss is traced to the first context whose own loss is
-        non-finite; a finite one costs no more than the check."""
+        """Forward and backward the pending entries on one tape.  A
+        non-finite loss is traced to the first entry whose own loss is
+        non-finite, named by its user and position; a finite one costs no
+        more than the check."""
         segment, self.pending = self.pending, []
         if not segment:
             return
         with ad.tape() as t:
-            loss = self.segment_loss(self.user, segment)
+            loss = self.segment_loss(segment)
             t.backward(loss)
         if not np.isfinite(loss.item()):
-            failing = next((c for c in segment if not np.isfinite(self.segment_loss(self.user, [c]).item())), segment[0])
-            raise LifecycleError(f"non-finite loss in phase {self.phase!r} at user {self.user}, position {failing.position}")
+            user, ctx = next((e for e in segment if not np.isfinite(self.segment_loss([e]).item())), segment[0])
+            raise LifecycleError(f"non-finite loss in phase {self.phase!r} at user {user}, position {ctx.position}")
 
     def step(self):
+        """Close the segment, then take one Adam step over the examples since the last one."""
+        self.close()
         if self.examples:
             self.opt.step(scale=1.0 / self.examples)
             self.opt.zero_grad()
@@ -267,28 +274,33 @@ class _SeedRun:
 
     # -- slow training ------------------------------------------------------
 
-    def _slow_segment_loss(self, user, segment):
-        """Summed loss of consecutive slow contexts of ``user`` in one graph.
+    def _slow_segment_loss(self, segment):
+        """Summed loss of a segment's consecutive slow contexts in one graph.
 
-        The shared history holds the rows some context's window covers (rows
-        between windows that none covers are left out), and every candidate
-        attends to its own context's window of it.
+        The shared history holds each user's part back to back: the rows some
+        of the user's contexts' windows cover (rows between windows that none
+        covers are left out).  Every candidate attends to its own context's
+        window of it and reads its own user's negative memory.
         """
-        seq = self.split.users[user].slow
         span = self.config.max_history_len
-        history, windows, candidates, labels = [], [], [], []
-        skipped = covered = max(0, segment[0].position - span)
-        for ctx in segment:
-            start, end = max(0, ctx.position - span), ctx.position
-            if start > covered:
-                skipped += start - covered
-                covered = start
-            history += seq[covered:end]
-            covered = end
-            windows += [(start - skipped, end - skipped)] * len(ctx.candidates)
-            candidates += ctx.candidates
-            labels += ctx.labels
-        return self.slow.loss(history, candidates, labels, neg_memory=self._memory(user), windows=windows)
+        history, windows, candidates, labels, memory = [], [], [], [], []
+        for user, entries in itertools.groupby(segment, key=lambda entry: entry[0]):
+            contexts = [ctx for _, ctx in entries]
+            seq = self.split.users[user].slow
+            covered = max(0, contexts[0].position - span)
+            skipped = covered - len(history)  # seq index - skipped = index in the shared history
+            for ctx in contexts:
+                start, end = max(0, ctx.position - span), ctx.position
+                if start > covered:
+                    skipped += start - covered
+                    covered = start
+                history += seq[covered:end]
+                covered = end
+                windows += [(start - skipped, end - skipped)] * len(ctx.candidates)
+                candidates += ctx.candidates
+                labels += ctx.labels
+            memory += [self._memory(user)] * (len(candidates) - len(memory))
+        return self.slow.loss(history, candidates, labels, neg_memory=np.concatenate(memory), windows=windows)
 
     def _slow_user_contexts(self, user, positions):
         """One context per slow position: the positive first, then its
@@ -303,13 +315,12 @@ class _SeedRun:
     def _train_slow_user(self, user, segments, held_out):
         """Queue ``user``'s slow contexts, at most ``max_positions_per_user``
         positions before the last ``held_out`` items (the validation item in
-        epochs, none in refreshes), and close the segment."""
+        epochs, none in refreshes); the segment stays open for the next user."""
         positions = np.arange(1, len(self.split.users[user].slow) - held_out)
         if positions.size > self.config.max_positions_per_user:
             positions = np.sort(self.epoch_rng.choice(positions, size=self.config.max_positions_per_user, replace=False))
         for ctx in self._slow_user_contexts(user, positions.tolist()):
             segments.add(user, ctx)
-        segments.close()
 
     def _slow_validation_loss(self):
         """Mean loss on each user's held-out last slow item (plus one negative)."""
@@ -406,30 +417,35 @@ class _SeedRun:
         """Click and exposure contexts available when event j is scored."""
         return self._window(self.split.users[user].fast[:j]), self._exposed(user, j + 1)
 
-    def _fast_segment_loss(self, user, segment):
-        """Summed loss of consecutive device contexts of ``user`` in one graph.
+    def _fast_segment_loss(self, segment):
+        """Summed loss of a segment's consecutive device contexts in one graph.
 
-        Every context's windows are prefixes of the last one's, so both GRUs
-        run once over the last context's windows and each candidate reads the
-        states at its own context's prefix lengths.
+        Each user is one row: its contexts' windows are prefixes of its last
+        context's, so both GRUs fold the users' last windows once, as one
+        padded stack, and each candidate reads the states at its own row and
+        context's prefix lengths.
         """
-        last = segment[-1]
-        candidates, labels, prefixes = [], [], []
-        for ctx in segment:
-            candidates += ctx.candidates
-            labels += ctx.labels
-            prefixes += [(len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
-        return self.fast.loss(
-            last.clicked, last.exposed, candidates, labels, prior=self.priors.get(user), prefixes=prefixes
-        )
+        clicked, exposed, priors, candidates, labels, prefixes = [], [], [], [], [], []
+        for user, entries in itertools.groupby(segment, key=lambda entry: entry[0]):
+            contexts = [ctx for _, ctx in entries]
+            row = len(clicked)
+            clicked.append(contexts[-1].clicked)
+            exposed.append(contexts[-1].exposed)
+            priors.append(self.priors.get(user))
+            for ctx in contexts:
+                candidates += ctx.candidates
+                labels += ctx.labels
+                prefixes += [(row, len(ctx.clicked), len(ctx.exposed))] * len(ctx.candidates)
+        return self.fast.loss(clicked, exposed, candidates, labels, prior=priors, prefixes=prefixes)
 
     @staticmethod
-    def _extends(segment, ctx):
-        """Whether ``ctx``'s click and exposure windows extend the pending
-        segment's (no window slid); true when nothing is pending."""
-        if not segment:
+    def _extends(segment, user, ctx):
+        """Whether ``user``'s ``ctx`` can join the pending ``segment``: it starts
+        a new row (nothing pending, or another user's context last), or its
+        click and exposure windows extend the user's last ones (no window slid)."""
+        if not segment or segment[-1][0] != user:
             return True
-        last = segment[-1]
+        last = segment[-1][1]
         return ctx.clicked[: len(last.clicked)] == last.clicked and ctx.exposed[: len(last.exposed)] == last.exposed
 
     def _serve_event(self, user, j, session, round_no):
@@ -467,10 +483,9 @@ class _SeedRun:
                     clicked, exposed = self._fast_contexts(user, j)
                     negs = self.sampler.draw(user, "fast", j, cfg.n_train_neg)
                     ctx = _Context(j, [item] + [int(n) for n in negs], [1] + [0] * len(negs), clicked, exposed)
-                    if not self._extends(segments.pending, ctx):
+                    if not self._extends(segments.pending, user, ctx):
                         segments.close()
                     segments.add(user, ctx)
-                segments.close()
             segments.step()
 
     # -- evaluation -------------------------------------------------------------

@@ -4,11 +4,13 @@ All blocks follow the row-vector convention of the engine: activations are
 ``(1, d)`` rows, weight matrices multiply on the right (``x @ W + b``), and a
 batch stacks rows.  The graph functions take a stack of ``n`` candidate
 (target) rows, so one graph serves a whole training segment: several
-consecutive contexts of one user, each a positive and its negatives.  The
-contexts share one history or click/exposure sequence, and each target row
-reads its own context's part of it: ``din_attention`` masks the history to a
-per-row window, ``gru_encode`` returns the states at per-row prefix lengths
-from one pass, and ``target_aware_fusion`` takes an interest row per target.
+consecutive contexts of one user or of several, each a positive and its
+negatives.  The contexts share one history (the users' back to back) or one
+stack of click/exposure windows (one per user), and each target row reads
+its own context's part of it: ``din_attention`` masks the history to a
+per-row window, ``gru_encode`` returns the states at per-row ``(window,
+prefix length)`` reads from one pass over a zero-padded stack, and
+``target_aware_fusion`` takes an interest row per target.
 A head is an :class:`Mlp` ending in one unit, ``predict_head`` its sigmoid;
 so is the attention unit, a ``[4d, k, 1]`` :class:`Mlp` that
 ``din_attention`` evaluates without building its pair features.  Every
@@ -155,20 +157,24 @@ class GruCell:
                 np.add((1.0 - z) * h, z * c, out=states[j + 1])
         return states, gates, cands
 
-    def _node(self, x, init, xs, lengths):
-        """One tape node over :meth:`_fold` of ``xs`` (T blocks of ``x``'s rows) from ``init``: the states
-        after each of ``lengths`` steps, stacked.  Its backward runs BPTT, then one product per weight."""
+    def _node(self, x, init, xs, reads=None):
+        """One tape node over :meth:`_fold` of ``xs`` (T blocks of ``x``'s rows) from ``init``: with
+        ``reads``, a ``(lengths, rows)`` pair of arrays, read i is the state of window ``rows[i]`` after
+        ``lengths[i]`` steps, stacked; without, every window's state after all T.  Its backward runs
+        BPTT, then one product per weight; a step no read reaches back to adds exact zeros."""
         n, k = init.shape[0], self.hidden_dim
         if x.shape[1] != self.in_dim or init.shape[1] != k or xs.shape[1] != n:
             raise ad.ShapeError(f"gru wants x (.,{self.in_dim}) and h ({n},{k}) rows, got {x.shape}, {init.shape}")
         states, gates, cands = self._fold(xs, init.data)
-        out = states[lengths[0]] if len(lengths) == 1 else np.concatenate([states[t] for t in lengths])
+        out = states[-1] if reads is None else states[reads]
 
         def backward(g):
             steps = xs.shape[0]
-            g_at = [np.zeros((n, k), dtype=g.dtype)] * (steps + 1)  # the output gradient on the state after j steps
-            for i, t in enumerate(lengths):
-                g_at[t] = g_at[t] + g[i * n : (i + 1) * n]
+            g_at = np.zeros((steps + 1, n, k), dtype=g.dtype)  # the output gradient on each state, per window
+            if reads is None:
+                g_at[steps] = g
+            else:
+                np.add.at(g_at.reshape(-1, k), reads[0] * n + reads[1], g)
             z, u_z_t, u_r_t, u_h_t = gates[:, 0], self.u_z.data.T, self.u_r.data.T, self.u_h.data.T
             d_sig, keep, d_tanh = gates * (1.0 - gates), 1.0 - z, z * (1.0 - cands * cands)
             d_a = np.empty((3, steps, n, k), dtype=g.dtype)  # pre-activation gradients of z, r and the candidate
@@ -200,7 +206,7 @@ class GruCell:
 
     def step(self, x, h):
         """One GRU step over ``n`` rows (x (n, in), h (n, hidden)): the sequence node with T = 1."""
-        return self._node(x, h, x.data[None], [1])
+        return self._node(x, h, x.data[None])
 
     def encode_np(self, seqs, init):
         """The ``(n, hidden)`` states after folding each window of ``seqs``, an ``(n, T, in)``
@@ -217,21 +223,35 @@ class GruCell:
         return self._fold(seqs.transpose(1, 0, 2), init)[0][-1].copy()  # not a view that keeps every state alive
 
 
-def gru_encode(cell, seq, init, lengths=None):
-    """The GRU state after the rows of ``seq``, starting from ``init``, as one tape node.
+def gru_encode(cell, seq, init, reads=None):
+    """GRU states after prefixes of one window or of a stack of windows, as one tape node.
 
-    An empty sequence returns ``init`` itself.  With ``lengths``, one run of
-    ``max(lengths)`` steps gives the state after each listed prefix length,
-    stacked in the order given (repeats allowed; length 0 is ``init``), so
-    training contexts that share a growing sequence read one pass.
+    ``init`` holds one start row per window, n in all.  ``seq`` holds the
+    windows as T blocks of n rows, block j holding each window's j-th row,
+    with a window shorter than T padded with zero rows at its end (one window
+    is just its rows).  ``reads`` lists ``(row, length)`` pairs: the state of
+    window ``row`` after its first ``length`` rows, stacked in the order given
+    (repeats allowed; length 0 is the init row).  None reads each window after
+    all T blocks.  One run of the longest read's steps gives every read, so
+    training contexts whose windows only grow, of one user or of several
+    stacked, read one pass; a read past its own window's rows reads a state
+    that folded padding, so the caller keeps reads inside the windows.  When
+    every read is its window's init row, in order, ``init`` itself returns.
     """
-    if lengths is None:
-        lengths = [seq.shape[0]]
-    if min(lengths) < 0 or max(lengths) > seq.shape[0]:
-        raise ad.ShapeError(f"prefix lengths must lie in [0, {seq.shape[0]}], got {min(lengths)}..{max(lengths)}")
-    if len(lengths) == 1 and lengths[0] == 0:
+    n = init.shape[0]
+    if seq.shape[0] % n:
+        raise ad.ShapeError(f"a stack of {n} windows wants a multiple of {n} rows, got {seq.shape[0]}")
+    steps = seq.shape[0] // n
+    reads = np.asarray([(row, steps) for row in range(n)] if reads is None else reads, dtype=np.intp)
+    if reads.ndim != 2 or reads.shape[1] != 2 or not len(reads):
+        raise ad.ShapeError(f"gru reads want (row, length) pairs, got shape {reads.shape}")
+    rows, lengths = reads.T
+    if rows.min() < 0 or rows.max() >= n or lengths.min() < 0 or lengths.max() > steps:
+        raise ad.ShapeError(f"gru reads want rows in [0, {n}) and lengths in [0, {steps}], got {reads.tolist()}")
+    if not lengths.any() and np.array_equal(rows, np.arange(n)):
         return init
-    return cell._node(seq, init, seq.data[: max(lengths), None, :], lengths)
+    top = lengths.max()
+    return cell._node(seq, init, seq.data[: top * n].reshape(top, n, seq.shape[1]), (lengths, rows))
 
 
 class Mlp:

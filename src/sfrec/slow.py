@@ -10,11 +10,13 @@ one encoder, which takes the exchange input that the plain wiring ignores.
 payload dict of :data:`sfrec.exchange.SCHEMAS` itself.
 
 ``forward`` takes a candidate list and gives one row per candidate, with an
-optional ``[start, end)`` history window per candidate.  Training builds one
-graph per segment: a run of one user's consecutive contexts (each a positive
-plus its negatives) over the union of their history windows, each candidate
-attending only to its own context's window.  A single context is a segment
-of one (every window the whole history).
+optional ``[start, end)`` history window and negative-memory row per
+candidate.  Training builds one graph per segment: a run of consecutive
+contexts (each a positive plus its negatives) of one user or of several,
+over their users' histories back to back (each the union of its contexts'
+windows), each candidate attending only to its own context's window and
+reading its own user's negative memory.  A single context is a segment of
+one (every window the whole history).
 Scoring large candidate sets goes through ``score_candidates``, which is
 ``forward`` run with no tape open: each op computes its value and records
 nothing, and the attention pool and the head's MLP are one fused node each.
@@ -60,14 +62,16 @@ class SlowModel:
             raise ad.ShapeError("slow sequences must be non-empty")
         if self.interactive:
             neg_memory = np.asarray(neg_memory)
-            if neg_memory.shape != (1, self.dim):
-                raise ad.ShapeError(f"negative memory must be (1,{self.dim}), got {neg_memory.shape}")
+            if neg_memory.shape not in ((1, self.dim), (len(candidates), self.dim)):
+                raise ad.ShapeError(
+                    f"negative memory must be (1,{self.dim}) or one row per candidate, got {neg_memory.shape}"
+                )
         history = self.embedding.lookup(seq_ids)  # before the targets: both lookups feed one gradient
         targets = self.embedding.lookup(candidates)
         r_t = ly.din_attention(self.attention, history, targets, windows)
         if not self.interactive:
             return targets, [r_t]
-        memory_state = ad.constant(np.repeat(neg_memory.astype(targets.dtype), targets.shape[0], axis=0))
+        memory_state = ad.constant(np.broadcast_to(neg_memory, targets.shape).astype(targets.dtype))
         refreshed = self.gru_n.step(targets, memory_state)
         gate = ad.sigmoid(ad.add(ad.matmul(ad.concat([refreshed, targets], axis=1), self.gate_w), self.gate_b))
         return targets, [ad.scale(gate, refreshed), r_t]
@@ -77,8 +81,9 @@ class SlowModel:
 
         ``windows`` holds one ``[start, end)`` slice of ``seq_ids`` per
         candidate (None: all of it for every candidate).  ``neg_memory`` is the
-        device-uploaded (1, d) array shared by every candidate; the plain
-        wiring ignores it.
+        device-uploaded negative memory: one (1, d) row every candidate
+        shares, or one row per candidate (a segment of several users, each
+        candidate reading its own user's); the plain wiring ignores it.
         """
         targets, interests = self._interests(seq_ids, candidates, neg_memory, windows)
         return ly.predict_head(self.head, ad.concat(interests + [targets], axis=1))
@@ -86,9 +91,11 @@ class SlowModel:
     def loss(self, seq_ids, candidates, labels, neg_memory=None, windows=None):
         """Training loss of one segment under the model's own wiring.
 
-        ``seq_ids`` is the segment's shared history and ``windows`` each
+        ``seq_ids`` is the segment's shared history (the users' histories
+        back to back, for a segment of several users), ``windows`` each
         candidate's ``[start, end)`` slice of it (None: one context, every
-        candidate sees all of ``seq_ids``).  ``labels`` holds a 0/1 label per
+        candidate sees all of ``seq_ids``) and ``neg_memory`` one shared
+        (1, d) row or one row per candidate.  ``labels`` holds a 0/1 label per
         candidate; the loss is the (1,1) sum of the per-candidate
         cross-entropies, which is the sum of the segment's context losses.
         """

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfrec import data as dt
 
@@ -368,6 +370,22 @@ def test_sampler_rejects_oversized_draws():
     user = next(iter(split.users))
     with pytest.raises(ValueError, match="negatives"):
         sampler.draw(user, "test", 0, 76)  # only 75 unseen items exist
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=2 * n))))
+def test_complement_is_setdiff_of_the_clicked_items(case):
+    n_items, clicks = case
+    split = dt.PhaseSplit(users={0: dt.UserSplit(slow=clicks, fast=[], test=[])}, vocab_size=n_items)
+    sampler = dt.NegativeSampler(split, n_items, seed=0)
+    want = np.setdiff1d(np.arange(n_items, dtype=np.int64), np.asarray(clicks, dtype=np.int64))
+    if not want.size:
+        with pytest.raises(ValueError, match="clicked every item"):
+            sampler.complement(0)
+        return
+    got = sampler.complement(0)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

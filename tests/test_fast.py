@@ -72,7 +72,7 @@ def prior_of(m, seed):
 # reading the cloud's rows
 
 
-def test_synced_rows_mirror_cloud_table_bit_exactly():
+def test_a_read_returns_the_cloud_rows_bit_exactly():
     cloud = SlowModel(10, 4, rng(1), interactive=False)
     device = FastModel(10, 4, rng(2), interactive=False, fetch=cloud.embedding.lookup_np)
     ids = [0, 3, 7]
@@ -168,7 +168,7 @@ def test_zeroed_prior_gate_averages_the_two_prior_vectors():
     m.prior_gate_w.data[:] = 0.0
     m.prior_gate_b.data[:] = 0.0
     prior = prior_of(m, 8)
-    init_click, init_expose, _ = m._prior_states(prior)
+    init_click, init_expose, _ = m._prior_states([prior], 1)
     blend = (prior["r_n"] + prior["r_t"]) / 2.0
     np.testing.assert_allclose(
         init_click.data, np.maximum(blend @ m.init_click_w.data + m.init_click_b.data, 0.0), rtol=1e-12
@@ -432,9 +432,9 @@ def counted_session(seed=40, table=None):
 
         cell.encode_np = counted
 
-    def prior_states(prior, build=m._prior_states):
+    def prior_states(priors, rows, build=m._prior_states):
         counts["init"] += 1
-        return build(prior)
+        return build(priors, rows)
 
     m._prior_states = prior_states
     return m, prior, session, counts
@@ -481,21 +481,21 @@ def test_session_encodes_in_full_after_a_gate_load(cell):
 # the cloud rows changed below are fetched by the next advance's read of its windows
 
 
-def test_a_sync_that_changes_an_exposure_row_reencodes_only_gru_expose():
+def test_a_read_that_returns_a_changed_exposure_row_reencodes_only_gru_expose():
     table = cloud_rows(40)
     m, prior, session, counts = counted_session(table=table)
     table[EXPOSED[0]] += 0.01
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"expose": len(EXPOSED)}
 
 
-def test_a_sync_that_changes_a_click_row_reencodes_only_gru_click():
+def test_a_read_that_returns_a_changed_click_row_reencodes_only_gru_click():
     table = cloud_rows(40)
     m, prior, session, counts = counted_session(table=table)
     table[CLICKS[-1]] += 0.01
     assert advance_checked(session, counts, CLICKS, EXPOSED, prior) == {"click": len(CLICKS)}
 
 
-def test_a_sync_that_changes_a_row_outside_the_windows_keeps_the_session():
+def test_a_read_that_returns_a_changed_row_outside_the_windows_keeps_the_session():
     table = cloud_rows(40)
     m, prior, session, counts = counted_session(table=table)
     before = session.score(CANDS)
@@ -504,7 +504,7 @@ def test_a_sync_that_changes_a_row_outside_the_windows_keeps_the_session():
     assert not np.array_equal(session.score(CANDS), before)  # the candidate's new row is scored
 
 
-def test_a_sync_that_changes_nothing_keeps_the_session():
+def test_a_read_that_returns_no_changed_row_keeps_the_session():
     m, prior, session, counts = counted_session()
     m.lookup_np(np.arange(12))  # a read of every row, which changes none
     assert advance_checked(session, counts, CLICKS + [11], EXPOSED, prior) == {"click": 1}

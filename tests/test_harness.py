@@ -283,8 +283,8 @@ def test_non_finite_fast_loss_names_the_first_failing_context(cluster_prepared):
     real_loss = run.fast.loss
 
     def spy(clicked, exposed, candidates, labels, **kwargs):
-        clicks = {c for c, _ in kwargs["prefixes"]}
-        prefixes_seen.append(sorted(clicks))
+        clicks = {c for _, c, _ in kwargs["prefixes"]}
+        prefixes_seen.append((len(clicked), sorted(clicks)))
         loss = real_loss(clicked, exposed, candidates, labels, **kwargs)
         if failing in clicks:
             loss.data = np.full_like(loss.data, np.nan)
@@ -293,9 +293,39 @@ def test_non_finite_fast_loss_names_the_first_failing_context(cluster_prepared):
     run.fast.loss = spy
     with pytest.raises(LifecycleError, match=rf"'fast-train' at user {users[0]}, position {failing}$"):
         run.serve_and_train_fast()
-    # the first user's contexts (positions 1..4) formed one segment; the
-    # single-context reruns stop at the first failing one
-    assert prefixes_seen == [[1, 2, 3, 4], [1], [2]]
+    # every user's contexts (positions 1..4, 64 examples) formed one segment,
+    # one row per user; the single-context reruns stop at the first failing one
+    assert prefixes_seen == [(len(users), [1, 2, 3, 4]), (1, [1]), (1, [2])]
+
+
+@pytest.mark.parametrize("model", ["slow", "fast"])
+def test_a_non_finite_loss_names_its_own_user_in_a_segment_of_several(cluster_prepared, model):
+    # batch 64 holds every user's 8 examples: one segment of all 8 users, whose first user fails
+    split, users = cluster_prepared
+    run = _SeedRun(tiny_config(variant="s2f_full", threshold=10), 0, split, users)
+    held = []
+    real = getattr(run, f"_{model}_segment_loss")
+
+    def spied(segment):
+        held.append([user for user, _ in segment])
+        return real(segment)
+
+    setattr(run, f"_{model}_segment_loss", spied)
+    if model == "slow":
+        failing = int(copy.deepcopy(run.epoch_rng).permutation(users)[0])  # the slow epoch's first user
+        run.slow_memory[failing] = np.full((1, run.config.dim), np.nan, dtype=run.dtype)
+        train, phase = run.train_slow, "slow-train"
+    else:
+        run.train_slow()
+        for user in users:
+            run._download(user, round_no=0)
+        failing = users[0]  # the first fast epoch serves users in order; threshold 10 uploads nothing
+        run.priors[failing] = {key: np.full((1, run.config.dim), np.nan, dtype=run.dtype) for key in ("r_n", "r_t")}
+        held.clear()
+        train, phase = run.serve_and_train_fast, "fast-train"
+    with pytest.raises(LifecycleError, match=rf"'{phase}' at user {failing}, position \d+$"):
+        train()
+    assert len(set(held[0])) == len(users) and held[0][0] == failing != held[0][-1]
 
 
 def test_nan_embedding_row_in_a_refresh_names_the_first_context_reading_it(cluster_prepared):
@@ -718,12 +748,13 @@ def test_each_serving_event_and_training_segment_syncs_exactly_the_rows_it_reads
         assert events[-1] == sorted(drawn.tolist() + clicked + exposed)
         assert len(events[-1]) <= cfg.pool_size + 2 * cfg.max_history_len
 
-    def spied_loss(user, segment):
+    def spied_loss(segment):
         frames.append([])
-        loss = segment_loss(user, segment)
+        loss = segment_loss(segment)
         segments.append(sorted(frames.pop()))
-        last = segment[-1]
-        assert segments[-1] == sorted([c for ctx in segment for c in ctx.candidates] + last.clicked + last.exposed)
+        lasts = {user: ctx for user, ctx in segment}  # each user's last context holds its row's windows
+        windows = [i for ctx in lasts.values() for i in ctx.clicked + ctx.exposed]
+        assert segments[-1] == sorted([c for _, ctx in segment for c in ctx.candidates] + windows)
         return loss
 
     run.fast.fetch, run._upload, run._serve_event, run._fast_segment_loss = (

@@ -218,7 +218,7 @@ def test_gru_node_prefix_states_equal_encode_np_and_folded_steps_bit_for_bit(dty
     init = r.normal(size=(1, dim)).astype(dtype)
     lengths = list(range(8))
     with ad.tape() as t:
-        states = ly.gru_encode(cell, ad.constant(seq), ad.parameter(init, "init"), lengths)
+        states = ly.gru_encode(cell, ad.constant(seq), ad.parameter(init, "init"), [(0, k) for k in lengths])
     assert len(t.nodes) == 1 and states.dtype == dtype
     h = ad.constant(init)
     for k in lengths:
@@ -255,7 +255,7 @@ def test_gru_node_gradients_with_repeated_and_zero_prefix_lengths():
     probe = ad.constant(r.normal(size=(len(lengths), 4)))
 
     def loss_fn():
-        return ad.sum_all(ad.mul(ly.gru_encode(cell, seq, init, lengths), probe))
+        return ad.sum_all(ad.mul(ly.gru_encode(cell, seq, init, [(0, k) for k in lengths]), probe))
 
     report = ad.grad_check(loss_fn, [seq, init, *cell.params()], tolerance=1e-4)
     assert report.passed, str(report)
@@ -279,7 +279,7 @@ def test_gru_encode_of_only_empty_prefixes_stacks_init():
     cell = ly.GruCell(3, 4, rng(63))
     init = ad.parameter(rng(64).normal(size=(1, 4)), "init")
     with ad.tape() as t:
-        out = ly.gru_encode(cell, ad.constant(np.zeros((2, 3))), init, [0, 0])
+        out = ly.gru_encode(cell, ad.constant(np.zeros((2, 3))), init, [(0, 0), (0, 0)])
         t.backward(ad.sum_all(out))
     np.testing.assert_array_equal(out.data, np.vstack([init.data, init.data]))
     np.testing.assert_array_equal(init.grad, np.full((1, 4), 2.0))

@@ -1,6 +1,8 @@
-"""One graph per training segment: a run of one user's consecutive contexts
-goes through each model in one forward and backward, and equals the sum of
-the contexts run one at a time."""
+"""One graph per training segment: a run of consecutive contexts, of one user
+or of several, goes through each model in one forward and backward, and
+equals the sum of the contexts run one at a time."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -22,56 +24,72 @@ CLICKED = [1, 5, 3, 2]
 EXPOSED = [8, 6, 7, 4, 9]
 # (clicks, exposures, candidates, labels): windows are prefixes of the longest
 FAST_CONTEXTS = [(1, 0, [2, 10], [1, 0]), (2, 2, [11, 12], [1, 0]), (3, 5, [0], [1]), (4, 5, [13, 14, 15], [1, 0, 0])]
+# a second user, whose contexts follow the first's in a two-user segment: a
+# shorter history, click and exposure windows, and other prefix lengths
+HISTORY_2 = [7, 0, 14, 6, 10]
+SLOW_CONTEXTS_2 = [(3, [6, 3], [1, 0]), (5, [10], [1])]
+CLICKED_2 = [12, 0, 9]
+EXPOSED_2 = [3, 11]
+FAST_CONTEXTS_2 = [(2, 1, [9, 4], [1, 0]), (3, 2, [5], [1])]
 
 
-def slow_wiring(interactive):
-    """A slow model, the loss of SLOW_CONTEXTS as one segment, and one loss per context."""
+def slow_wiring(interactive, users):
+    """A slow model, the loss of the first ``users`` users' SLOW_CONTEXTS as one
+    segment over their histories back to back, and one loss per context."""
     m = SlowModel(N_ITEMS, DIM, np.random.default_rng(1), interactive=interactive, head_hidden=(6, 4))
-    kwargs = {"neg_memory": np.random.default_rng(2).normal(scale=0.3, size=(1, DIM))} if interactive else {}
-    candidates, labels, windows = [], [], []
-    for j, cands, labs in SLOW_CONTEXTS:
-        candidates += cands
-        labels += labs
-        windows += [(j - SLOW_SPAN, j)] * len(cands)
+    memories = np.random.default_rng(2).normal(scale=0.3, size=(2, 1, DIM))
+    parts = [(HISTORY, SLOW_CONTEXTS, memories[0]), (HISTORY_2, SLOW_CONTEXTS_2, memories[1])][:users]
+    history, candidates, labels, windows, memory, singles = [], [], [], [], [], []
+    for seq, contexts, mem in parts:
+        kwargs = {"neg_memory": mem} if interactive else {}
+        for j, cands, labs in contexts:
+            candidates += cands
+            labels += labs
+            windows += [(len(history) + j - SLOW_SPAN, len(history) + j)] * len(cands)
+            memory += [mem] * len(cands)
+            singles.append(lambda seq=seq, j=j, c=cands, l=labs, kw=kwargs: m.loss(seq[j - SLOW_SPAN : j], c, l, **kw))
+        history += seq
+    kwargs = {"neg_memory": np.concatenate(memory)} if interactive else {}
 
     def segment():
-        return m.loss(HISTORY, candidates, labels, windows=windows, **kwargs)
+        return m.loss(history, candidates, labels, windows=windows, **kwargs)
 
-    singles = [
-        lambda j=j, c=c, l=l: m.loss(HISTORY[j - SLOW_SPAN : j], c, l, **kwargs) for j, c, l in SLOW_CONTEXTS
-    ]
     return m, segment, singles
 
 
-def fast_wiring(interactive):
-    """A fast model, the loss of FAST_CONTEXTS as one segment, and one loss per context."""
+def fast_wiring(interactive, users):
+    """A fast model, the loss of the first ``users`` users' FAST_CONTEXTS as one
+    segment, one row per user, and one loss per context."""
     table = np.random.default_rng(4).normal(scale=0.3, size=(N_ITEMS, DIM))
     m = FastModel(
         N_ITEMS, DIM, np.random.default_rng(3), interactive=interactive, fetch=lambda idx: table[idx], head_hidden=(6, 4)
     )
     r = np.random.default_rng(5)
-    kwargs = {"prior": {"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))}} if interactive else {}
-    candidates, labels, prefixes = [], [], []
-    for nc, ne, cands, labs in FAST_CONTEXTS:
-        candidates += cands
-        labels += labs
-        prefixes += [(nc, ne)] * len(cands)
+    priors = [{"r_n": r.normal(size=(1, DIM)), "r_t": r.normal(size=(1, DIM))} for _ in range(2)][:users]
+    rows = [(CLICKED, EXPOSED, FAST_CONTEXTS), (CLICKED_2, EXPOSED_2, FAST_CONTEXTS_2)][:users]
+    candidates, labels, prefixes, singles = [], [], [], []
+    for row, ((clicked, exposed, contexts), prior) in enumerate(zip(rows, priors)):
+        kwargs = {"prior": prior} if interactive else {}
+        for nc, ne, cands, labs in contexts:
+            candidates += cands
+            labels += labs
+            prefixes += [(row, nc, ne)] * len(cands)
+            singles.append(
+                lambda w=(clicked[:nc], exposed[:ne]), c=cands, l=labs, kw=kwargs: m.loss(*w, c, l, **kw)
+            )
+    clicked, exposed = [row[0] for row in rows], [row[1] for row in rows]
 
     def segment():
-        return m.loss(CLICKED, EXPOSED, candidates, labels, prefixes=prefixes, **kwargs)
+        return m.loss(clicked, exposed, candidates, labels, prior=priors, prefixes=prefixes)
 
-    singles = [
-        lambda nc=nc, ne=ne, c=c, l=l: m.loss(CLICKED[:nc], EXPOSED[:ne], c, l, **kwargs)
-        for nc, ne, c, l in FAST_CONTEXTS
-    ]
     return m, segment, singles
 
 
 WIRINGS = {
-    "slow-plain": lambda: slow_wiring(False),
-    "slow-interactive": lambda: slow_wiring(True),
-    "fast-plain": lambda: fast_wiring(False),
-    "fast-interactive": lambda: fast_wiring(True),
+    f"{model}-{wiring}{tag}": functools.partial(build, wiring == "interactive", users)
+    for model, build in (("slow", slow_wiring), ("fast", fast_wiring))
+    for wiring in ("plain", "interactive")
+    for users, tag in ((1, ""), (2, "-two-users"))
 }
 
 
@@ -154,13 +172,70 @@ def test_gru_prefix_states_equal_separate_encodes():
     cell = ly.GruCell(DIM, DIM, r)
     seq, init = ad.constant(r.normal(size=(5, DIM))), ad.constant(r.normal(size=(1, DIM)))
     lengths = [3, 0, 5, 3, 1]
-    states = ly.gru_encode(cell, seq, init, lengths)
+    states = ly.gru_encode(cell, seq, init, [(0, k) for k in lengths])
     assert states.shape == (5, DIM)
     for row, k in enumerate(lengths):
         alone = ly.gru_encode(cell, ad.constant(seq.data[:k]), init)
         np.testing.assert_array_equal(states.data[row : row + 1], alone.data)
-    with pytest.raises(ad.ShapeError):
-        ly.gru_encode(cell, seq, init, [2, 6])
+    for reads in ([(0, 2), (0, 6)], [(1, 2)], [(0, -1)]):
+        with pytest.raises(ad.ShapeError):
+            ly.gru_encode(cell, seq, init, reads)
+
+
+# three windows of 4, 2 and 3 rows, and reads of each at its own prefix lengths
+STACK_LENGTHS = [4, 2, 3]
+STACK_READS = [(0, 4), (1, 2), (2, 1), (0, 0), (1, 1), (2, 3), (0, 2), (2, 3)]
+
+
+def stacked_windows(seed):
+    """A cell, the windows, their (T * 3, d) padded stack and their (3, d) init rows."""
+    r = np.random.default_rng(seed)
+    cell = ly.GruCell(DIM, DIM, r)
+    windows = [r.normal(size=(k, DIM)) for k in STACK_LENGTHS]
+    stack = np.zeros((max(STACK_LENGTHS), len(windows), DIM))
+    for row, window in enumerate(windows):
+        stack[: len(window), row] = window
+    return cell, windows, stack.reshape(-1, DIM), r.normal(size=(len(windows), DIM))
+
+
+def test_a_padded_stack_of_windows_reads_and_backpropagates_as_separate_nodes():
+    cell, windows, stack, init = stacked_windows(65)
+    probe = np.random.default_rng(66).normal(size=(len(STACK_READS), DIM))
+
+    def run(build):
+        for p in cell.params():
+            p.zero_grad()
+        inits = ad.parameter(init, "init")
+        with ad.tape() as t:
+            states = build(inits)
+            t.backward(ad.sum_all(ad.mul(states, ad.constant(probe))))
+        return states.data, inits.grad, {p.name: p.grad.copy() for p in cell.params()}
+
+    def separate(inits):
+        reads = []
+        for row, k in STACK_READS:
+            init_row = ad.gather_rows(inits, np.array([row]))
+            reads.append(ly.gru_encode(cell, ad.constant(windows[row]), init_row, [(0, k)]))
+        return ad.concat(reads, axis=0)
+
+    states, init_grad, grads = run(lambda inits: ly.gru_encode(cell, ad.constant(stack), inits, STACK_READS))
+    want_states, want_init_grad, want = run(separate)
+    np.testing.assert_allclose(states, want_states, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(init_grad, want_init_grad, rtol=1e-12, atol=1e-15)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, want[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_a_padded_stack_of_windows_passes_gradient_check():
+    cell, _, stack, init = stacked_windows(67)
+    init = ad.parameter(init, "init")
+    probe = ad.constant(np.random.default_rng(68).normal(size=(len(STACK_READS), DIM)))
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(ly.gru_encode(cell, ad.constant(stack), init, STACK_READS), probe))
+
+    report = ad.grad_check(loss_fn, [init, *cell.params()], tolerance=1e-4)
+    assert report.passed, str(report)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +333,31 @@ def assert_same_parameters(got, want):
             np.testing.assert_allclose(p.data, q.data, rtol=1e-9, atol=1e-12, err_msg=p.name)
 
 
+def spy_segment_users(run):
+    """Record, per phase, how many users each training segment of ``run`` holds."""
+    held = {"slow": [], "fast": []}
+    for phase in held:
+        real = getattr(run, f"_{phase}_segment_loss")
+
+        def spied(segment, real=real, phase=phase):
+            held[phase].append(len({user for user, _ in segment}))
+            return real(segment)
+
+        setattr(run, f"_{phase}_segment_loss", spied)
+    return held
+
+
 @pytest.mark.parametrize("variant", ["independent", "f2s", "s2f_full"])
 @pytest.mark.parametrize(
     "overrides",
-    [{"threshold": 2}, {"max_history_len": 3}],
-    ids=["mid-sequence-uploads", "sliding-windows-with-gaps"],
+    [{"threshold": 2}, {"max_history_len": 3}, {"batch_size": 24}],
+    ids=["mid-sequence-uploads", "sliding-windows-with-gaps", "segments-of-three-users"],
 )
 def test_segmented_training_matches_one_tape_per_context(variant, overrides):
     cfg = float64_config(variant=variant, **overrides)
     prepared = prepare_data(cfg)
     run, ref = _SeedRun(cfg, 0, *prepared), _SeedRun(cfg, 0, *prepared)
+    held = spy_segment_users(run)
     run.train_slow()
     reference_train_slow(ref)
     assert run.opt_slow.step_count == ref.opt_slow.step_count
@@ -282,3 +372,5 @@ def test_segmented_training_matches_one_tape_per_context(variant, overrides):
     assert run.counts == ref.counts
     assert run.exposure_log == ref.exposure_log
     assert_same_parameters(run, ref)
+    if cfg.batch_size == 24:  # a step's 24 examples span several users' contexts in both models
+        assert max(held["slow"]) >= 3 and max(held["fast"]) >= 3, held
